@@ -91,6 +91,8 @@ fn bench_check(c: &mut Criterion) {
                 &mut scratch,
                 &s.scan,
                 &cfg,
+                cfg.pkt_count,
+                cfg.require_module_stride,
                 cost.edge_check_cycles,
                 false,
                 None,

@@ -8,12 +8,12 @@
 //! flowguard_cli info     <artifact.json>                   # inspect an artifact
 //! flowguard_cli run      <artifact.json> [--input FILE]    # ③–⑤ protected run
 //! flowguard_cli stats    <artifact.json> [--input FILE] [--prom] [--prom-summaries]
-//!                        [--streaming] [--consumer] [--phases] [--save FILE] [--diff FILE]
+//!                        [--streaming] [--phases] [--save FILE] [--diff FILE]
 //! flowguard_cli health   <artifact.json> [--input FILE] [--streaming] [--slice N]
 //! flowguard_cli top      <artifact.json> [--input FILE] [--streaming] [--slice N]
 //! flowguard_cli events   <artifact.json> [--input FILE] [--last N]
 //! flowguard_cli attack   <artifact.json> <rop|srop|ret2lib|flush|kbouncer>
-//! flowguard_cli fleet    stats [--procs N] [--json] [--prom] [--single-cr3] [--consumer]
+//! flowguard_cli fleet    stats [--procs N] [--json] [--prom] [--single-cr3]
 //! flowguard_cli workloads                                  # list bundled targets
 //! ```
 //!
@@ -65,12 +65,12 @@ fn usage() -> ExitCode {
          flowguard_cli info <artifact.json>\n  \
          flowguard_cli run <artifact.json> [--input FILE]\n  \
          flowguard_cli stats <artifact.json> [--input FILE] [--prom] [--prom-summaries] \
-         [--streaming] [--consumer] [--phases] [--save FILE] [--diff FILE]\n  \
+         [--streaming] [--phases] [--save FILE] [--diff FILE]\n  \
          flowguard_cli health <artifact.json> [--input FILE] [--streaming] [--slice N]\n  \
          flowguard_cli top <artifact.json> [--input FILE] [--streaming] [--slice N]\n  \
          flowguard_cli events <artifact.json> [--input FILE] [--last N]\n  \
          flowguard_cli attack <artifact.json> <rop|srop|ret2lib|flush|kbouncer>\n  \
-         flowguard_cli fleet stats [--procs N] [--json] [--prom] [--single-cr3] [--consumer]"
+         flowguard_cli fleet stats [--procs N] [--json] [--prom] [--single-cr3]"
     );
     ExitCode::from(2)
 }
@@ -428,7 +428,6 @@ fn main() -> ExitCode {
             let mut prom = false;
             let mut prom_summaries = false;
             let mut streaming = false;
-            let mut consumer = false;
             let mut phases = false;
             let mut save: Option<&str> = None;
             let mut diff: Option<&str> = None;
@@ -447,10 +446,6 @@ fn main() -> ExitCode {
                     "--prom" => prom = true,
                     "--prom-summaries" => prom_summaries = true,
                     "--streaming" => streaming = true,
-                    "--consumer" => {
-                        streaming = true;
-                        consumer = true;
-                    }
                     "--phases" => phases = true,
                     "--save" => {
                         let Some(f) = it.next() else { return usage() };
@@ -482,8 +477,7 @@ fn main() -> ExitCode {
                 Err(code) => return code,
             };
             let input = if input.is_empty() { default_input_for(&d) } else { input };
-            let cfg =
-                FlowGuardConfig { streaming, consumer_thread: consumer, ..Default::default() };
+            let cfg = FlowGuardConfig { streaming, ..Default::default() };
             let mut p = d.launch(&input, cfg);
             let stop = p.run(2_000_000_000);
             let stats = p.stats;
@@ -498,17 +492,6 @@ fn main() -> ExitCode {
                     ts.copied_per_drained_kib(),
                     ts.frontier_lag.p50,
                     ts.frontier_lag.p99
-                );
-            }
-            if consumer {
-                eprintln!(
-                    "consumer: {} wakeups, {} drains ({:.0}% duty), {} bytes, lag p50/p99 {}/{}",
-                    ts.consumer_wakeups,
-                    ts.consumer_drains,
-                    ts.consumer_utilization() * 100.0,
-                    ts.consumer_drained_bytes,
-                    ts.consumer_lag.p50,
-                    ts.consumer_lag.p99
                 );
             }
             if let Some(f) = save {
@@ -713,7 +696,6 @@ fn main() -> ExitCode {
             let mut json = false;
             let mut prom = false;
             let mut multi_cr3 = true;
-            let mut consumer = false;
             while let Some(flag) = it.next() {
                 match flag {
                     "--procs" => {
@@ -725,7 +707,6 @@ fn main() -> ExitCode {
                     "--json" => json = true,
                     "--prom" => prom = true,
                     "--single-cr3" => multi_cr3 = false,
-                    "--consumer" => consumer = true,
                     _ => return usage(),
                 }
             }
@@ -746,7 +727,6 @@ fn main() -> ExitCode {
             ];
             let mut cfg = FleetConfig::default();
             cfg.flowguard.streaming = true;
-            cfg.flowguard.consumer_thread = consumer;
             cfg.multi_cr3 = multi_cr3;
             let mut fleet = FleetSupervisor::new(cfg);
             for pid in 0..procs {
@@ -806,19 +786,6 @@ fn main() -> ExitCode {
                 "checks: {} total, {} violations, p99 latency {} cycles",
                 snap.checks_total, snap.violations_total, snap.check_latency.p99
             );
-            let consumer_drains: u64 =
-                snap.processes.iter().map(|p| p.telemetry.consumer_drains).sum();
-            let consumer_bytes: u64 =
-                snap.processes.iter().map(|p| p.telemetry.consumer_drained_bytes).sum();
-            let consumer_wakeups: u64 =
-                snap.processes.iter().map(|p| p.telemetry.consumer_wakeups).sum();
-            if consumer_wakeups > 0 {
-                println!(
-                    "consumer: {consumer_drains} pooled drains over {consumer_wakeups} wakeups \
-                     ({:.0}% duty), {consumer_bytes} bytes off the poll slots",
-                    consumer_drains as f64 / consumer_wakeups as f64 * 100.0
-                );
-            }
             println!(
                 "\n{:>4}  {:<14} {:>12}  {:>8}  {:>6}  stop",
                 "pid", "name", "insns", "checks", "viol"

@@ -15,9 +15,11 @@ use fg_cpu::{IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
 use fg_ipt::{fast, IncrementalScanner};
 use fg_trace::HistogramSnapshot;
+use flowguard::reference::ColdWindowTally;
 use flowguard::{fastpath, scan_parallel, CheckScratch, FlowGuardConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// The default artifact file name.
@@ -41,10 +43,12 @@ pub struct FastpathBench {
     pub edge_lookup_speedup: f64,
     /// One windowed endpoint check (scan already advanced), in ns.
     pub endpoint_check_ns: f64,
-    /// Mean trace bytes scanned per endpoint check with the checkpointed
-    /// incremental scanner (a protected nginx run).
+    /// Mean trace bytes scanned per endpoint check by the engine's
+    /// checkpointed consumer (a protected nginx run).
     pub bytes_per_check_incremental: f64,
-    /// The same run in cold-rescan reference mode.
+    /// Mean bytes the cold tail-window rescan
+    /// ([`flowguard::reference::cold_window_scan`]) scans at the same
+    /// checks of the same run.
     pub bytes_per_check_cold: f64,
     /// `bytes_per_check_incremental / bytes_per_check_cold` (lower is
     /// better; deterministic, hardware-independent).
@@ -59,7 +63,7 @@ pub struct FastpathBench {
     /// Distribution of simulated fast-path scan cycles per check.
     #[serde(default)]
     pub scan_cycles_dist: HistogramSnapshot,
-    /// Distribution of trace bytes scanned per check (incremental mode).
+    /// Distribution of trace bytes scanned per check by the engine.
     #[serde(default)]
     pub bytes_per_check_dist: HistogramSnapshot,
 }
@@ -109,21 +113,19 @@ fn time_per_iter<O>(iters: usize, mut f: impl FnMut() -> O) -> f64 {
 }
 
 /// A protected nginx run's full telemetry snapshot (drives bytes-per-check,
-/// cache hit rate, and the latency-distribution columns).
-fn protected_telemetry(incremental: bool) -> flowguard::TelemetrySnapshot {
+/// cache hit rate, and the latency-distribution columns), plus the bytes
+/// the cold tail-window oracle scanned at the same checks.
+fn protected_telemetry() -> (flowguard::TelemetrySnapshot, u64) {
     let w = fg_workloads::nginx_patched();
     let d = crate::measure::trained_deployment(&w);
-    let cfg = FlowGuardConfig { incremental_scan: incremental, ..Default::default() };
-    let mut p = d.launch(&w.default_input, cfg);
+    let cfg = FlowGuardConfig::default();
+    let mut p = d.launch(&w.default_input, cfg.clone());
+    let cold_bytes = ColdWindowTally::install(&mut p, &cfg);
     let stop = p.run(crate::measure::BUDGET);
     assert!(matches!(stop, fg_cpu::StopReason::Exited(0)), "benign run must exit: {stop:?}");
     let t = p.stats.telemetry_snapshot();
     assert!(t.checks > 0, "protected run must hit endpoints");
-    t
-}
-
-fn bytes_per_check(t: &flowguard::TelemetrySnapshot) -> f64 {
-    t.bytes_scanned as f64 / t.checks as f64
+    (t, cold_bytes.load(Ordering::Relaxed))
 }
 
 /// Runs the whole measurement.
@@ -159,6 +161,8 @@ pub fn run() -> FastpathBench {
             &mut scratch,
             &s.scan,
             &cfg,
+            cfg.pkt_count,
+            cfg.require_module_stride,
             cost.edge_check_cycles,
             false,
             None,
@@ -168,9 +172,9 @@ pub fn run() -> FastpathBench {
     });
 
     // Deterministic bytes-per-check comparison on a protected run.
-    let t_inc = protected_telemetry(true);
-    let t_cold = protected_telemetry(false);
-    let (bpc_inc, bpc_cold) = (bytes_per_check(&t_inc), bytes_per_check(&t_cold));
+    let (t_inc, cold_bytes) = protected_telemetry();
+    let bpc_inc = t_inc.bytes_scanned as f64 / t_inc.checks as f64;
+    let bpc_cold = cold_bytes as f64 / t_inc.checks as f64;
     let lookups = t_inc.edge_cache_hits + t_inc.edge_cache_misses;
     let hit_rate = if lookups == 0 { 0.0 } else { t_inc.edge_cache_hits as f64 / lookups as f64 };
 

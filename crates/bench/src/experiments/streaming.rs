@@ -61,28 +61,10 @@ pub struct StreamingBench {
     #[serde(default)]
     pub segmented_vs_vectorized: f64,
     /// Bytes the drain path copied per KiB drained over the protected
-    /// streaming run (seam carries + wrap recoveries; the worst of the
-    /// poll-slot and dedicated-consumer runs). The linearizing drain path
-    /// copied every byte — 1024 — so this is gated near zero.
+    /// streaming run (seam carries + restart windows). The linearizing
+    /// drain path copied every byte — 1024 — so this is gated near zero.
     #[serde(default)]
     pub copied_bytes_per_drained_kib: f64,
-    /// Median check-time residue under the dedicated consumer thread.
-    #[serde(default)]
-    pub consumer_residue_p50: u64,
-    /// 99th percentile of the same — gated strictly below the poll-slot
-    /// `residue_bytes_per_check_p99` at equal load.
-    #[serde(default)]
-    pub consumer_residue_p99: u64,
-    /// Consumer-thread wakeups over the protected run.
-    #[serde(default)]
-    pub consumer_wakeups: u64,
-    /// Wakeups that found the frontier at least `consumer_lag_target` ahead
-    /// and drained.
-    #[serde(default)]
-    pub consumer_drains: u64,
-    /// `consumer_drains / consumer_wakeups` — the consumer's duty cycle.
-    #[serde(default)]
-    pub consumer_utilization: f64,
 }
 
 /// Builds the bench trace: a 100M-instruction protected-style nginx run
@@ -118,7 +100,7 @@ fn time_per_iter<O>(iters: usize, mut f: impl FnMut() -> O) -> f64 {
 pub fn run() -> StreamingBench {
     let m = bench_machine();
     let ipt = m.trace.as_ipt().expect("ipt");
-    let segs = ipt.trace_segments();
+    let segs: Vec<&[u8]> = ipt.trace_segments().collect();
     let trace = segs.concat();
     let mib = trace.len() as f64 / (1024.0 * 1024.0);
 
@@ -150,15 +132,6 @@ pub fn run() -> StreamingBench {
     assert!(t.checks > 0, "protected run must hit endpoints");
     assert!(t.stream_drains > 0, "streaming run must drain in the background");
 
-    // Same run with bulk draining moved onto the dedicated consumer thread:
-    // the finer wakeup cadence must tighten the check-time residue tail.
-    let ccfg = FlowGuardConfig { streaming: true, consumer_thread: true, ..Default::default() };
-    let mut cp = d.launch(&w.default_input, ccfg);
-    let cstop = cp.run(crate::measure::BUDGET);
-    assert!(matches!(cstop, fg_cpu::StopReason::Exited(0)), "consumer run must exit: {cstop:?}");
-    let ct = cp.stats.telemetry_snapshot();
-    assert!(ct.consumer_wakeups > 0, "consumer run must record wakeups");
-
     StreamingBench {
         scan_mib_per_sec: mib / scalar_sec,
         vectorized_scan_mib_per_sec: mib / vec_sec,
@@ -173,12 +146,7 @@ pub fn run() -> StreamingBench {
         residue_bytes_dist: t.frontier_lag,
         segmented_scan_mib_per_sec: mib / seg_sec,
         segmented_vs_vectorized: vec_sec / seg_sec,
-        copied_bytes_per_drained_kib: t.copied_per_drained_kib().max(ct.copied_per_drained_kib()),
-        consumer_residue_p50: ct.frontier_lag.p50,
-        consumer_residue_p99: ct.frontier_lag.p99,
-        consumer_wakeups: ct.consumer_wakeups,
-        consumer_drains: ct.consumer_drains,
-        consumer_utilization: ct.consumer_utilization(),
+        copied_bytes_per_drained_kib: t.copied_per_drained_kib(),
     }
 }
 
@@ -207,16 +175,7 @@ pub fn print_table(b: &StreamingBench) {
         "residue bytes/check p50/p99".into(),
         format!("{}/{}", b.residue_bytes_per_check_p50, b.residue_bytes_per_check_p99),
     ]);
-    t.row(vec![
-        "consumer residue p50/p99".into(),
-        format!("{}/{}", b.consumer_residue_p50, b.consumer_residue_p99),
-    ]);
     t.row(vec!["copied bytes / drained KiB".into(), fmt(b.copied_bytes_per_drained_kib, 2)]);
-    t.row(vec![
-        "consumer drains/wakeups".into(),
-        format!("{}/{}", b.consumer_drains, b.consumer_wakeups),
-    ]);
-    t.row(vec!["consumer utilization".into(), fmt(b.consumer_utilization, 2)]);
     t.row(vec!["background drains".into(), b.stream_drains.to_string()]);
     t.row(vec!["background bytes drained".into(), b.stream_drained_bytes.to_string()]);
     t.print("Streaming-pipeline benchmarks (BENCH_streaming.json)");
@@ -267,8 +226,8 @@ pub fn regressions(
             current.residue_bytes_per_check_p99, baseline.residue_bytes_per_check_p99
         ));
     }
-    // The zero-copy gates fire only when the run measured them: a zeroed
-    // ratio / wakeup count means an old-shape artifact, not a regression.
+    // The zero-copy gate fires only when the run measured it: a zeroed
+    // ratio means an old-shape artifact, not a regression.
     if current.segmented_vs_vectorized > 0.0
         && current.segmented_vs_vectorized < (baseline.segmented_vs_vectorized / factor).max(0.8)
     {
@@ -281,14 +240,6 @@ pub fn regressions(
         out.push(format!(
             "drain path copied {:.2} bytes per drained KiB (must stay < 4: seam carries only)",
             current.copied_bytes_per_drained_kib
-        ));
-    }
-    if current.consumer_wakeups > 0
-        && current.consumer_residue_p99 >= current.residue_bytes_per_check_p99
-    {
-        out.push(format!(
-            "dedicated consumer did not cut the residue tail: p99 {} vs poll-slot {}",
-            current.consumer_residue_p99, current.residue_bytes_per_check_p99
         ));
     }
     out
@@ -313,11 +264,6 @@ mod tests {
             segmented_scan_mib_per_sec: 340.0,
             segmented_vs_vectorized: 0.97,
             copied_bytes_per_drained_kib: 1.9,
-            consumer_residue_p50: 9,
-            consumer_residue_p99: 40,
-            consumer_wakeups: 5000,
-            consumer_drains: 1200,
-            consumer_utilization: 0.24,
             ..Default::default()
         }
     }
@@ -342,7 +288,6 @@ mod tests {
         let b: StreamingBench = serde_json::from_str(old).unwrap();
         assert_eq!(b.residue_bytes_dist, HistogramSnapshot::default());
         assert_eq!(b.segmented_vs_vectorized, 0.0, "pre-zero-copy baselines default to 0");
-        assert_eq!(b.consumer_wakeups, 0);
         assert_eq!(b.copied_bytes_per_drained_kib, 0.0);
         // An old baseline's zeroed ratio must not trip the absolute
         // segmented floor when used as the comparison side.
@@ -362,16 +307,14 @@ mod tests {
     }
 
     #[test]
-    fn regressions_flag_copying_drains_and_lazy_consumer() {
+    fn regressions_flag_copying_drains() {
         let base = sample();
         let mut bad = base.clone();
         bad.segmented_vs_vectorized = 0.4; // segmented path regressed to copying
         bad.copied_bytes_per_drained_kib = 900.0; // drains linearizing again
-        bad.consumer_residue_p99 = bad.residue_bytes_per_check_p99; // ties don't count
         let r = regressions(&bad, &base, 2.0);
-        assert_eq!(r.len(), 3, "{r:?}");
+        assert_eq!(r.len(), 2, "{r:?}");
         assert!(r.iter().any(|v| v.contains("segmented")), "{r:?}");
         assert!(r.iter().any(|v| v.contains("copied")), "{r:?}");
-        assert!(r.iter().any(|v| v.contains("consumer")), "{r:?}");
     }
 }

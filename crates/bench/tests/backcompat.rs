@@ -93,14 +93,9 @@ fn pre_fleet_telemetry_snapshot_parses_with_defaults() {
     assert_eq!(s.sched_shed_inline, 0);
     // Zero-copy / consumer-thread era words (PR 10) default too.
     assert!(!text.contains("consumer_wakeups"), "fixture must predate the consumer words");
-    assert_eq!(s.consumer_wakeups, 0);
-    assert_eq!(s.consumer_drains, 0);
-    assert_eq!(s.consumer_drained_bytes, 0);
     assert_eq!(s.stream_copied_bytes, 0);
     assert_eq!(s.stream_seam_carries, 0);
-    assert_eq!(s.consumer_lag.count, 0);
     assert_eq!(s.copied_per_drained_kib(), 0.0);
-    assert_eq!(s.consumer_utilization(), 0.0);
 }
 
 /// A `BENCH_fastpath.json` from before the `*_dist` histogram columns must
@@ -148,10 +143,21 @@ fn pr9_era_bench_streaming_parses() {
     assert_eq!(b.segmented_scan_mib_per_sec, 0.0);
     assert_eq!(b.segmented_vs_vectorized, 0.0);
     assert_eq!(b.copied_bytes_per_drained_kib, 0.0);
-    assert_eq!(b.consumer_wakeups, 0);
-    assert_eq!(b.consumer_residue_p99, 0);
-    assert_eq!(b.consumer_utilization, 0.0);
     // And it keeps working as the baseline side of the current gates.
+    assert!(streaming::regressions(&b, &b, 2.0).is_empty());
+}
+
+/// A `BENCH_streaming.json` from the dedicated-consumer era: its
+/// `consumer_*` columns no longer exist and are ignored, and it still feeds
+/// the current gates, on either side of the comparison.
+#[test]
+fn consumer_era_bench_streaming_with_removed_columns_parses() {
+    let text = include_str!("fixtures/bench_streaming_consumer_era.json");
+    assert!(text.contains("consumer_wakeups"), "fixture carries the removed consumer columns");
+    let b: streaming::StreamingBench = serde_json::from_str(text).unwrap();
+    assert_eq!(b.residue_bytes_per_check_p99, 71);
+    assert_eq!(b.stream_drains, 65_118);
+    assert!(b.copied_bytes_per_drained_kib > 0.0, "the zero-copy columns are present");
     assert!(streaming::regressions(&b, &b, 2.0).is_empty());
 }
 

@@ -21,15 +21,6 @@ pub struct FlowGuardConfig {
     /// Cache negative slow-path results as fast-path high credits (§7.1.1:
     /// "makes the performance better and better").
     pub cache_slow_path_results: bool,
-    /// Decode ToPA segments in parallel using PSB sync points (§5.3).
-    pub parallel_decode: bool,
-    /// Checkpoint the packet scanner between endpoint checks and consume
-    /// only the bytes appended since the previous check, instead of
-    /// re-scanning a tail window from a PSB sync point every time. Off, the
-    /// engine cold-scans the full buffer at each check — the reference mode
-    /// the incremental scanner is validated against.
-    #[serde(default = "default_incremental_scan")]
-    pub incremental_scan: bool,
     /// Fan the slow path's PSB-delimited shard decodes out on the shared
     /// worker pool (§5.3: "with the help of packet stream boundary (PSB)
     /// packets … this process can be done in parallel"). The sequential
@@ -43,42 +34,15 @@ pub struct FlowGuardConfig {
     /// cold — the reference mode the checkpoint is validated against.
     #[serde(default = "default_slow_checkpoint")]
     pub slow_checkpoint: bool,
-    /// Stream-consume the ToPA concurrently with execution: a background
-    /// [`fg_ipt::StreamConsumer`] drains the buffer at the machine's
-    /// periodic trace-poll slots and at region-fill PMIs, so an endpoint
-    /// check degenerates to a frontier compare plus a scan of the few
-    /// residue bytes written since the last drain. Off, checks consume the
-    /// buffer via the incremental scanner (or cold scans) at endpoint time
-    /// only — the reference mode streaming is validated against.
+    /// Stream-consume the ToPA concurrently with execution: besides the
+    /// drain every check performs, the [`fg_ipt::StreamConsumer`] also
+    /// drains the buffer at the machine's periodic trace-poll slots and at
+    /// region-fill PMIs, so an endpoint check degenerates to a frontier
+    /// compare plus a scan of the few residue bytes written since the last
+    /// drain. Off, the buffer is consumed at endpoint checks only — the
+    /// paper's mode and the reference streaming is validated against.
     #[serde(default = "default_streaming")]
     pub streaming: bool,
-    /// Dedicated consumer thread ([`ConsumerThread`]): bulk draining moves
-    /// off the process's borrowed poll slots onto a consumer that wakes on
-    /// its own (simulated) core at [`FlowGuardConfig::consumer_poll_period`]
-    /// and drains whenever the write frontier has run ahead of the read
-    /// frontier by at least [`FlowGuardConfig::consumer_lag_target`] bytes.
-    /// Only takes effect with `streaming` on; off, drains borrow the
-    /// process's poll slots — the fallback (and reference) drive.
-    ///
-    /// [`ConsumerThread`]: crate::consumer::ConsumerThread
-    #[serde(default = "default_consumer_thread")]
-    pub consumer_thread: bool,
-    /// Consumer-thread lag target, in bytes: the consumer lets the write
-    /// frontier run at most this far ahead before draining. Small targets
-    /// drain eagerly (lower check-time residue, more waking drains); large
-    /// targets batch (fewer drains, fatter residue). The default is one
-    /// max-size PT packet ([`fg_ipt::wire::PSB_LEN`]): sub-packet wakeups
-    /// are skipped, and because the carried lag stays under a packet while
-    /// the consumer wakes 4x finer than a borrowed poll slot, the
-    /// check-time residue tail lands strictly below the poll-slot baseline.
-    #[serde(default = "default_consumer_lag_target")]
-    pub consumer_lag_target: u64,
-    /// Consumer-thread wakeup cadence, in retired instructions. A dedicated
-    /// consumer on its own core wakes finer than the borrowed poll slot
-    /// (`fg_cpu::machine::TRACE_POLL_PERIOD`), which is what pushes the
-    /// frontier-lag p99 below the poll-slot baseline.
-    #[serde(default = "default_consumer_poll_period")]
-    pub consumer_poll_period: u64,
     /// Also run a full-buffer check at every trace-buffer PMI — the paper's
     /// worst-case fallback against endpoint-pruning attacks (§7.1.2).
     pub pmi_endpoints: bool,
@@ -113,10 +77,6 @@ pub struct FlowGuardConfig {
     pub topa_region_bytes: usize,
 }
 
-fn default_incremental_scan() -> bool {
-    true
-}
-
 fn default_parallel_slow_path() -> bool {
     true
 }
@@ -127,18 +87,6 @@ fn default_slow_checkpoint() -> bool {
 
 fn default_streaming() -> bool {
     false
-}
-
-fn default_consumer_thread() -> bool {
-    false
-}
-
-fn default_consumer_lag_target() -> u64 {
-    16
-}
-
-fn default_consumer_poll_period() -> u64 {
-    16
 }
 
 fn default_telemetry() -> bool {
@@ -160,14 +108,9 @@ impl Default for FlowGuardConfig {
             cred_ratio: 1.0,
             require_module_stride: true,
             cache_slow_path_results: true,
-            parallel_decode: false,
-            incremental_scan: true,
             parallel_slow_path: true,
             slow_checkpoint: true,
             streaming: false,
-            consumer_thread: false,
-            consumer_lag_target: 16,
-            consumer_poll_period: 16,
             pmi_endpoints: false,
             path_matching: false,
             telemetry: true,
@@ -188,7 +131,6 @@ impl FlowGuardConfig {
     pub fn validate(&self) {
         assert!((0.0..=1.0).contains(&self.cred_ratio), "cred_ratio must be within [0,1]");
         assert!(self.pkt_count > 0, "pkt_count must be positive");
-        assert!(self.consumer_poll_period > 0, "consumer_poll_period must be positive");
     }
 }
 
@@ -203,13 +145,9 @@ mod tests {
         assert_eq!(c.cred_ratio, 1.0);
         assert!(c.require_module_stride);
         assert!(c.cache_slow_path_results);
-        assert!(c.incremental_scan);
         assert!(c.parallel_slow_path);
         assert!(c.slow_checkpoint);
         assert!(!c.streaming, "streaming is opt-in; the paper's checks consume at endpoints");
-        assert!(!c.consumer_thread, "the dedicated consumer rides on opt-in streaming");
-        assert_eq!(c.consumer_lag_target, 16, "one max-size packet: skip sub-packet wakeups");
-        assert_eq!(c.consumer_poll_period, 16);
         assert!(c.telemetry);
         assert!(c.profile_spans, "span attribution rides on telemetry by default");
         assert!(c.tier0_bitset);

@@ -253,12 +253,6 @@ impl Deployment {
         engine.set_cost_model(cost);
         let mut machine = Machine::new(&self.image, cr3);
         machine.cost = cost;
-        if cfg.streaming && cfg.consumer_thread {
-            // Dedicated consumer: re-pace the trace-poll clock to the
-            // consumer's wakeup cadence — it models a thread spinning on
-            // its own core, not the process's borrowed poll slot.
-            machine.set_trace_poll_period(cfg.consumer_poll_period);
-        }
         let mut unit = IptUnit::flowguard(
             cr3,
             Topa::two_regions(cfg.topa_region_bytes).expect("valid ToPA size"),

@@ -221,13 +221,29 @@ pub fn check(
     edge_check_cycles: f64,
 ) -> FastPathResult {
     let mut scratch = CheckScratch::new(image);
-    check_windowed(itc, cache, &mut scratch, scan, cfg, edge_check_cycles, false, None)
+    check_windowed(
+        itc,
+        cache,
+        &mut scratch,
+        scan,
+        cfg,
+        cfg.pkt_count,
+        cfg.require_module_stride,
+        edge_check_cycles,
+        false,
+        None,
+    )
 }
 
 /// [`check`] with reusable scratch state, over a scan that may have started
 /// at a mid-trace sync point: when `first_tnt_truncated` is set, the TNT
 /// run preceding the scan's very first TIP is truncated at the window edge
 /// and must not be compared against trained signatures.
+///
+/// The window is `pkt_count` TIPs, widened for the module stride when
+/// `require_module_stride` is set — passed as values so a PMI check can
+/// reach back over the whole scan without copying `cfg`, which supplies
+/// the remaining policy (`cred_ratio`, caching, path matching).
 ///
 /// When `tier0` carries the deployment's entry-point bitset, every pair's
 /// target is probed against it *before* any ITC lookup: a clear bit proves
@@ -242,6 +258,8 @@ pub fn check_windowed(
     scratch: &mut CheckScratch,
     scan: &FastScan,
     cfg: &FlowGuardConfig,
+    pkt_count: usize,
+    require_module_stride: bool,
     edge_check_cycles: f64,
     first_tnt_truncated: bool,
     tier0: Option<&EntryBitset>,
@@ -264,8 +282,8 @@ pub fn check_windowed(
     }
 
     // --- window selection -------------------------------------------------
-    let mut start = tips.len().saturating_sub(cfg.pkt_count);
-    if cfg.require_module_stride {
+    let mut start = tips.len().saturating_sub(pkt_count);
+    if require_module_stride {
         let satisfies = |scratch: &mut CheckScratch, s: usize| {
             let mut exec = false;
             let mut distinct = 0usize;
@@ -284,7 +302,7 @@ pub fn check_windowed(
         // Widen while unsatisfied, but boundedly (the ToPA buffer itself
         // bounds how far back the implementation can reach): at most 4x the
         // configured window.
-        let floor = tips.len().saturating_sub(cfg.pkt_count * 4);
+        let floor = tips.len().saturating_sub(pkt_count * 4);
         while start > floor && !satisfies(scratch, start) {
             start = start.saturating_sub(8).max(floor);
         }
@@ -424,6 +442,29 @@ mod tests {
         let bytes = m.trace.as_ipt().unwrap().trace_bytes();
         let scan = fg_ipt::fast::scan(&bytes).unwrap();
         Setup { image: w.image, itc, scan }
+    }
+
+    /// [`check_windowed`] over `scan` with the default config's window and
+    /// no slow-path cache, as an endpoint check runs it.
+    fn endpoint_check(
+        s: &Setup,
+        scratch: &mut CheckScratch,
+        scan: &FastScan,
+        tier0: Option<&EntryBitset>,
+    ) -> FastPathResult {
+        let cfg = FlowGuardConfig::default();
+        check_windowed(
+            &s.itc,
+            &HashSet::new(),
+            scratch,
+            scan,
+            &cfg,
+            cfg.pkt_count,
+            cfg.require_module_stride,
+            18.0,
+            false,
+            tier0,
+        )
     }
 
     #[test]
@@ -579,15 +620,13 @@ mod tests {
     #[test]
     fn scratch_edge_cache_hits_on_repeat() {
         let s = trained_setup();
-        let cfg = FlowGuardConfig::default();
         let mut scratch = CheckScratch::new(&s.image);
-        let empty = HashSet::new();
-        let r1 = check_windowed(&s.itc, &empty, &mut scratch, &s.scan, &cfg, 18.0, false, None);
-        let r2 = check_windowed(&s.itc, &empty, &mut scratch, &s.scan, &cfg, 18.0, false, None);
+        let r1 = endpoint_check(&s, &mut scratch, &s.scan, None);
+        let r2 = endpoint_check(&s, &mut scratch, &s.scan, None);
         assert_eq!(r1, r2, "scratch reuse must not change verdicts");
         assert!(scratch.edge_cache_hits > 0, "repeat checks hit the edge cache");
         scratch.invalidate_edges();
-        let r3 = check_windowed(&s.itc, &empty, &mut scratch, &s.scan, &cfg, 18.0, false, None);
+        let r3 = endpoint_check(&s, &mut scratch, &s.scan, None);
         assert_eq!(r1, r3);
     }
 
@@ -596,17 +635,13 @@ mod tests {
         // Benign + trained: the probe must hit on every pair and change
         // nothing — zero false escalations is the bitset's design guarantee.
         let s = trained_setup();
-        let cfg = FlowGuardConfig::default();
         let bits = EntryBitset::from_itc(&s.image, &s.itc);
         let mut scratch = CheckScratch::new(&s.image);
-        let empty = HashSet::new();
-        let with =
-            check_windowed(&s.itc, &empty, &mut scratch, &s.scan, &cfg, 18.0, false, Some(&bits));
+        let with = endpoint_check(&s, &mut scratch, &s.scan, Some(&bits));
         assert_eq!(with.verdict, FastVerdict::Clean, "probe must not reject benign flow");
         assert_eq!(with.tier0_misses, 0, "zero false escalations");
         assert_eq!(with.tier0_hits as usize, with.pairs_checked, "every pair probed");
-        let without =
-            check_windowed(&s.itc, &empty, &mut scratch, &s.scan, &cfg, 18.0, false, None);
+        let without = endpoint_check(&s, &mut scratch, &s.scan, None);
         assert_eq!(without.verdict, FastVerdict::Clean);
         assert_eq!(without.tier0_hits, 0, "no probes without a bitset");
     }
@@ -614,22 +649,12 @@ mod tests {
     #[test]
     fn tier0_probe_catches_off_bitset_attack() {
         let s = trained_setup();
-        let cfg = FlowGuardConfig::default();
         let bits = EntryBitset::from_itc(&s.image, &s.itc);
         let mut scan = s.scan.clone();
         let exec_base = s.image.executable().base;
         scan.set_tip_ip(scan.tip_count() - 1, exec_base + 8); // mid-entry block
         let mut scratch = CheckScratch::new(&s.image);
-        let r = check_windowed(
-            &s.itc,
-            &HashSet::new(),
-            &mut scratch,
-            &scan,
-            &cfg,
-            18.0,
-            false,
-            Some(&bits),
-        );
+        let r = endpoint_check(&s, &mut scratch, &scan, Some(&bits));
         assert!(
             matches!(r.verdict, FastVerdict::Malicious(Violation::UnknownTarget { .. })),
             "probe miss is a definitive violation, got {:?}",
@@ -641,14 +666,11 @@ mod tests {
     #[test]
     fn phase_cycle_split_partitions_check_cycles() {
         let s = trained_setup();
-        let cfg = FlowGuardConfig::default();
         let bits = EntryBitset::from_itc(&s.image, &s.itc);
         let mut scratch = CheckScratch::new(&s.image);
         let prof = Arc::new(SpanProfiler::new(true));
         scratch.set_profiler(Arc::clone(&prof));
-        let empty = HashSet::new();
-        let r =
-            check_windowed(&s.itc, &empty, &mut scratch, &s.scan, &cfg, 18.0, false, Some(&bits));
+        let r = endpoint_check(&s, &mut scratch, &s.scan, Some(&bits));
         assert_eq!(r.verdict, FastVerdict::Clean);
         let sum = r.tier0_cycles + r.edge_cycles + r.verdict_cycles;
         assert!((sum - r.check_cycles).abs() < 1e-9, "phase split must partition check_cycles");

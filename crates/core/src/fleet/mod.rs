@@ -297,10 +297,6 @@ impl FleetSupervisor {
 
         let mut machine = Machine::new(&d.image, cr3);
         machine.cost = self.cfg.cost;
-        if self.cfg.flowguard.streaming && self.cfg.flowguard.consumer_thread {
-            // Pooled consumers wake at their own cadence, same as solo.
-            machine.set_trace_poll_period(self.cfg.flowguard.consumer_poll_period);
-        }
 
         let mut kernel = Kernel::with_input(input);
         kernel.install_interceptor(Box::new(SharedEngine(Arc::clone(&engine))));
@@ -632,18 +628,6 @@ impl FleetSupervisor {
             "Background stream drains per protected process",
             "process",
             &series(&|pr| pr.telemetry.stream_drains as f64),
-        )
-        .labeled_counter(
-            "fg_process_consumer_drains_total",
-            "Dedicated-consumer drains per protected process",
-            "process",
-            &series(&|pr| pr.telemetry.consumer_drains as f64),
-        )
-        .labeled_counter(
-            "fg_process_consumer_drained_bytes_total",
-            "Bytes drained by dedicated consumers per protected process",
-            "process",
-            &series(&|pr| pr.telemetry.consumer_drained_bytes as f64),
         )
         .labeled_counter(
             "fg_process_sched_deferred_total",

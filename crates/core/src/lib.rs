@@ -21,6 +21,8 @@
 //! * [`parallel`] — PSB-parallel packet scanning (§5.3);
 //! * [`engine`] — the kernel-module interceptor with slow-path result
 //!   caching (§5.2, §7.1.1);
+//! * [`reference`] — the cold tail-window scan, kept as the oracle the
+//!   engine's trace consumer is measured against;
 //! * [`deploy`] — the end-to-end pipeline (Figure 1's steps ①–⑤);
 //! * [`baselines`] — kBouncer-style (LBR) and CFIMon-style (BTS) baseline
 //!   detectors from the related-work lineage (§8.2);
@@ -48,20 +50,19 @@
 
 pub mod baselines;
 pub mod config;
-pub mod consumer;
 pub mod deploy;
 pub mod engine;
 pub mod fastpath;
 pub mod fleet;
 pub mod parallel;
 pub mod pool;
+pub mod reference;
 pub mod shadow;
 pub mod slowpath;
 pub mod telemetry;
 
 pub use baselines::{BaselineStats, BaselineTelemetry, CfimonLike, KBouncerLike};
 pub use config::FlowGuardConfig;
-pub use consumer::{ConsumerStats, ConsumerThread};
 pub use deploy::{ArtifactError, Deployment, ProtectedProcess, DEFAULT_CR3};
 pub use engine::{EngineStats, FlowGuardEngine, ViolationRecord};
 pub use fastpath::{CheckScratch, FastPathResult, FastVerdict, Violation};

@@ -319,16 +319,6 @@ pub struct EngineTelemetry {
     tier0_misses: ShardedU64,
     stream_drains: ShardedU64,
     stream_drained_bytes: ShardedU64,
-    /// Dedicated-consumer wakeups (each one is a frontier compare).
-    consumer_wakeups: ShardedU64,
-    /// Consumer wakeups that committed to a drain.
-    consumer_drains: ShardedU64,
-    /// Trace bytes drained by the dedicated consumer.
-    consumer_drained_bytes: ShardedU64,
-    /// Consumer wakeups skipped below the lag target.
-    consumer_skipped: ShardedU64,
-    /// Frontier lag observed at each consumer wakeup.
-    consumer_lag: Histogram,
     /// Cumulative bytes the streaming consumer copied (seam carries plus
     /// wrap-recovery linearizations) — sampled from
     /// [`fg_ipt::DrainStats`]-style cumulative counters, last-write-wins.
@@ -407,11 +397,6 @@ impl EngineTelemetry {
             tier0_misses: ShardedU64::new(),
             stream_drains: ShardedU64::new(),
             stream_drained_bytes: ShardedU64::new(),
-            consumer_wakeups: ShardedU64::new(),
-            consumer_drains: ShardedU64::new(),
-            consumer_drained_bytes: ShardedU64::new(),
-            consumer_skipped: ShardedU64::new(),
-            consumer_lag: Histogram::new(),
             stream_copied_bytes: Gauge::new(),
             stream_seam_carries: Gauge::new(),
             sched_deferred_drains: ShardedU64::new(),
@@ -506,32 +491,6 @@ impl EngineTelemetry {
         self.stream_drained_bytes.add(bytes);
     }
 
-    /// Records one dedicated-consumer wakeup: the frontier `lag` it
-    /// observed and whether it committed to a drain (`false` = skipped
-    /// below the lag target).
-    #[inline]
-    pub fn record_consumer_wakeup(&self, lag: u64, drained: bool) {
-        if !self.enabled {
-            return;
-        }
-        self.consumer_wakeups.incr();
-        self.consumer_lag.record(lag);
-        if drained {
-            self.consumer_drains.incr();
-        } else {
-            self.consumer_skipped.incr();
-        }
-    }
-
-    /// Accounts bytes drained on behalf of the dedicated consumer (inline,
-    /// or deferred through the fleet scheduler).
-    #[inline]
-    pub fn record_consumer_drained(&self, bytes: u64) {
-        if self.enabled {
-            self.consumer_drained_bytes.add(bytes);
-        }
-    }
-
     /// Samples the streaming consumer's cumulative copy counters (bytes it
     /// had to copy — seam carries plus wrap recoveries — and the carry
     /// count). Last-write-wins, like the cache gauges.
@@ -542,11 +501,6 @@ impl EngineTelemetry {
         }
         self.stream_copied_bytes.set(copied_bytes);
         self.stream_seam_carries.set(seam_carries);
-    }
-
-    /// The consumer-wakeup frontier-lag histogram (fleet rollups).
-    pub fn consumer_lag_hist(&self) -> &Histogram {
-        &self.consumer_lag
     }
 
     /// Records one poll-slot drain deferred onto the fleet scheduler's
@@ -739,11 +693,6 @@ impl EngineTelemetry {
             stream_drained_bytes: self.stream_drained_bytes.get(),
             stream_copied_bytes: self.stream_copied_bytes.get(),
             stream_seam_carries: self.stream_seam_carries.get(),
-            consumer_wakeups: self.consumer_wakeups.get(),
-            consumer_drains: self.consumer_drains.get(),
-            consumer_drained_bytes: self.consumer_drained_bytes.get(),
-            consumer_skipped: self.consumer_skipped.get(),
-            consumer_lag: self.consumer_lag.snapshot(),
             sched_deferred_drains: self.sched_deferred_drains.get(),
             sched_shed_inline: self.sched_shed_inline.get(),
             edge_cache_hits: self.edge_cache_hits.get(),
@@ -856,26 +805,6 @@ impl EngineTelemetry {
                 self.stream_seam_carries.get(),
             )
             .counter(
-                "fg_consumer_wakeups_total",
-                "Dedicated-consumer wakeups (frontier compares)",
-                self.consumer_wakeups.get(),
-            )
-            .counter(
-                "fg_consumer_drains_total",
-                "Consumer wakeups that committed to a drain",
-                self.consumer_drains.get(),
-            )
-            .counter(
-                "fg_consumer_drained_bytes_total",
-                "Trace bytes drained by the dedicated consumer",
-                self.consumer_drained_bytes.get(),
-            )
-            .counter(
-                "fg_consumer_skipped_total",
-                "Consumer wakeups skipped below the lag target",
-                self.consumer_skipped.get(),
-            )
-            .counter(
                 "fg_edge_cache_hits_total",
                 "Fast-path edge-cache hits",
                 self.edge_cache_hits.get(),
@@ -935,22 +864,9 @@ impl EngineTelemetry {
             "fg_health_status",
             "Watchdog verdict: 0 healthy, 1 degraded, 2 critical",
             self.health_report().status.to_u64() as f64,
-        )
-        .gauge(
-            "fg_consumer_utilization_ratio",
-            "Fraction of consumer wakeups that drained",
-            {
-                let wakeups = self.consumer_wakeups.get();
-                #[allow(clippy::cast_precision_loss)]
-                if wakeups == 0 {
-                    0.0
-                } else {
-                    self.consumer_drains.get() as f64 / wakeups as f64
-                }
-            },
         );
 
-        let hists: [(&str, &str, &Histogram); 8] = [
+        let hists: [(&str, &str, &Histogram); 7] = [
             ("fg_check_latency_cycles", "Per-check total cycles", &self.check_latency),
             ("fg_fastpath_scan_cycles", "Per-check packet-scan cycles", &self.fastpath_scan_cycles),
             (
@@ -969,11 +885,6 @@ impl EngineTelemetry {
                 "fg_frontier_lag_bytes",
                 "Residue bytes not yet drained at check entry (streaming)",
                 &self.frontier_lag,
-            ),
-            (
-                "fg_consumer_lag_bytes",
-                "Frontier lag observed at each dedicated-consumer wakeup",
-                &self.consumer_lag,
             ),
         ];
         for (name, help, h) in hists {
@@ -1050,22 +961,6 @@ pub struct TelemetrySnapshot {
     /// Packet fragments carried across ToPA region seams.
     #[serde(default)]
     pub stream_seam_carries: u64,
-    /// Dedicated-consumer wakeups (zero without `consumer_thread`).
-    #[serde(default)]
-    pub consumer_wakeups: u64,
-    /// Consumer wakeups that committed to a drain.
-    #[serde(default)]
-    pub consumer_drains: u64,
-    /// Trace bytes drained by the dedicated consumer.
-    #[serde(default)]
-    pub consumer_drained_bytes: u64,
-    /// Consumer wakeups skipped below the lag target.
-    #[serde(default)]
-    pub consumer_skipped: u64,
-    /// Distribution of frontier lag at consumer wakeups (empty without
-    /// `consumer_thread`).
-    #[serde(default)]
-    pub consumer_lag: HistogramSnapshot,
     /// Fleet mode: poll-slot drains deferred onto the fleet scheduler's
     /// queue (zero outside a fleet).
     #[serde(default)]
@@ -1137,17 +1032,6 @@ impl TelemetrySnapshot {
         #[allow(clippy::cast_precision_loss)]
         {
             self.stream_copied_bytes as f64 / (drained as f64 / 1024.0)
-        }
-    }
-
-    /// Fraction of dedicated-consumer wakeups that committed to a drain.
-    pub fn consumer_utilization(&self) -> f64 {
-        if self.consumer_wakeups == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.consumer_drains as f64 / self.consumer_wakeups as f64
         }
     }
 }
@@ -1306,15 +1190,9 @@ mod tests {
             "fg_phase_spans_total{phase=\"verdict\"}",
             "fg_health_status 0",
             "fg_span_overhead_mean_ns",
-            // The zero-copy / dedicated-consumer families.
+            // The zero-copy drain families.
             "fg_stream_copied_bytes_total",
             "fg_stream_seam_carries_total",
-            "fg_consumer_wakeups_total",
-            "fg_consumer_drains_total",
-            "fg_consumer_drained_bytes_total",
-            "fg_consumer_skipped_total",
-            "fg_consumer_utilization_ratio",
-            "# TYPE fg_consumer_lag_bytes histogram",
         ] {
             assert!(text.contains(series), "missing {series} in:\n{text}");
         }

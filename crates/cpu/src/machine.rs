@@ -194,11 +194,6 @@ pub struct Machine {
     pub coverage: Option<CoverageMap>,
     /// Optional ground-truth branch log.
     pub branch_log: Option<Vec<BranchEvent>>,
-    /// How often a trace-poll slot is offered, in retired instructions.
-    /// Defaults to [`TRACE_POLL_PERIOD`] (the slice a *borrowed* poll slot
-    /// gets); a dedicated consumer thread on its own core wakes more often
-    /// and sets this lower ([`Machine::set_trace_poll_period`]).
-    pub trace_poll_period: u64,
 }
 
 impl Machine {
@@ -219,16 +214,7 @@ impl Machine {
             cofi_retired: 0,
             coverage: None,
             branch_log: None,
-            trace_poll_period: TRACE_POLL_PERIOD,
         }
-    }
-
-    /// Overrides the trace-poll cadence (clamped to at least 1): the
-    /// wakeup clock of a trace consumer. [`TRACE_POLL_PERIOD`] models a
-    /// consumer borrowing the traced core's poll slots; a dedicated
-    /// consumer thread runs on its own core and wakes at a finer cadence.
-    pub fn set_trace_poll_period(&mut self, period: u64) {
-        self.trace_poll_period = period.max(1);
     }
 
     /// Turns on AFL-style coverage collection (the "QEMU instrumentation").
@@ -289,8 +275,7 @@ impl Machine {
                 }
             }
             // Periodic trace-poll slot for the streaming consumer.
-            if self.insns_retired.is_multiple_of(self.trace_poll_period)
-                && self.trace.as_ipt().is_some()
+            if self.insns_retired.is_multiple_of(TRACE_POLL_PERIOD) && self.trace.as_ipt().is_some()
             {
                 let mut extra = CycleAccount::default();
                 let mut ctx = SyscallCtx {

@@ -201,15 +201,9 @@ impl IptUnit {
 
     /// The retained trace as chronological borrowed region slices — the
     /// zero-copy view the engine's drain path consumes
-    /// ([`Topa::segments`]). Only slice references are materialised.
-    pub fn trace_segments(&self) -> Vec<&[u8]> {
+    /// ([`Topa::segments`]). Building it allocates nothing.
+    pub fn trace_segments(&self) -> fg_ipt::topa::Segments<'_> {
         self.enc.sink().segments()
-    }
-
-    /// Copies the most recent `n` trace bytes into `out` — the bounded
-    /// cold-window read ([`Topa::tail_into`]).
-    pub fn trace_tail_into(&self, n: usize, out: &mut Vec<u8>) {
-        self.enc.sink().tail_into(n, out);
     }
 
     /// The trace bytes in chronological order, assembled from the
@@ -217,7 +211,10 @@ impl IptUnit {
     /// path, flight records); runtime drains use [`IptUnit::trace_segments`]
     /// and never linearise.
     pub fn trace_bytes(&self) -> Vec<u8> {
-        self.trace_segments().concat()
+        let topa = self.enc.sink();
+        let mut out = Vec::with_capacity(topa.retained_len());
+        topa.chronological_into(&mut out);
+        out
     }
 
     fn maybe_psb(&mut self, next_ip: u64, cr3: u64) {
@@ -542,7 +539,7 @@ mod tests {
         let u = t.as_ipt().unwrap();
         // The segmented view concatenates to the linearised bytes, scans
         // identically, and borrows the ToPA regions directly.
-        let segs = u.trace_segments();
+        let segs: Vec<&[u8]> = u.trace_segments().collect();
         assert_eq!(segs.concat(), u.trace_bytes());
         let seg_scan = fast::scan_vectorized_segments(&segs).unwrap();
         let lin_scan = fast::scan(&u.trace_bytes()).unwrap();
@@ -551,11 +548,6 @@ mod tests {
             segs.last().unwrap().as_ptr(),
             u.topa().regions()[0].contents().as_ptr()
         ));
-        // Bounded tail read agrees with the linearised tail.
-        let mut tail = Vec::new();
-        u.trace_tail_into(16, &mut tail);
-        let bytes = u.trace_bytes();
-        assert_eq!(tail, bytes[bytes.len() - 16..]);
     }
 
     #[test]

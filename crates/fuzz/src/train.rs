@@ -64,8 +64,9 @@ pub fn train(itc: &mut ItcCfg, image: &Image, corpus: &[Vec<u8>], cfg: TrainConf
         let _ = m.run(&mut kernel, cfg.insn_budget);
         let ipt = m.trace.as_ipt_mut().expect("ipt unit");
         ipt.flush();
-        let bytes = ipt.trace_bytes();
-        let Ok(scan) = fast::scan(&bytes) else { continue };
+        // Scanned in place from the ToPA's regions, like the engine's drains.
+        let segs: Vec<&[u8]> = ipt.trace_segments().collect();
+        let Ok(scan) = fast::scan_vectorized_segments(&segs) else { continue };
         let mut prev_edge: Option<fg_cfg::EdgeIdx> = None;
         let tips = scan.tip_ips();
         for i in 0..tips.len().saturating_sub(1) {

@@ -126,6 +126,25 @@ impl BitVec {
         Some((r.reverse_bits() >> (64 - len), len as u8))
     }
 
+    /// Removes the first `n` bits (at most all of them) in place, shifting
+    /// the rest down a word at a time.
+    pub fn drop_front(&mut self, n: usize) {
+        let n = n.min(self.len);
+        let (skip_words, shift) = (n / 64, n % 64);
+        self.len -= n;
+        let keep_words = self.len.div_ceil(64);
+        for i in 0..keep_words {
+            let mut w = self.words[i + skip_words] >> shift;
+            if shift > 0 {
+                if let Some(&hi) = self.words.get(i + skip_words + 1) {
+                    w |= hi << (64 - shift);
+                }
+            }
+            self.words[i] = w;
+        }
+        self.words.truncate(keep_words);
+    }
+
     /// Appends a range of bits copied from `other`, a word at a time.
     pub fn extend_from_range(&mut self, other: &BitVec, start: usize, len: usize) {
         let mut done = 0;
@@ -374,27 +393,27 @@ impl FastScan {
         self.bits.len()
     }
 
-    /// Drops the oldest `drop_tips` TIP events, rebasing boundaries and
-    /// repacking the shared bitvec — the compaction step bounding the
-    /// memory of a long-lived incremental scan.
+    /// Drops the oldest `drop_tips` TIP events in place, rebasing
+    /// boundaries and shifting out the bits only dropped TIPs referenced —
+    /// the compaction step bounding the memory of a long-lived incremental
+    /// scan. Allocation-free.
     pub fn truncate_front(&mut self, drop_tips: usize) {
         let drop_tips = drop_tips.min(self.tip_count());
         if drop_tips == 0 {
             return;
         }
-        let mut bits = BitVec::new();
-        let mut ranges = Vec::with_capacity(self.tip_count() - drop_tips);
-        for i in drop_tips..self.tip_count() {
-            let (s, l) = self.tnt_ranges[i];
-            let start = bits.len();
-            bits.extend_from_range(&self.bits, s as usize, l as usize);
-            ranges.push((start as u32, l));
+        // Every bit before the oldest surviving run belongs to dropped TIPs
+        // (or to runs an OVF orphaned).
+        let cut = self.tnt_ranges[drop_tips..]
+            .iter()
+            .map(|&(start, _)| start)
+            .fold(self.trailing.0, u32::min);
+        self.bits.drop_front(cut as usize);
+        self.tnt_ranges.drain(..drop_tips);
+        for range in &mut self.tnt_ranges {
+            range.0 -= cut;
         }
-        let t_start = bits.len();
-        bits.extend_from_range(&self.bits, self.trailing.0 as usize, self.trailing.1 as usize);
-        self.trailing = (t_start as u32, (bits.len() - t_start) as u32);
-        self.bits = bits;
-        self.tnt_ranges = ranges;
+        self.trailing.0 -= cut;
         self.tip_ips.drain(..drop_tips);
         self.boundaries.retain_mut(|(i, _)| {
             if *i < drop_tips {
@@ -404,6 +423,20 @@ impl FastScan {
                 true
             }
         });
+    }
+}
+
+impl FastScan {
+    /// Reserves room for the scan to grow to twice its TIP count — with as
+    /// many boundaries, and 64 TNT bits per TIP — before it reallocates. A
+    /// no-op once the capacity is there, so a scan compacted to a fixed
+    /// size reserves once.
+    pub(crate) fn reserve_headroom(&mut self) {
+        let room = 2 * self.tip_ips.len();
+        self.tip_ips.reserve(room - self.tip_ips.len());
+        self.tnt_ranges.reserve(room - self.tnt_ranges.len());
+        self.boundaries.reserve(room.saturating_sub(self.boundaries.len()));
+        self.bits.words.reserve(room.saturating_sub(self.bits.words.len()));
     }
 }
 
@@ -1195,6 +1228,41 @@ mod tests {
         assert_eq!(s.tnt_vec(0), vec![false, true]);
         assert_eq!(s.boundaries, vec![(0, Boundary::Overflow), (1, Boundary::Resync)]);
         assert_eq!(s.trailing_tnt(), vec![false]);
+    }
+
+    #[test]
+    fn truncate_front_in_place_keeps_every_later_run() {
+        // OVFs orphan the bits between runs; runs up to 69 bits cross word
+        // boundaries.
+        let mut enc = PacketEncoder::new(Vec::new());
+        enc.psb_plus(Some(0x40_0000), None);
+        for i in 0..120u64 {
+            for b in 0..i % 70 {
+                enc.tnt_bit((i + b) % 3 == 0);
+            }
+            if i % 17 == 5 {
+                enc.ovf();
+            }
+            enc.tip(0x50_0000 + i * 8);
+        }
+        enc.tnt_bit(true);
+        let full = scan(&enc.into_sink()).unwrap();
+        for drop in [0, 1, 5, 33, 64, 119, 120, 500] {
+            let mut s = full.clone();
+            let capacity = s.bits.words.capacity();
+            s.truncate_front(drop);
+            let d = drop.min(full.tip_count());
+            assert_eq!(s.tip_events(), full.tip_events()[d..], "drop {drop}");
+            let rebased: Vec<_> = full
+                .boundaries
+                .iter()
+                .filter(|&&(i, _)| i >= d)
+                .map(|&(i, b)| (i - d, b))
+                .collect();
+            assert_eq!(s.boundaries, rebased, "drop {drop}");
+            assert_eq!(s.trailing_tnt(), full.trailing_tnt(), "drop {drop}");
+            assert_eq!(s.bits.words.capacity(), capacity, "drop {drop}: compacted in place");
+        }
     }
 
     #[test]

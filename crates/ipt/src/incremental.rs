@@ -141,11 +141,14 @@ impl IncrementalScanner {
 
     /// Drops the oldest TIPs so at most `keep_tips` remain, bounding the
     /// memory of a long-lived scan. Boundaries are rebased; the parser
-    /// checkpoint is unaffected.
+    /// checkpoint is unaffected. The scan keeps room for as much flow again
+    /// as it kept, so the appends between compactions stop reallocating
+    /// once it has warmed up.
     pub fn compact(&mut self, keep_tips: usize) {
         let n = self.acc.tip_count();
         if n > keep_tips {
             self.acc.truncate_front(n - keep_tips);
+            self.acc.reserve_headroom();
             self.core.run_start = self.acc.trailing_start();
             self.first_tip_truncated = false;
         }

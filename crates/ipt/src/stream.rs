@@ -1,20 +1,19 @@
-//! Streaming ToPA consumption — the continuous trace consumer.
+//! Streaming ToPA consumption — the engine's one trace consumer.
 //!
 //! FlowGuard's premise is that PT-based CFI stays cheap only when trace
-//! consumption keeps up with the hardware: the trace is drained
-//! *concurrently with execution*, so a syscall-time check finds an almost
-//! fully consumed buffer. [`StreamConsumer`] is that consumer: it tracks a
+//! consumption keeps up with the hardware. [`StreamConsumer`] tracks a
 //! **frontier** (the monotone stream position, in the ToPA's
 //! `total_written` coordinates, up to which packets have been decoded) and
 //! drains the **residue** — the bytes the producer has written past the
-//! frontier — in chunks, whenever the host gives it a slice of CPU
-//! (periodic drain polls and region-full PMIs in the engine).
+//! frontier — straight out of the ToPA's region slices.
 //!
-//! A check then degenerates to a frontier compare (`residue == 0`?) plus a
-//! scan of only the not-yet-drained residue, which is typically a handful
-//! of bytes. Wrap and OVF handling reuse [`IncrementalScanner`]'s
-//! checkpoint seams: a wrap past the frontier triggers one cold PSB
-//! re-synchronisation and is reported as a cold restart in [`DrainStats`].
+//! The engine drives it from two points: every check drains the residue,
+//! but never more than the check window ([`StreamConsumer::drain_window`]);
+//! with streaming on, trace-poll slots and region-fill PMIs drain in the
+//! background as well, so a check finds only a few residue bytes. Wrap and
+//! OVF handling reuse [`IncrementalScanner`]'s checkpoint seams: a wrap
+//! past the frontier triggers one cold PSB re-synchronisation and is
+//! reported as a cold restart in [`DrainStats`].
 
 use crate::decode::PacketError;
 use crate::fast::{FastScan, IP_PAYLOAD_LEN};
@@ -74,7 +73,25 @@ fn absorb(acc: &mut AppendInfo, info: AppendInfo) {
     acc.cold_restart |= info.cold_restart;
 }
 
-/// Cumulative accounting of a [`StreamConsumer`]'s background work.
+/// Calls `f` on each chronological piece of `segs` after the first `skip`
+/// bytes, stopping at the first error.
+fn for_each_piece<'s>(
+    segs: impl Iterator<Item = &'s [u8]>,
+    mut skip: usize,
+    mut f: impl FnMut(&[u8]) -> Result<(), PacketError>,
+) -> Result<(), PacketError> {
+    for seg in segs {
+        if skip >= seg.len() {
+            skip -= seg.len();
+            continue;
+        }
+        f(&seg[skip..])?;
+        skip = 0;
+    }
+    Ok(())
+}
+
+/// Cumulative accounting of a [`StreamConsumer`]'s drains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DrainStats {
     /// Drain calls that consumed at least one byte.
@@ -84,9 +101,11 @@ pub struct DrainStats {
     /// Wraps past the frontier (cold PSB re-synchronisations).
     pub cold_restarts: u64,
     /// Bytes physically copied while draining: seam/frontier partial-packet
-    /// carries (≤ 15 bytes each) plus the rare wrap-path linearisation.
-    /// Everything else is scanned in place from borrowed region slices —
-    /// this is the numerator of the copied-bytes-per-drained-KiB gate.
+    /// carries (≤ 15 bytes each) plus the window a drain restarts in when
+    /// the residue outgrew its budget or the buffer wrapped past the
+    /// frontier. Everything else is scanned in place from borrowed region
+    /// slices — this is the numerator of the copied-bytes-per-drained-KiB
+    /// gate.
     pub copied_bytes: u64,
     /// Partial packets carried across a segment seam or the frontier.
     pub seam_carries: u64,
@@ -94,7 +113,7 @@ pub struct DrainStats {
 
 impl DrainStats {
     /// Bytes copied per KiB drained — ≈ 0 for the zero-copy drain path
-    /// (only seam carries and rare wrap linearisations copy).
+    /// (only seam carries and rare restart windows copy).
     pub fn copied_per_drained_kib(&self) -> f64 {
         if self.drained_bytes == 0 {
             return 0.0;
@@ -113,10 +132,11 @@ pub struct StreamConsumer {
     /// `PSB_LEN - 1` bytes; the buffer's capacity is reused across drains
     /// (no steady-state allocation).
     pending: Vec<u8>,
-    /// Reused linearisation buffer for the wrap-past-frontier cold path —
-    /// the one drain that cannot be zero-copy (its copies are counted in
-    /// [`DrainStats::copied_bytes`]).
-    wrap_scratch: Vec<u8>,
+    /// Reused buffer holding the newest bytes a drain restarts in (the
+    /// residue outgrew the drain's budget, or the buffer wrapped past the
+    /// frontier) — the one drain that is not zero-copy; its copies are
+    /// counted in [`DrainStats::copied_bytes`].
+    window: Vec<u8>,
     stats: DrainStats,
     /// Cycle-attribution profiler plus the modeled per-byte scan cost;
     /// wired by the engine so drains show up as spans.
@@ -153,9 +173,10 @@ impl StreamConsumer {
     /// Drains the residue from `chronological` (the most recent bytes of
     /// the stream; the last `residue` bytes suffice) up to `total_written`.
     ///
-    /// Reuses the incremental checkpoint seams: mid-packet frontier splits
-    /// are carried across calls, and a wrap past the frontier performs one
-    /// cold PSB re-synchronisation over the retained window.
+    /// The frontier may split a packet (`total_written` need not be a
+    /// packet boundary): the cut packet's head is withheld and completed by
+    /// a later drain. A wrap past the frontier performs one cold PSB
+    /// re-synchronisation over the retained window.
     ///
     /// # Errors
     ///
@@ -174,8 +195,9 @@ impl StreamConsumer {
     /// zero-copy drain path. The residue is scanned **in place** from the
     /// borrowed slices; the only bytes copied are the ≤ 15-byte fragments
     /// of a packet straddling a segment seam (or cut by the frontier),
-    /// carried in a small reused buffer, plus the rare wrap-past-frontier
-    /// linearisation. Both are counted in [`DrainStats::copied_bytes`].
+    /// carried in a small reused buffer, plus the retained window on a
+    /// wrap past the frontier. Both are counted in
+    /// [`DrainStats::copied_bytes`].
     ///
     /// Bit-identical to draining the linearised concatenation of `segs`.
     ///
@@ -188,41 +210,115 @@ impl StreamConsumer {
         segs: &[&[u8]],
         total_written: u64,
     ) -> Result<AppendInfo, PacketError> {
+        self.drain_bounded(segs.iter().copied(), total_written, usize::MAX, false)
+    }
+
+    /// The engine's drain: the residue up to `total_written`, read in place
+    /// from the chronological `segs` (for example
+    /// [`Topa::segments`](crate::topa::Topa::segments)), but never more
+    /// than `budget` bytes of it.
+    ///
+    /// * When the residue exceeds `budget` and those bytes are still
+    ///   retained, the excess is skipped: the drain resumes at
+    ///   `total_written - budget`, and the pair across the skip seam
+    ///   becomes unjudgeable (a [`Boundary::Resync`]).
+    /// * When the buffer has wrapped past the frontier, the drain
+    ///   cold-restarts on a PSB inside the newest `budget` bytes and counts
+    ///   a cold restart.
+    ///
+    /// Both restarts scan the newest `min(budget, retained)` bytes, copied
+    /// into a reused window buffer and counted in
+    /// [`DrainStats::copied_bytes`]. A drain with no cap passes
+    /// `usize::MAX`.
+    ///
+    /// The engine drains at checks, poll slots and PMIs — between
+    /// instructions, when the producer has written whole packets — so
+    /// `total_written` is a packet boundary here: a fragment left cut at
+    /// the frontier is damage and is scanned as such, never withheld.
+    ///
+    /// [`Boundary::Resync`]: crate::fast::Boundary::Resync
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PacketError`] when a PSB+ bundle itself is corrupt;
+    /// callers typically [`StreamConsumer::skip_to`] past the damage.
+    pub fn drain_window<'s>(
+        &mut self,
+        segs: impl Iterator<Item = &'s [u8]> + Clone,
+        total_written: u64,
+        budget: usize,
+    ) -> Result<AppendInfo, PacketError> {
+        self.drain_bounded(segs, total_written, budget, true)
+    }
+
+    /// [`StreamConsumer::drain_window`] plus span attribution: the drained
+    /// bytes are recorded as one `phase` span, charged at the wired
+    /// profiler's per-byte cost. A failed drain still records its (empty)
+    /// span. Without a wired profiler this is exactly `drain_window`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`StreamConsumer::drain_window`]'s [`PacketError`].
+    pub fn drain_window_profiled<'s>(
+        &mut self,
+        segs: impl Iterator<Item = &'s [u8]> + Clone,
+        total_written: u64,
+        budget: usize,
+        phase: PhaseSpan,
+    ) -> Result<AppendInfo, PacketError> {
+        let res = self.drain_window(segs, total_written, budget);
+        if let Some((prof, cycles_per_byte)) = &self.profiler {
+            let bytes = res.as_ref().map_or(0, |info| info.new_bytes);
+            prof.record(phase, bytes as f64 * cycles_per_byte, bytes);
+        }
+        res
+    }
+
+    fn drain_bounded<'s>(
+        &mut self,
+        segs: impl Iterator<Item = &'s [u8]> + Clone,
+        total_written: u64,
+        budget: usize,
+        whole_packets: bool,
+    ) -> Result<AppendInfo, PacketError> {
         let delta = self.residue(total_written);
         if delta == 0 {
             // The frontier compare: a withheld partial packet cannot
             // complete without new bytes either.
             return Ok(AppendInfo::default());
         }
-        let retained: usize = segs.iter().map(|s| s.len()).sum();
-        if delta > retained as u64 {
-            // Wrap past the frontier: the withheld bytes were overwritten
-            // along with everything else before the retained window; the
-            // scanner cold-restarts on a PSB inside it. This is the one
-            // path that linearises (sync search must cross every seam) —
-            // rare, bounded by the retained window, and counted.
-            self.pending.clear();
-            self.wrap_scratch.clear();
-            for s in segs {
-                self.wrap_scratch.extend_from_slice(s);
+        let retained: usize = segs.clone().map(<[u8]>::len).sum();
+        if delta > retained as u64 || delta > budget as u64 {
+            if delta <= retained as u64 {
+                // More residue than one window: skip the excess.
+                self.skip_to(total_written - budget as u64);
             }
-            self.stats.copied_bytes += retained as u64;
-            let info = self.scanner.advance(&self.wrap_scratch, total_written, retained)?;
+            // Restart inside the newest `budget` bytes, read out of the
+            // regions: the PSB search must cross region seams.
+            self.pending.clear();
+            self.window.clear();
+            let window = &mut self.window;
+            for_each_piece(segs, retained - budget.min(retained), |piece| {
+                window.extend_from_slice(piece);
+                Ok(())
+            })?;
+            self.stats.copied_bytes += self.window.len() as u64;
+            let info = self.scanner.advance(&self.window, total_written, budget)?;
             self.record(&info);
             return Ok(info);
         }
-        // Walk the segments, skipping everything before the frontier, and
-        // feed each in-place piece through the packet-boundary carve.
-        let mut skip = retained - delta as usize;
+        // Feed each in-place piece after the frontier through the
+        // packet-boundary carve.
         let mut acc = AppendInfo::default();
-        for seg in segs {
-            if skip >= seg.len() {
-                skip -= seg.len();
-                continue;
-            }
-            let piece = &seg[skip..];
-            skip = 0;
-            self.feed_piece(piece, &mut acc)?;
+        for_each_piece(segs, retained - delta as usize, |piece| self.feed_piece(piece, &mut acc))?;
+        if whole_packets && !self.pending.is_empty() {
+            // The frontier is a packet boundary, so a fragment cut there is
+            // damage: scan it now instead of waiting for its missing bytes.
+            let len = self.pending.len();
+            let target = self.scanner.stream_pos() + len as u64;
+            let info = self.scanner.advance(&self.pending, target, len)?;
+            self.pending.clear();
+            absorb(&mut acc, info);
         }
         self.record(&acc);
         Ok(acc)
@@ -289,57 +385,11 @@ impl StreamConsumer {
     }
 
     /// Wires the cycle-attribution profiler: subsequent
-    /// [`StreamConsumer::drain_profiled`] calls record their work as spans,
-    /// charging `cycles_per_byte` (the cost model's per-byte scan cost) for
-    /// every drained byte.
+    /// [`StreamConsumer::drain_window_profiled`] calls record their work as
+    /// spans, charging `cycles_per_byte` (the cost model's per-byte scan
+    /// cost) for every drained byte.
     pub fn set_profiler(&mut self, profiler: Arc<SpanProfiler>, cycles_per_byte: f64) {
         self.profiler = Some((profiler, cycles_per_byte));
-    }
-
-    /// [`StreamConsumer::drain`] plus span attribution: the drained bytes
-    /// are recorded as a [`PhaseSpan::StreamDrain`] span when `background`
-    /// (poll-slot and PMI drains that overlap execution) or a
-    /// [`PhaseSpan::ResidueScan`] span otherwise (check-time residue work
-    /// charged to the intercepted syscall). Without a wired profiler this
-    /// is exactly `drain`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StreamConsumer::drain`]'s [`PacketError`]; the span (with
-    /// zero drained bytes) is still recorded.
-    pub fn drain_profiled(
-        &mut self,
-        chronological: &[u8],
-        total_written: u64,
-        background: bool,
-    ) -> Result<AppendInfo, PacketError> {
-        self.drain_segments_profiled(&[chronological], total_written, background)
-    }
-
-    /// [`StreamConsumer::drain_segments`] plus span attribution — the
-    /// zero-copy analogue of [`StreamConsumer::drain_profiled`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StreamConsumer::drain_segments`]'s [`PacketError`]; the
-    /// span (with zero drained bytes) is still recorded.
-    pub fn drain_segments_profiled(
-        &mut self,
-        segs: &[&[u8]],
-        total_written: u64,
-        background: bool,
-    ) -> Result<AppendInfo, PacketError> {
-        let Some((prof, cycles_per_byte)) = self.profiler.clone() else {
-            return self.drain_segments(segs, total_written);
-        };
-        let phase = if background { PhaseSpan::StreamDrain } else { PhaseSpan::ResidueScan };
-        let mut guard = prof.enter(phase);
-        let res = self.drain_segments(segs, total_written);
-        if let Ok(info) = &res {
-            guard.add_cycles(info.new_bytes as f64 * cycles_per_byte);
-            guard.set_detail(info.new_bytes);
-        }
-        res
     }
 
     fn record(&mut self, info: &AppendInfo) {
@@ -492,16 +542,25 @@ mod tests {
     }
 
     #[test]
-    fn profiled_drains_attribute_spans_by_context() {
+    fn profiled_drains_attribute_spans_by_phase() {
         let stream = sample_stream();
         let mut c = StreamConsumer::new();
         let prof = Arc::new(SpanProfiler::new(true));
         c.set_profiler(Arc::clone(&prof), 2.0);
-        let half = stream.len() / 2;
+        // Window drains end at packet boundaries, as the producer writes.
+        let half = crate::decode::decode_all(&stream).unwrap()[4].offset;
+        let whole = usize::MAX;
         // A background (poll/PMI) drain lands in StreamDrain…
-        c.drain_profiled(&stream[..half], half as u64, true).unwrap();
+        let one = |end: usize| std::iter::once(&stream[..end]);
+        c.drain_window_profiled(one(half), half as u64, whole, PhaseSpan::StreamDrain).unwrap();
         // …and a check-time residue drain in ResidueScan.
-        c.drain_profiled(&stream, stream.len() as u64, false).unwrap();
+        c.drain_window_profiled(
+            one(stream.len()),
+            stream.len() as u64,
+            whole,
+            PhaseSpan::ResidueScan,
+        )
+        .unwrap();
         assert_eq!(prof.phase_spans(PhaseSpan::StreamDrain), 1);
         assert_eq!(prof.phase_spans(PhaseSpan::ResidueScan), 1);
         let total =
@@ -514,10 +573,84 @@ mod tests {
         let mut plain = StreamConsumer::new();
         plain.drain(&stream, stream.len() as u64).unwrap();
         assert_eq!(c.scan().tip_events(), plain.scan().tip_events());
-        // An unwired consumer records nothing through drain_profiled.
+        // An unwired consumer drains all the same and records nothing.
         let mut bare = StreamConsumer::new();
-        bare.drain_profiled(&stream, stream.len() as u64, true).unwrap();
+        bare.drain_window_profiled(
+            one(stream.len()),
+            stream.len() as u64,
+            whole,
+            PhaseSpan::FastScan,
+        )
+        .unwrap();
         assert_eq!(bare.stats().drained_bytes, stream.len() as u64);
+    }
+
+    /// A long benign stream: a PSB+ every ~64 bytes, TIPs and TNT between.
+    fn long_stream() -> Vec<u8> {
+        let mut enc = PacketEncoder::new(Vec::new());
+        for i in 0..96u64 {
+            if i % 8 == 0 {
+                enc.psb_plus(Some(0x40_0000), None);
+            }
+            enc.tnt_bit(i % 3 == 0);
+            enc.tip(0x50_0000 + i * 8);
+        }
+        enc.into_sink()
+    }
+
+    #[test]
+    fn window_drain_skips_residue_beyond_its_budget() {
+        let stream = long_stream();
+        let budget = 100;
+        let mut c = StreamConsumer::new();
+        let info =
+            c.drain_window(std::iter::once(&stream[..]), stream.len() as u64, budget).unwrap();
+        assert_eq!(info.new_bytes, budget as u64, "only the newest window is scanned");
+        assert!(!info.cold_restart, "the skipped bytes were still retained");
+        assert_eq!(c.frontier(), stream.len() as u64);
+        // Same flow as a cold scan from the window's first sync point.
+        let window = &stream[stream.len() - budget..];
+        let psb = crate::decode::find_psb(window, 0).unwrap();
+        let cold = fast::scan(&window[psb..]).unwrap();
+        assert_eq!(c.scan().tip_events(), cold.tip_events());
+        assert_eq!(c.stats().copied_bytes, budget as u64, "the restart window is copied");
+    }
+
+    #[test]
+    fn window_drain_cold_restarts_inside_its_budget_after_a_wrap() {
+        let stream = long_stream();
+        let budget = 100;
+        let mut c = StreamConsumer::new();
+        c.drain_window(std::iter::once(&stream[..64]), 64, budget).unwrap();
+        // Only the newest 300 bytes survive: the buffer wrapped past the
+        // frontier, and the restart reads just the newest `budget` of them.
+        let retained = &stream[stream.len() - 300..];
+        let (a, b) = retained.split_at(150);
+        let info = c.drain_window([a, b].into_iter(), stream.len() as u64, budget).unwrap();
+        assert!(info.cold_restart);
+        assert!(info.new_bytes <= budget as u64);
+        assert_eq!(c.stats().cold_restarts, 1);
+        assert_eq!(c.frontier(), stream.len() as u64);
+    }
+
+    #[test]
+    fn window_drain_scans_a_cut_frontier_fragment_as_damage() {
+        let stream = sample_stream();
+        // End the drain inside the last multi-byte packet: a window drain
+        // consumes through the frontier instead of withholding.
+        let last =
+            crate::decode::decode_all(&stream).unwrap().into_iter().rfind(|p| p.len > 1).unwrap();
+        let cut = last.offset + 1;
+        let mut c = StreamConsumer::new();
+        let info = c.drain_window(std::iter::once(&stream[..cut]), cut as u64, usize::MAX).unwrap();
+        assert_eq!(info.new_bytes, cut as u64);
+        assert_eq!(c.frontier(), cut as u64);
+        let mut withholding = StreamConsumer::new();
+        withholding.drain(&stream[..cut], cut as u64).unwrap();
+        assert!(
+            withholding.stats().drained_bytes < cut as u64,
+            "a plain drain withholds the cut packet"
+        );
     }
 
     #[test]
@@ -557,7 +690,7 @@ mod tests {
             // packet-aligned frontiers.
             topa.write_packet(&stream[p.offset..p.offset + p.len]);
             let total = topa.total_written();
-            c.drain_segments(&topa.segments(), total).unwrap();
+            c.drain_segments(&topa.segments().collect::<Vec<_>>(), total).unwrap();
             assert!(c.is_drained(total));
         }
         let cold = fast::scan(&stream).unwrap();

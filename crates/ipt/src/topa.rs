@@ -179,28 +179,14 @@ impl Topa {
     /// which is why consumers carry a partial-packet fragment across
     /// segments (exactly as with the real hardware).
     ///
-    /// Only slice *references* are materialised (one per region); no trace
-    /// byte is copied.
-    pub fn segments(&self) -> Vec<&[u8]> {
-        let mut parts: Vec<&[u8]> = Vec::with_capacity(self.regions.len());
-        if self.wrapped {
-            for i in 1..=self.regions.len() {
-                let idx = (self.cur + i) % self.regions.len();
-                // The current region's surviving prefix was overwritten; only
-                // regions strictly after the cursor hold old data in full.
-                if idx != self.cur {
-                    parts.push(&self.regions[idx].buf);
-                }
-            }
-        } else {
-            for (idx, r) in self.regions.iter().enumerate() {
-                if idx != self.cur {
-                    parts.push(&r.buf);
-                }
-            }
+    /// The view is an iterator over the regions themselves: building it
+    /// allocates nothing and copies no trace byte.
+    pub fn segments(&self) -> Segments<'_> {
+        Segments {
+            regions: &self.regions,
+            next: (self.cur + 1) % self.regions.len(),
+            left: self.regions.len(),
         }
-        parts.push(&self.regions[self.cur].buf);
-        parts
     }
 
     /// Bytes currently retained across all regions (the total length of
@@ -234,29 +220,11 @@ impl Topa {
     /// residue read is zero-copy via [`Topa::segments`] instead.
     pub fn tail_into(&self, n: usize, out: &mut Vec<u8>) {
         out.clear();
-        if n == 0 {
-            return;
-        }
-        let parts = self.segments();
-        // Walk backwards from the newest part until `n` bytes are covered,
-        // then emit the covered suffix in chronological order.
-        let mut need = n;
-        let mut start = parts.len();
-        while start > 0 && need > 0 {
-            start -= 1;
-            let take = parts[start].len().min(need);
-            need -= take;
-            if need == 0 {
-                out.extend_from_slice(&parts[start][parts[start].len() - take..]);
-                for p in &parts[start + 1..] {
-                    out.extend_from_slice(p);
-                }
-                return;
-            }
-        }
-        // Fewer than `n` bytes retained: everything survives the cut.
-        for p in parts {
-            out.extend_from_slice(p);
+        let mut skip = self.retained_len().saturating_sub(n);
+        for seg in self.segments() {
+            let from = skip.min(seg.len());
+            skip -= from;
+            out.extend_from_slice(&seg[from..]);
         }
     }
 
@@ -306,6 +274,33 @@ impl TraceSink for Topa {
         self.stopped
     }
 }
+
+/// Chronological region slices of a [`Topa`] ([`Topa::segments`]): the
+/// regions after the write cursor (empty until the buffer first wraps),
+/// then the ones before it, then the cursor's region.
+#[derive(Debug, Clone)]
+pub struct Segments<'a> {
+    regions: &'a [TopaRegion],
+    next: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for Segments<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        self.left = self.left.checked_sub(1)?;
+        let region = &self.regions[self.next];
+        self.next = (self.next + 1) % self.regions.len();
+        Some(&region.buf)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Segments<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -381,17 +376,17 @@ mod tests {
         t.write_packet(&vec![0x11; 4096]);
         t.write_packet(&vec![0x22; 4096]);
         // Unwrapped: two segments, concatenation == chronological.
-        let flat: Vec<u8> = t.segments().concat();
+        let flat: Vec<u8> = t.segments().collect::<Vec<_>>().concat();
         assert_eq!(flat, t.chronological());
         assert_eq!(t.retained_len(), 8192);
         // Wrap: the view stays consistent with the linearised buffer.
         t.write_packet(&[0x33, 0x34]);
         assert!(t.has_wrapped());
-        let flat: Vec<u8> = t.segments().concat();
+        let flat: Vec<u8> = t.segments().collect::<Vec<_>>().concat();
         assert_eq!(flat, t.chronological());
         assert_eq!(t.retained_len(), flat.len());
         // The slices borrow the regions directly — no bytes were copied.
-        let segs = t.segments();
+        let segs: Vec<&[u8]> = t.segments().collect();
         assert_eq!(segs.len(), 2);
         assert!(std::ptr::eq(segs[1].as_ptr(), t.regions()[0].contents().as_ptr()));
     }

@@ -1,15 +1,16 @@
 //! Soundness properties for the streaming pipeline: a [`StreamConsumer`]
 //! fed the producer's bytes in arbitrary chunks — including mid-packet
 //! frontier splits, OVF storms, and circular-buffer wraps — must be
-//! bit-identical to a cold [`fast::scan`] of the same stream; and the
-//! vectorized scanner must agree with the scalar parser on arbitrary byte
-//! soup (divergences are persisted as repro artifacts).
+//! bit-identical to a cold [`fast::scan`] of the same stream; its budgeted
+//! window drain must consume exactly as the endpoint scanner it replaced;
+//! and the vectorized scanner must agree with the scalar parser on
+//! arbitrary byte soup (divergences are persisted as repro artifacts).
 
 use fg_ipt::encode::{PacketEncoder, TraceSink};
 use fg_ipt::fast::{self, FastScan};
 use fg_ipt::stream::StreamConsumer;
 use fg_ipt::topa::Topa;
-use fg_ipt::{scan_vectorized, PacketParser};
+use fg_ipt::{scan_vectorized, AppendInfo, IncrementalScanner, PacketError, PacketParser};
 use proptest::prelude::*;
 
 /// The fuzz alphabet for well-formed trace streams: a raw `(selector,
@@ -70,6 +71,86 @@ fn dump_repro(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
     let path = dir.join(format!("{tag}-{hash:016x}.bin"));
     let _ = std::fs::write(&path, bytes);
     path
+}
+
+/// The endpoint-time consumption the engine used before the consumer
+/// served every check: skip the residue beyond one window, copy the newest
+/// `min(budget, retained)` bytes, and advance the scanner over them.
+fn endpoint_scan(
+    inc: &mut IncrementalScanner,
+    topa: &Topa,
+    budget: usize,
+    tail: &mut Vec<u8>,
+) -> Result<AppendInfo, PacketError> {
+    let total = topa.total_written();
+    let retained = topa.retained_len();
+    let delta = total.saturating_sub(inc.stream_pos());
+    if delta > budget as u64 && delta <= retained as u64 {
+        inc.skip_to(total - budget as u64);
+    }
+    topa.tail_into(budget.min(retained), tail);
+    inc.advance(tail, total, budget)
+}
+
+/// Writes `packets` (byte ranges of `stream`, in order) through a small
+/// circular ToPA, draining every `period` packets both with the endpoint
+/// scan and with the consumer's budgeted window drain over the region
+/// slices. Every drain must agree on what it consumed and on the
+/// checker-visible flow.
+fn window_drain_matches_endpoint_scan(
+    stream: &[u8],
+    packets: &[(usize, usize)],
+    reps: usize,
+    period: usize,
+    budget: usize,
+) -> Result<(), String> {
+    let mut topa = Topa::two_regions(4096).unwrap();
+    let mut inc = IncrementalScanner::new();
+    let mut c = StreamConsumer::new();
+    let mut tail = Vec::new();
+    let mut written = 0usize;
+    for &(start, end) in packets.iter().cycle().take(packets.len() * reps) {
+        topa.write_packet(&stream[start..end]);
+        written += 1;
+        if !written.is_multiple_of(period) && written != packets.len() * reps {
+            continue;
+        }
+        let total = topa.total_written();
+        let want = endpoint_scan(&mut inc, &topa, budget, &mut tail);
+        let got = c.drain_window(topa.segments(), total, budget);
+        match (want, got) {
+            (Ok(want), Ok(got)) => {
+                prop_assert_eq!(got.new_bytes, want.new_bytes);
+                prop_assert_eq!(got.cold_restart, want.cold_restart);
+            }
+            (Err(_), Err(_)) => {
+                // The engine's recovery: abandon the corrupt bundle.
+                inc.skip_to(total);
+                c.skip_to(total);
+            }
+            (want, got) => {
+                let path = dump_repro("window", stream);
+                prop_assert!(
+                    false,
+                    "drain divergence ({want:?} vs {got:?}); repro at {}",
+                    path.display()
+                );
+            }
+        }
+        prop_assert_eq!(c.frontier(), inc.stream_pos());
+        assert_stream_eq(c.scan(), inc.scan());
+        prop_assert_eq!(c.first_tip_truncated(), inc.first_tip_truncated());
+    }
+    Ok(())
+}
+
+/// The producer's packets of a well-formed `stream`, as byte ranges.
+fn packet_ranges(stream: &[u8]) -> Vec<(usize, usize)> {
+    fg_ipt::decode::decode_all(stream)
+        .unwrap()
+        .iter()
+        .map(|p| (p.offset, p.offset + p.len))
+        .collect()
 }
 
 proptest! {
@@ -228,7 +309,7 @@ proptest! {
                 written += 1;
                 if written.is_multiple_of(period) {
                     let total = seg_topa.total_written();
-                    let segs = seg_topa.segments();
+                    let segs: Vec<&[u8]> = seg_topa.segments().collect();
                     seg_c.drain_segments(&segs, total).unwrap();
                     lin_topa.chronological_into(&mut lin_buf);
                     lin_c.drain(&lin_buf, total).unwrap();
@@ -240,7 +321,7 @@ proptest! {
             }
         }
         let total = seg_topa.total_written();
-        seg_c.drain_segments(&seg_topa.segments(), total).unwrap();
+        seg_c.drain_segments(&seg_topa.segments().collect::<Vec<_>>(), total).unwrap();
         lin_topa.chronological_into(&mut lin_buf);
         lin_c.drain(&lin_buf, total).unwrap();
         assert_stream_eq(seg_c.scan(), lin_c.scan());
@@ -324,5 +405,66 @@ proptest! {
                     "drain divergence ({a:?} vs {b:?}); repro at {}", path.display());
             }
         }
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The budgeted window drain over region slices consumes exactly as
+    /// the endpoint scan did — skip, cold restart and in-place drains alike
+    /// — on benign streams wrapping a small ToPA.
+    #[test]
+    fn window_drain_matches_endpoint_scan_on_wrapping_streams(
+        stream_ops in ops(),
+        reps in 1usize..6,
+        period in 1usize..40,
+        budget in 16usize..1024,
+    ) {
+        let stream = encode(&stream_ops);
+        let packets = packet_ranges(&stream);
+        window_drain_matches_endpoint_scan(&stream, &packets, reps, period, budget)?;
+    }
+
+    /// The same on OVF storms.
+    #[test]
+    fn window_drain_matches_endpoint_scan_on_ovf_storms(
+        bursts in proptest::collection::vec((1usize..8, 0x40_0000u64..0x80_0000), 1..16),
+        reps in 1usize..40,
+        period in 1usize..12,
+        budget in 16usize..512,
+    ) {
+        let mut enc = PacketEncoder::new(Vec::new());
+        enc.psb_plus(Some(0x40_0000), None);
+        for &(storm, ip) in &bursts {
+            for _ in 0..storm {
+                enc.ovf();
+            }
+            enc.tip(ip);
+            enc.tnt_bit(ip & 1 == 0);
+        }
+        let stream = enc.into_sink();
+        let packets = packet_ranges(&stream);
+        window_drain_matches_endpoint_scan(&stream, &packets, reps, period, budget)?;
+    }
+
+    /// The same on damaged streams: bytes flipped inside the producer's
+    /// packets, so headers lie about lengths and drains end mid-"packet".
+    #[test]
+    fn window_drain_matches_endpoint_scan_on_damaged_streams(
+        stream_ops in ops(),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 1..8),
+        reps in 1usize..6,
+        period in 1usize..24,
+        budget in 16usize..1024,
+    ) {
+        let mut stream = encode(&stream_ops);
+        let packets = packet_ranges(&stream);
+        let len = stream.len();
+        for &(at, mask) in &flips {
+            stream[at % len] ^= mask;
+        }
+        window_drain_matches_endpoint_scan(&stream, &packets, reps, period, budget)?;
     }
 }

@@ -1,5 +1,5 @@
 //! Cross-crate edge cases: tiny trace buffers, custom endpoints, VDSO
-//! routing, parallel decoding under attack, config serialisation.
+//! routing, config serialisation.
 
 use fg_cpu::{IptUnit, Machine, StopReason, TraceUnit};
 use fg_ipt::topa::Topa;
@@ -89,16 +89,18 @@ fn vdso_calls_appear_in_trace() {
     );
 }
 
-/// Attack detection is unaffected by the parallel-decode configuration.
+/// Configs saved before the trace-consumption knobs were removed still
+/// load: the five dropped keys are ignored, everything else is kept.
 #[test]
-fn parallel_decode_detects_attacks_identically() {
-    let (w, d) = fg_attacks::trained_vulnerable_nginx();
-    let g = fg_attacks::find_gadgets(&w.image);
-    let attack = fg_attacks::rop_write(&w.image, &g);
-    let cfg = FlowGuardConfig { parallel_decode: true, ..Default::default() };
-    let r = fg_attacks::run_protected(&d, &attack, cfg);
-    assert!(r.detected);
-    assert!(r.endpoints.contains(&"write"));
+fn config_with_removed_knobs_still_loads() {
+    let current = serde_json::to_string(&FlowGuardConfig::default()).expect("serialise");
+    let old = format!(
+        "{},\"incremental_scan\":false,\"parallel_decode\":true,\"consumer_thread\":true,\
+         \"consumer_lag_target\":64,\"consumer_poll_period\":8}}",
+        current.strip_suffix('}').expect("a JSON object")
+    );
+    let back: FlowGuardConfig = serde_json::from_str(&old).expect("removed keys are ignored");
+    assert_eq!(serde_json::to_string(&back).expect("serialise"), current);
 }
 
 /// `FlowGuardConfig` survives a JSON round trip (deployment configs are
@@ -108,7 +110,7 @@ fn config_json_roundtrip() {
     let cfg = FlowGuardConfig {
         pkt_count: 48,
         cred_ratio: 0.9,
-        parallel_decode: true,
+        streaming: true,
         pmi_endpoints: true,
         path_matching: true,
         ..Default::default()
@@ -117,7 +119,7 @@ fn config_json_roundtrip() {
     let back: FlowGuardConfig = serde_json::from_str(&json).expect("deserialise");
     assert_eq!(back.pkt_count, 48);
     assert_eq!(back.cred_ratio, 0.9);
-    assert!(back.parallel_decode && back.pmi_endpoints && back.path_matching);
+    assert!(back.streaming && back.pmi_endpoints && back.path_matching);
     // The skipped endpoints field falls back to the PathArmor default.
     assert!(back.endpoints.contains(Sysno::Write));
 }
