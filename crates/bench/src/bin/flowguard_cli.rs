@@ -717,8 +717,7 @@ fn main() -> ExitCode {
 
             // The benchmark fleet: `procs` members round-robined over four
             // distinct server images, each on a pid-seeded benign request
-            // stream, with streaming engines so background drains exercise
-            // the shared scheduler.
+            // stream, with streaming engines draining at their poll slots.
             let images = [
                 fg_workloads::nginx_patched(),
                 fg_workloads::vsftpd(),
@@ -767,16 +766,6 @@ fn main() -> ExitCode {
                 snap.cache.misses,
                 snap.cache.rejections,
                 snap.cache.hit_rate()
-            );
-            println!(
-                "scheduler: {} checks admitted, {} drains deferred, {} executed, \
-                 {} shed inline, {} dropped, max depth {}",
-                snap.scheduler.checks_admitted,
-                snap.scheduler.drains_enqueued,
-                snap.scheduler.executed,
-                snap.scheduler.shed_inline,
-                snap.scheduler.dropped,
-                snap.scheduler.max_queue_depth
             );
             println!(
                 "tracing: {} context switches, {:.0} reconfig cycles",

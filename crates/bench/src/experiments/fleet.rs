@@ -1,6 +1,6 @@
 //! **Fleet-scale enforcement benchmarks** — 64 concurrent protected
-//! processes under one [`FleetSupervisor`]: shared deployment artifacts,
-//! per-CR3 tracing, and deferred check scheduling, measured end to end.
+//! processes under one [`FleetSupervisor`]: shared deployment artifacts and
+//! per-CR3 tracing, measured end to end.
 //!
 //! Emits `BENCH_fleet.json`, tracked in CI against a checked-in baseline.
 //! Absolute checks/sec is informational (wall-clock); the gated metrics are
@@ -9,11 +9,10 @@
 //! * artifact-cache hit rate ≥ 0.9 — 64 processes over 4 distinct images
 //!   must share artifacts (60 of 64 lookups hit);
 //! * p99 check latency (modeled cycles) within 2× of the solo baseline —
-//!   the same four processes run alone under the same scheduler policy;
-//! * zero dropped checks — backpressure sheds to inline execution, never
-//!   drops, and every deferred drain executes;
+//!   the same four processes each run as a one-member fleet;
 //! * 100% of fleet-wide attacks detected — five members running the five
-//!   distinct `fg-attacks` payloads concurrently are all caught.
+//!   distinct `fg-attacks` payloads concurrently are all caught;
+//! * `checks_total` equal to the baseline's — every request is checked.
 
 use crate::table::{fmt, Table};
 use fg_attacks::{
@@ -62,19 +61,11 @@ pub struct FleetBench {
     pub checks_per_sec: f64,
     /// Fleet-wide p99 check latency, modeled cycles.
     pub p99_check_latency_cycles: u64,
-    /// Solo baseline: the first four members (one per image) run alone
-    /// under the same scheduler policy, latency histograms merged.
+    /// Solo baseline: the first four members (one per image) each run as
+    /// a one-member fleet, latency histograms merged.
     pub solo_p99_check_latency_cycles: u64,
     /// `fleet p99 / solo p99` (gated ≤ 2.0).
     pub p99_latency_ratio: f64,
-    /// Checks or drains dropped by the scheduler (gated == 0).
-    pub dropped_checks: u64,
-    /// Jobs shed to synchronous inline execution under backpressure.
-    pub shed_inline: u64,
-    /// Background drains deferred onto the scheduler.
-    pub drains_enqueued: u64,
-    /// Deferred drains executed by the supervisor (must equal enqueued).
-    pub drains_executed: u64,
     /// Context switches across the headline run.
     pub context_switches: u64,
     /// Attack payloads launched concurrently in the detection fleet.
@@ -98,8 +89,8 @@ fn images() -> Vec<Workload> {
     ]
 }
 
-/// The fleet configuration under test: streaming engines (so background
-/// drains exercise the scheduler) over one core with the multi-CR3 filter.
+/// The fleet configuration under test: streaming engines (background
+/// drains at every member's poll slots) with the multi-CR3 filter.
 fn fleet_config() -> FleetConfig {
     let mut cfg = FleetConfig::default();
     cfg.flowguard.streaming = true;
@@ -140,8 +131,8 @@ fn scaling_row(n: usize) -> ScalingRow {
     ScalingRow { processes: n, checks, wall_sec: wall, checks_per_sec: checks as f64 / wall }
 }
 
-/// The solo baseline: each of the four images run alone (same seeds as
-/// fleet members 0–3, same scheduler policy), latency histograms merged.
+/// The solo baseline: each of the four images run alone as a one-member
+/// fleet (same seeds as fleet members 0–3), latency histograms merged.
 fn solo_p99() -> u64 {
     let merged = fg_trace::Histogram::new();
     for pid in 0..images().len() {
@@ -190,7 +181,6 @@ pub fn run() -> FleetBench {
     let (fleet, wall) = run_fleet(FLEET_SIZE);
     let snap = fleet.snapshot();
     let cache = fleet.cache_stats();
-    let sched = snap.scheduler;
     let p99 = fleet.merged_check_latency().quantile(0.99);
     let solo = solo_p99();
     let (attacks_total, attacks_detected) = attack_fleet();
@@ -205,10 +195,6 @@ pub fn run() -> FleetBench {
         p99_check_latency_cycles: p99,
         solo_p99_check_latency_cycles: solo,
         p99_latency_ratio: p99 as f64 / solo as f64,
-        dropped_checks: sched.dropped,
-        shed_inline: sched.shed_inline,
-        drains_enqueued: sched.drains_enqueued,
-        drains_executed: sched.executed,
         context_switches: snap.switches,
         attacks_total,
         attacks_detected,
@@ -238,12 +224,6 @@ pub fn print_table(b: &FleetBench) {
     t.row(vec!["p99 check latency (cycles)".into(), b.p99_check_latency_cycles.to_string()]);
     t.row(vec!["solo p99 (cycles)".into(), b.solo_p99_check_latency_cycles.to_string()]);
     t.row(vec!["p99 ratio (fleet/solo)".into(), fmt(b.p99_latency_ratio, 3)]);
-    t.row(vec!["dropped checks".into(), b.dropped_checks.to_string()]);
-    t.row(vec!["shed inline".into(), b.shed_inline.to_string()]);
-    t.row(vec![
-        "drains enqueued/executed".into(),
-        format!("{}/{}", b.drains_enqueued, b.drains_executed),
-    ]);
     t.row(vec!["context switches".into(), b.context_switches.to_string()]);
     t.row(vec!["attacks detected".into(), format!("{}/{}", b.attacks_detected, b.attacks_total)]);
     t.print("Fleet-scale enforcement (BENCH_fleet.json)");
@@ -283,15 +263,6 @@ pub fn regressions(current: &FleetBench, baseline: &FleetBench, _factor: f64) ->
         out.push(format!(
             "p99_latency_ratio too high: {:.3} (fleet p99 must stay within 2x of solo)",
             current.p99_latency_ratio
-        ));
-    }
-    if current.dropped_checks != 0 {
-        out.push(format!("dropped_checks: {} (must be 0)", current.dropped_checks));
-    }
-    if current.drains_executed != current.drains_enqueued {
-        out.push(format!(
-            "deferred drains leaked: {} enqueued vs {} executed",
-            current.drains_enqueued, current.drains_executed
         ));
     }
     if (current.attacks_detected_fraction - 1.0).abs() > f64::EPSILON {
@@ -334,10 +305,6 @@ mod tests {
             p99_check_latency_cycles: 900,
             solo_p99_check_latency_cycles: 850,
             p99_latency_ratio: 900.0 / 850.0,
-            dropped_checks: 0,
-            shed_inline: 0,
-            drains_enqueued: 400,
-            drains_executed: 400,
             context_switches: 640,
             attacks_total: 5,
             attacks_detected: 5,
@@ -367,13 +334,11 @@ mod tests {
         let mut bad = base.clone();
         bad.artifact_cache_hit_rate = 0.5;
         bad.p99_latency_ratio = 2.5;
-        bad.dropped_checks = 1;
-        bad.drains_executed = 399;
         bad.attacks_detected = 4;
         bad.attacks_detected_fraction = 0.8;
         bad.checks_total = 999;
         let r = regressions(&bad, &base, 2.0);
-        assert_eq!(r.len(), 6, "{r:?}");
+        assert_eq!(r.len(), 4, "{r:?}");
     }
 
     // The full 64-process measurement runs in the bench binary and CI; this
@@ -383,8 +348,6 @@ mod tests {
         let (fleet, _) = run_fleet(8);
         let snap = fleet.snapshot();
         assert!(snap.checks_total > 0);
-        assert_eq!(snap.scheduler.dropped, 0);
-        assert_eq!(snap.scheduler.executed, snap.scheduler.drains_enqueued);
         let cache = fleet.cache_stats();
         assert!(cache.hit_rate() >= 0.5, "8 processes over 4 images: half the lookups hit");
         let (total, detected) = attack_fleet();

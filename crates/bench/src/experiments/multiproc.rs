@@ -15,7 +15,7 @@
 //! just [`MultiIptUnit::set_current`] — no flush, no re-sync, no cost.
 
 use crate::table::{fmt, Table};
-use fg_cpu::{CostModel, Machine, MultiIptUnit, StopReason, TraceUnit};
+use fg_cpu::{CostModel, IptUnit, Machine, MultiIptUnit, StopReason, TraceUnit};
 use fg_ipt::topa::Topa;
 use fg_kernel::Kernel;
 
@@ -49,8 +49,9 @@ fn run_two_workers(multi_cr3: bool) -> Row {
     // to whichever process runs.
     let mut unit = MultiIptUnit::new();
     for (&cr3, m) in cr3s.iter().zip(&machines) {
-        assert!(unit.admit(cr3, Topa::two_regions(1 << 22).expect("topa")), "admitted once");
-        unit.unit_mut(cr3).expect("just admitted").start(m.cpu.pc, cr3);
+        let mut u = IptUnit::flowguard(cr3, Topa::two_regions(1 << 22).expect("topa"));
+        u.start(m.cpu.pc, cr3);
+        assert!(unit.admit(u), "admitted once");
     }
     let mut core_unit = Some(unit);
     let mut reconfig_cycles = 0.0;

@@ -7,7 +7,7 @@ use fg_cpu::CycleAccount;
 use fg_ipt::topa::Topa;
 use fg_kernel::Kernel;
 use fg_workloads::Workload;
-use flowguard::{Deployment, FlowGuardConfig};
+use flowguard::{Deployment, FlowGuardConfig, DEFAULT_CR3};
 
 /// Instruction budget for measurement runs.
 pub const BUDGET: u64 = 200_000_000;
@@ -158,7 +158,7 @@ pub fn run_protected(
     cfg: FlowGuardConfig,
     cost: CostModel,
 ) -> ProtectedMetrics {
-    let mut p = d.launch_with_cost(&w.default_input, cfg, cost);
+    let mut p = d.launch_with(&w.default_input, cfg, cost, DEFAULT_CR3);
     let stop = p.run(BUDGET);
     let trace_bytes = p.machine.trace.as_ipt().map_or(0, fg_cpu::IptUnit::bytes_emitted);
     let s = p.stats.snapshot();

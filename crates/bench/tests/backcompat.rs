@@ -1,6 +1,6 @@
 //! Back-compat regression tests: checked-in fixtures of older on-disk
 //! shapes must keep parsing as the telemetry event and `BENCH_*.json`
-//! schemas grow.
+//! schemas grow and shed columns.
 //!
 //! The [`flowguard::CheckEvent`] wire format has grown across PRs — roughly
 //! 12 words in the PR-3 era (fast-path counters only), 16 after the
@@ -11,7 +11,7 @@
 //! added later (`*_dist` histograms, observability metrics) default when
 //! absent so checked-in baselines never need rewriting.
 
-use fg_bench::experiments::{fastpath, slowpath, streaming};
+use fg_bench::experiments::{fastpath, fleet, slowpath, streaming};
 use flowguard::{CheckEvent, CheckVerdict};
 
 /// PR-3-era event: fast-path counters only, no slow-path or tier-0 words.
@@ -78,19 +78,16 @@ fn current_check_event_round_trips() {
     assert_eq!(back.drained_bytes, 8192);
 }
 
-/// A pre-fleet-era `TelemetrySnapshot` dump: the fleet-scheduler words
-/// (`sched_deferred_drains`, `sched_shed_inline`) do not exist yet and must
-/// default to zero rather than fail the parse.
+/// A pre-fleet-era `TelemetrySnapshot` dump: it predates the fleet
+/// scheduler's (since removed) `sched_*` counters, and words added later
+/// must default rather than fail the parse.
 #[test]
 fn pre_fleet_telemetry_snapshot_parses_with_defaults() {
     let text = include_str!("fixtures/telemetry_snapshot_pr9.json");
-    assert!(!text.contains("sched_deferred_drains"), "fixture must predate the fleet words");
+    assert!(!text.contains("\"sched_"), "fixture must predate the fleet words");
     let s: flowguard::TelemetrySnapshot = serde_json::from_str(text).unwrap();
     assert_eq!(s.checks, 24);
     assert!(s.stream_drains > 0, "a streaming-era dump with drains recorded");
-    // Fleet-era words default.
-    assert_eq!(s.sched_deferred_drains, 0);
-    assert_eq!(s.sched_shed_inline, 0);
     // Zero-copy / consumer-thread era words (PR 10) default too.
     assert!(!text.contains("consumer_wakeups"), "fixture must predate the consumer words");
     assert_eq!(s.stream_copied_bytes, 0);
@@ -159,6 +156,36 @@ fn consumer_era_bench_streaming_with_removed_columns_parses() {
     assert_eq!(b.stream_drains, 65_118);
     assert!(b.copied_bytes_per_drained_kib > 0.0, "the zero-copy columns are present");
     assert!(streaming::regressions(&b, &b, 2.0).is_empty());
+}
+
+/// A `TelemetrySnapshot` saved by `flowguard_cli stats --save` while the
+/// fleet scheduler existed: its two `sched_*` counters no longer exist and
+/// are ignored, so `stats --diff` still loads the file.
+#[test]
+fn scheduler_era_telemetry_snapshot_with_removed_counters_parses() {
+    let text = include_str!("fixtures/telemetry_snapshot_scheduler_era.json");
+    assert_eq!(text.matches("\"sched_").count(), 2, "fixture carries the removed counters");
+    let s: flowguard::TelemetrySnapshot = serde_json::from_str(text).unwrap();
+    assert_eq!(s.checks, 24);
+    assert_eq!((s.stream_drains, s.stream_drained_bytes), (65_118, 378_655));
+    assert!(s.stream_copied_bytes > 0, "the zero-copy words are present");
+}
+
+/// A `BENCH_fleet.json` from the fleet-scheduler era: its drop, shed and
+/// deferred-drain columns no longer exist and are ignored, and it feeds the
+/// current gates on either side of a comparison with today's baseline.
+#[test]
+fn scheduler_era_bench_fleet_with_removed_columns_parses() {
+    let text = include_str!("fixtures/bench_fleet_scheduler_era.json");
+    assert!(text.contains("\"dropped_checks\""), "fixture carries the removed columns");
+    let old: fleet::FleetBench = serde_json::from_str(text).unwrap();
+    assert_eq!(old.checks_total, 512);
+    assert_eq!(old.context_switches, 4997);
+    let current: fleet::FleetBench =
+        serde_json::from_str(include_str!("../baselines/BENCH_fleet.json")).unwrap();
+    assert!(fleet::regressions(&old, &old, 2.0).is_empty());
+    assert!(fleet::regressions(&current, &old, 2.0).is_empty());
+    assert!(fleet::regressions(&old, &current, 2.0).is_empty());
 }
 
 /// Old checked-in baselines parse against the *current* regression gates —

@@ -237,18 +237,19 @@ impl Deployment {
     /// Steps ③–⑤ — launches a protected process: IPT configured and
     /// CR3-filtered, the kernel module installed, input on fd 0.
     pub fn launch(&self, input: &[u8], cfg: FlowGuardConfig) -> ProtectedProcess {
-        self.launch_with_cost(input, cfg, fg_cpu::CostModel::calibrated())
+        self.launch_with(input, cfg, fg_cpu::CostModel::calibrated(), DEFAULT_CR3)
     }
 
     /// [`Deployment::launch`] with an explicit cost model (the §7.2.4
-    /// hardware-extension ablations zero individual cost terms).
-    pub fn launch_with_cost(
+    /// hardware-extension ablations zero individual cost terms) and page
+    /// table: fleet members each run under their own CR3.
+    pub fn launch_with(
         &self,
         input: &[u8],
         cfg: FlowGuardConfig,
         cost: fg_cpu::CostModel,
+        cr3: u64,
     ) -> ProtectedProcess {
-        let cr3 = DEFAULT_CR3;
         let (mut engine, stats) = self.engine(cfg.clone(), cr3);
         engine.set_cost_model(cost);
         let mut machine = Machine::new(&self.image, cr3);

@@ -137,17 +137,6 @@ pub struct FlowGuardEngine {
     /// Tier-0 entry-point bitset, probed ahead of the ITC edge lookup when
     /// [`FlowGuardConfig::tier0_bitset`] is on and the deployment ships one.
     tier0: Option<EntryBitset>,
-    /// Fleet-mode hookup ([`FlowGuardEngine::set_fleet`]): poll-slot drains
-    /// are deferred onto the fleet scheduler's queue instead of borrowing
-    /// the process's trace-poll slot. `None` outside a fleet — the
-    /// poll-slot path is the non-fleet fallback.
-    fleet: Option<FleetHook>,
-}
-
-/// The engine's link to the fleet scheduler.
-struct FleetHook {
-    scheduler: Arc<crate::fleet::FleetScheduler>,
-    pid: u64,
 }
 
 impl std::fmt::Debug for FlowGuardEngine {
@@ -196,14 +185,7 @@ impl FlowGuardEngine {
             drained_at_last_check: 0,
             slow_scratch,
             tier0: None,
-            fleet: None,
         }
-    }
-
-    /// Enrolls the engine in a fleet: check admissions and background
-    /// drains route through `scheduler` under the given fleet `pid`.
-    pub fn set_fleet(&mut self, scheduler: Arc<crate::fleet::FleetScheduler>, pid: u64) {
-        self.fleet = Some(FleetHook { scheduler, pid });
     }
 
     /// Overrides the cost model (hardware-extension ablations, §7.2.4).
@@ -274,13 +256,6 @@ impl SyscallInterceptor for FlowGuardEngine {
     }
 
     fn check(&mut self, nr: Sysno, ctx: &mut SyscallCtx<'_>) -> InterceptVerdict {
-        if let Some(hook) = &self.fleet {
-            // Check requests are admitted through the scheduler for
-            // accounting and fairness, but the verdict must be rendered
-            // before the syscall proceeds, so the job completes
-            // synchronously — by construction a check is never dropped.
-            hook.scheduler.admit_check(hook.pid);
-        }
         self.flow_check(nr.name(), nr as u64, ctx, false)
     }
 
@@ -304,23 +279,9 @@ impl SyscallInterceptor for FlowGuardEngine {
         if !self.cfg.streaming {
             return;
         }
-        if let Some(hook) = &self.fleet {
-            // Fleet mode: don't borrow the process's poll slot — defer the
-            // drain onto the scheduler's bounded queue; the supervisor
-            // executes it on the shared worker pool between time slices. A
-            // full queue sheds the job back to synchronous inline execution
-            // (the backpressure policy: degrade latency, never drop work).
-            match hook.scheduler.enqueue_drain(hook.pid) {
-                crate::fleet::Admission::Queued => {
-                    self.stats.record_sched_deferred();
-                    return;
-                }
-                crate::fleet::Admission::Shed => self.stats.record_sched_shed(),
-            }
-        }
-        // Non-fleet fallback (and the fleet shed path): drain inline in the
-        // poll slot — residues this small are cheaper to consume than to
-        // ship to a worker.
+        // Drain inline in the poll slot — residues this small are cheaper
+        // to consume than to ship to a worker, and a check right after the
+        // slot then finds only the bytes written since.
         if let Some(ipt) = ctx.trace.as_ipt() {
             self.background_drain(ipt.topa());
         }
@@ -328,19 +289,11 @@ impl SyscallInterceptor for FlowGuardEngine {
 }
 
 impl FlowGuardEngine {
-    /// One scheduler-driven background drain, executed by the fleet
-    /// supervisor on the shared worker pool between time slices. Reads the
-    /// process's per-CR3 ToPA directly (no [`SyscallCtx`] — the process is
-    /// not running when its deferred drains execute).
-    pub fn fleet_drain(&mut self, unit: &fg_cpu::IptUnit) {
-        self.background_drain(unit.topa());
-    }
-
-    /// One background drain of the whole ToPA residue (trace-poll slots,
-    /// region-fill PMIs, and fleet-deferred drains). Drain cycles are not
-    /// charged to the process (`ctx.extra_cycles`): the consumer runs
-    /// concurrently with execution on its own slice of CPU — that
-    /// concurrency is the point of the streaming pipeline.
+    /// One background drain of the whole ToPA residue (trace-poll slots
+    /// and region-fill PMIs). Drain cycles are not charged to the process
+    /// (`ctx.extra_cycles`): the consumer runs concurrently with execution
+    /// on its own slice of CPU — that concurrency is the point of the
+    /// streaming pipeline.
     fn background_drain(&mut self, topa: &Topa) {
         let total = topa.total_written();
         if !self.cfg.streaming || self.stream.residue(total) == 0 {

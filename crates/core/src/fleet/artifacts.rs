@@ -7,7 +7,7 @@
 //! `Arc<Deployment>` (the O-CFG is already `Arc`-shared inside it, and the
 //! ITC-CFG/bitset clones are per-engine copies of shared read-only data).
 //!
-//! Admission is verify-gated: a deployment enters the cache only after the
+//! The cache is verify-gated: a deployment enters it only after the
 //! `fg-verify` rule catalogue passes. Rejections are cached too — a binary
 //! whose artifact fails verification is refused instantly on every
 //! subsequent spawn attempt instead of being re-analysed and re-rejected.

@@ -3,53 +3,43 @@
 //! FlowGuard's per-process pipeline (analyse → train → verify → trace →
 //! check) is exercised everywhere else in this suite one process at a time.
 //! Real deployments protect a *fleet*: dozens of processes, most of them
-//! instances of a handful of binaries, sharing finite tracing hardware and
-//! a finite check budget. This module adds the three pieces that makes that
-//! shape efficient, built on the paper's §6 hardware suggestions and §7.2.4
-//! multi-process findings:
+//! instances of a handful of binaries, sharing finite tracing hardware.
+//! This module adds the two pieces that make that shape efficient, built on
+//! the paper's §6 hardware suggestions and §7.2.4 multi-process findings:
 //!
 //! * **Shared deployment artifacts** ([`ArtifactCache`]) — deployments are
 //!   content-addressed by image hash, admission-gated by `fg-verify`, and
 //!   shared (`Arc`) by every instance of the same binary; verdicts —
 //!   including rejections — are cached.
-//! * **Per-CR3 tracing** ([`fg_cpu::MultiIptUnit`]) — each simulated core
+//! * **Per-CR3 tracing** ([`fg_cpu::MultiIptUnit`]) — the simulated core
 //!   carries one trace unit with per-CR3 ToPA sub-buffers and the
 //!   configurable multi-CR3 filter the paper calls for, so a context
 //!   switch selects a sub-buffer instead of flushing the trace and
 //!   re-programming `IA32_RTIT_CR3_MATCH`. The stock single-CR3 hardware
 //!   remains available ([`FleetConfig::multi_cr3`] = false) and charges the
 //!   flush + MSR rewrite + PSB+ re-sync cost on every switch.
-//! * **Async check scheduling** ([`FleetScheduler`]) — background stream
-//!   drains are deferred onto a bounded per-process queue and executed in
-//!   batches on the shared [`WorkerPool`](crate::pool::WorkerPool) between
-//!   time slices; synchronous checks are admitted through the same
-//!   scheduler for accounting and fairness. Backpressure sheds to inline
-//!   execution; nothing is ever dropped.
 //!
-//! The [`FleetSupervisor`] ties the three together and time-slices the
-//! members round-robin over the simulated cores, exactly like the solo
-//! [`ProtectedProcess`](crate::deploy::ProtectedProcess) loop — a process
-//! checked inside a fleet produces bit-identical verdicts to the same
-//! process run alone (the root `tests/fleet.rs` suite proves it).
+//! Everything else is the solo path. Each member is a [`ProtectedProcess`]
+//! launched by [`Deployment::launch_with`] under its own CR3, and the
+//! [`FleetSupervisor`] time-slices the members round-robin, each slice a
+//! [`ProtectedProcess::run`] with the core's trace unit swapped in. A
+//! member's engine therefore drains at its own trace-poll slots and PMIs
+//! and checks at its own syscalls exactly as it would alone: a process
+//! checked inside a fleet produces a bit-identical check-event stream to
+//! the same process run alone (the root `tests/fleet.rs` suite proves it).
 
 pub mod artifacts;
-pub mod scheduler;
 
 pub use artifacts::{image_hash, ArtifactCache, ArtifactCacheStats};
-pub use scheduler::{Admission, FleetScheduler, JobClass, SchedulerStats};
 
 use crate::config::FlowGuardConfig;
-use crate::deploy::{Deployment, DEFAULT_CR3};
-use crate::engine::FlowGuardEngine;
+use crate::deploy::{Deployment, ProtectedProcess, DEFAULT_CR3};
 use crate::telemetry::{EngineTelemetry, TelemetrySnapshot};
-use fg_cpu::machine::{Machine, StopReason};
-use fg_cpu::trace::{IptUnit, MultiIptUnit, TraceUnit};
+use fg_cpu::machine::StopReason;
+use fg_cpu::trace::{MultiIptUnit, TraceUnit};
 use fg_cpu::CostModel;
-use fg_ipt::topa::Topa;
 use fg_isa::image::Image;
-use fg_kernel::{InterceptVerdict, Kernel, SyscallInterceptor, Sysno};
 use fg_trace::{Histogram, HistogramSnapshot, PromText};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -58,65 +48,23 @@ use std::sync::Arc;
 pub struct FleetConfig {
     /// Per-process engine configuration.
     pub flowguard: FlowGuardConfig,
-    /// Cycle cost model shared by every core and engine.
-    pub cost: CostModel,
-    /// Scheduler time slice, in instructions.
-    pub slice_insns: u64,
-    /// Simulated cores; members are placed round-robin (`pid % cores`).
-    pub cores: usize,
     /// Use the suggested configurable multi-CR3 filter (per-CR3 ToPA
     /// sub-buffers, zero-cost switches). `false` models stock single-CR3
     /// hardware: every switch flushes, rewrites the MSR and re-syncs.
     pub multi_cr3: bool,
-    /// Bound of each process's deferred-drain queue before backpressure
-    /// sheds to inline execution.
-    pub queue_depth: usize,
-    /// Per-member total instruction budget (runaway guard).
-    pub run_budget_insns: u64,
 }
 
 impl Default for FleetConfig {
     fn default() -> FleetConfig {
-        FleetConfig {
-            flowguard: FlowGuardConfig::default(),
-            cost: CostModel::calibrated(),
-            slice_insns: 20_000,
-            cores: 1,
-            multi_cr3: true,
-            queue_depth: 64,
-            run_budget_insns: 500_000_000,
-        }
+        FleetConfig { flowguard: FlowGuardConfig::default(), multi_cr3: true }
     }
 }
 
-/// The kernel-module shim for fleet members: the kernel and the supervisor
-/// both need the engine (interceptor calls during a slice, deferred drains
-/// and snapshots between slices), so fleet engines live behind a mutex and
-/// this shim forwards the [`SyscallInterceptor`] surface through it.
-#[derive(Debug)]
-struct SharedEngine(Arc<Mutex<FlowGuardEngine>>);
+/// Time slice, in instructions.
+const SLICE_INSNS: u64 = 20_000;
 
-impl SyscallInterceptor for SharedEngine {
-    fn protects(&self, cr3: u64) -> bool {
-        self.0.lock().protects(cr3)
-    }
-
-    fn is_sensitive(&self, nr: Sysno) -> bool {
-        self.0.lock().is_sensitive(nr)
-    }
-
-    fn check(&mut self, nr: Sysno, ctx: &mut fg_cpu::machine::SyscallCtx<'_>) -> InterceptVerdict {
-        self.0.lock().check(nr, ctx)
-    }
-
-    fn on_pmi(&mut self, ctx: &mut fg_cpu::machine::SyscallCtx<'_>) -> InterceptVerdict {
-        self.0.lock().on_pmi(ctx)
-    }
-
-    fn on_trace_poll(&mut self, ctx: &mut fg_cpu::machine::SyscallCtx<'_>) {
-        self.0.lock().on_trace_poll(ctx);
-    }
-}
+/// Per-member total instruction budget (runaway guard).
+const RUN_BUDGET_INSNS: u64 = 500_000_000;
 
 /// One protected process under fleet supervision.
 #[derive(Debug)]
@@ -130,36 +78,28 @@ pub struct FleetMember {
     pub name: String,
     /// Content hash of the protected image (artifact-cache key).
     pub image_hash: u64,
-    /// The core this member is pinned to.
-    pub core: usize,
-    /// Shared engine telemetry.
-    pub stats: Arc<EngineTelemetry>,
     /// How the process stopped, once it has.
     pub stop: Option<StopReason>,
-    machine: Machine,
-    kernel: Kernel,
-    engine: Arc<Mutex<FlowGuardEngine>>,
+    /// The solo-launched process; its trace unit lives in the core's
+    /// multi-CR3 unit between slices.
+    process: ProtectedProcess,
 }
 
 impl FleetMember {
+    /// The member's engine telemetry.
+    pub fn stats(&self) -> &EngineTelemetry {
+        &self.process.stats
+    }
+
     /// Whether a CFI violation was detected.
     pub fn violated(&self) -> bool {
-        self.kernel.violated()
+        self.process.violated()
     }
 
     /// Instructions retired so far.
     pub fn insns_retired(&self) -> u64 {
-        self.machine.insns_retired
+        self.process.machine.insns_retired
     }
-}
-
-/// One simulated core: a multi-CR3 trace unit handed to whichever member
-/// runs, plus the identity of the last member (to detect context switches).
-#[derive(Debug)]
-struct CoreState {
-    /// Parked between slices; `None` only while a member runs.
-    unit: Option<MultiIptUnit>,
-    last_pid: Option<u64>,
 }
 
 /// Per-process rollup inside a [`FleetSnapshot`].
@@ -192,8 +132,6 @@ pub struct FleetSnapshot {
     pub processes: Vec<ProcessSnapshot>,
     /// Artifact-cache statistics.
     pub cache: ArtifactCacheStats,
-    /// Scheduler statistics.
-    pub scheduler: SchedulerStats,
     /// Context switches performed by the supervisor.
     pub switches: u64,
     /// Cycles spent re-programming the trace filter (zero under multi-CR3).
@@ -209,41 +147,31 @@ pub struct FleetSnapshot {
 }
 
 /// Supervises N protected processes: spawns them through the shared
-/// artifact cache, time-slices them over the simulated cores with per-CR3
-/// tracing, and multiplexes their deferred background drains onto the
-/// shared worker pool between slices.
+/// artifact cache and time-slices them round-robin over one simulated core
+/// with per-CR3 tracing.
 #[derive(Debug)]
 pub struct FleetSupervisor {
     cfg: FleetConfig,
     cache: ArtifactCache,
-    scheduler: Arc<FleetScheduler>,
     members: Vec<FleetMember>,
-    cores: Vec<CoreState>,
+    /// The core's trace unit, parked here between slices.
+    unit: MultiIptUnit,
+    /// The member that ran the previous slice (another one means a context
+    /// switch).
+    last_pid: Option<u64>,
     switches: u64,
     reconfig_cycles: f64,
 }
 
-/// Largest deferred-drain batch executed per inter-slice pass.
-const DRAIN_BATCH: usize = 4096;
-
 impl FleetSupervisor {
     /// Creates an empty fleet.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cfg.cores` is zero.
     pub fn new(cfg: FleetConfig) -> FleetSupervisor {
-        assert!(cfg.cores > 0, "a fleet needs at least one core");
-        let scheduler = Arc::new(FleetScheduler::new(cfg.queue_depth));
-        let cores = (0..cfg.cores)
-            .map(|_| CoreState { unit: Some(MultiIptUnit::new()), last_pid: None })
-            .collect();
         FleetSupervisor {
             cfg,
             cache: ArtifactCache::new(),
-            scheduler,
             members: Vec::new(),
-            cores,
+            unit: MultiIptUnit::new(),
+            last_pid: None,
             switches: 0,
             reconfig_cycles: 0.0,
         }
@@ -288,53 +216,31 @@ impl FleetSupervisor {
     fn attach(&mut self, name: &str, d: &Arc<Deployment>, input: &[u8]) -> u64 {
         let pid = self.members.len() as u64;
         let cr3 = DEFAULT_CR3 + pid * 0x1000;
-        let core = usize::try_from(pid).expect("fleet fits usize") % self.cores.len();
-
-        let (mut engine, stats) = d.engine(self.cfg.flowguard.clone(), cr3);
-        engine.set_cost_model(self.cfg.cost);
-        engine.set_fleet(Arc::clone(&self.scheduler), pid);
-        let engine = Arc::new(Mutex::new(engine));
-
-        let mut machine = Machine::new(&d.image, cr3);
-        machine.cost = self.cfg.cost;
-
-        let mut kernel = Kernel::with_input(input);
-        kernel.install_interceptor(Box::new(SharedEngine(Arc::clone(&engine))));
-
-        // Admit the process into its core's trace filter and PSB+-sync its
-        // per-CR3 sub-buffer at the image entry — the same start the solo
-        // launch path performs.
-        let unit = self.cores[core].unit.as_mut().expect("unit parked between slices");
-        let topa = Topa::two_regions(self.cfg.flowguard.topa_region_bytes).expect("valid ToPA");
-        assert!(unit.admit(cr3, topa), "CR3 {cr3:#x} admitted once");
-        unit.unit_mut(cr3).expect("just admitted").start(d.image.entry(), cr3);
-        self.scheduler.set_priority(pid, 1);
-
+        // The solo launch under the member's own CR3. Its trace unit,
+        // PSB+-synced at the image entry, becomes the member's per-CR3
+        // sub-buffer in the core's filter.
+        let mut process =
+            d.launch_with(input, self.cfg.flowguard.clone(), CostModel::calibrated(), cr3);
+        let TraceUnit::Ipt(unit) = std::mem::take(&mut process.machine.trace) else {
+            unreachable!("launch installs an IPT unit")
+        };
+        assert!(self.unit.admit(unit), "CR3 {cr3:#x} admitted once");
         self.members.push(FleetMember {
             pid,
             cr3,
             name: name.to_owned(),
             image_hash: image_hash(&d.image),
-            core,
-            stats,
             stop: None,
-            machine,
-            kernel,
-            engine,
+            process,
         });
         pid
     }
 
-    /// Runs one time slice of member `pid`. Returns `true` while the member
-    /// is still runnable.
-    fn slice(&mut self, idx: usize) -> bool {
+    /// Runs one time slice of member `idx`.
+    fn slice(&mut self, idx: usize) {
         let m = &mut self.members[idx];
-        if m.stop.is_some() {
-            return false;
-        }
-        let core = &mut self.cores[m.core];
-        let mut unit = core.unit.take().expect("unit parked between slices");
-        if core.last_pid != Some(m.pid) {
+        let mut unit = std::mem::take(&mut self.unit);
+        if self.last_pid != Some(m.pid) {
             self.switches += 1;
             if self.cfg.multi_cr3 {
                 // Suggested hardware: the filter admits every member, each
@@ -350,77 +256,27 @@ impl FleetSupervisor {
                 assert!(unit.restrict_to(m.cr3), "member admitted at spawn");
                 let u = unit.unit_mut(m.cr3).expect("member admitted at spawn");
                 u.flush();
-                u.start(m.machine.cpu.pc, m.cr3);
-                self.reconfig_cycles += self.cfg.cost.trace_reconfig_cycles;
+                u.start(m.process.machine.cpu.pc, m.cr3);
+                self.reconfig_cycles += m.process.machine.cost.trace_reconfig_cycles;
             }
-            core.last_pid = Some(m.pid);
+            self.last_pid = Some(m.pid);
         }
-        m.machine.trace = TraceUnit::MultiIpt(unit);
-        let stop = m.machine.run(&mut m.kernel, self.cfg.slice_insns);
-        m.stats.health_tick();
-        let TraceUnit::MultiIpt(unit) = std::mem::take(&mut m.machine.trace) else {
+        let p = &mut m.process;
+        p.machine.trace = TraceUnit::MultiIpt(unit);
+        let stop = p.run(SLICE_INSNS);
+        let TraceUnit::MultiIpt(unit) = std::mem::take(&mut p.machine.trace) else {
             unreachable!("unit was installed above")
         };
-        core.unit = Some(unit);
+        self.unit = unit;
         match stop {
-            StopReason::InsnLimit => {
-                if m.machine.insns_retired >= self.cfg.run_budget_insns {
-                    m.stop = Some(StopReason::InsnLimit);
-                    return false;
-                }
-                true
-            }
-            other => {
-                m.stop = Some(other);
-                false
-            }
+            StopReason::InsnLimit if p.machine.insns_retired < RUN_BUDGET_INSNS => {}
+            other => m.stop = Some(other),
         }
-    }
-
-    /// Executes the scheduler's next deferred-drain batch on the shared
-    /// worker pool: one `fleet_drain` per member with pending work, all
-    /// members' drains multiplexed into a single pool dispatch. Requests for
-    /// the same member collapse (a drain consumes the whole residue), but
-    /// every queued job is accounted as executed.
-    fn drain_scheduled(&mut self) {
-        let batch = self.scheduler.take_batch(DRAIN_BATCH);
-        if batch.is_empty() {
-            return;
-        }
-        let mut pids: Vec<u64> = batch.iter().map(|&(pid, _)| pid).collect();
-        pids.sort_unstable();
-        pids.dedup();
-        let members = &self.members;
-        let cores = &self.cores;
-        let mut guards = Vec::with_capacity(pids.len());
-        let mut units: Vec<&IptUnit> = Vec::with_capacity(pids.len());
-        for &pid in &pids {
-            let m = &members[usize::try_from(pid).expect("fleet fits usize")];
-            let unit = cores[m.core]
-                .unit
-                .as_ref()
-                .expect("units are parked between slices")
-                .unit(m.cr3)
-                .expect("member admitted at spawn");
-            guards.push(m.engine.lock());
-            units.push(unit);
-        }
-        let tasks: Vec<_> = guards
-            .iter_mut()
-            .zip(units)
-            .map(|(g, unit)| {
-                let eng: &mut FlowGuardEngine = &mut *g;
-                move || eng.fleet_drain(unit)
-            })
-            .collect();
-        crate::pool::WorkerPool::global().run(tasks);
-        drop(guards);
-        self.scheduler.mark_executed(batch.len() as u64);
     }
 
     /// Runs the whole fleet to completion: round-robin time slices over the
-    /// members, a deferred-drain batch after every slice, until every
-    /// member has stopped (or exhausted its instruction budget).
+    /// members until every member has stopped (or exhausted its instruction
+    /// budget).
     pub fn run(&mut self) {
         loop {
             let mut any = false;
@@ -428,27 +284,17 @@ impl FleetSupervisor {
                 if self.members[idx].stop.is_none() {
                     self.slice(idx);
                     any = true;
-                    self.drain_scheduled();
                 }
             }
             if !any {
                 break;
             }
         }
-        // Drains queued by the final slices.
-        while self.scheduler.pending() > 0 {
-            self.drain_scheduled();
-        }
     }
 
     /// The members, pid order.
     pub fn members(&self) -> &[FleetMember] {
         &self.members
-    }
-
-    /// The shared scheduler.
-    pub fn scheduler(&self) -> &Arc<FleetScheduler> {
-        &self.scheduler
     }
 
     /// Artifact-cache statistics.
@@ -467,20 +313,12 @@ impl FleetSupervisor {
         self.reconfig_cycles
     }
 
-    /// Sums of executed cycles and trace cycles across all members — the
-    /// denominators of the fleet overhead figure.
-    pub fn cycle_totals(&self) -> (f64, f64) {
-        let exec: f64 = self.members.iter().map(|m| m.machine.account.exec).sum();
-        let trace: f64 = self.members.iter().map(|m| m.machine.account.trace).sum();
-        (exec, trace)
-    }
-
     /// The merged fleet-wide check-latency histogram (live; fixed bucket
     /// boundaries make the per-process histograms addable).
     pub fn merged_check_latency(&self) -> Histogram {
         let merged = Histogram::new();
         for m in &self.members {
-            merged.merge_from(m.stats.check_latency_hist());
+            merged.merge_from(m.stats().check_latency_hist());
         }
         merged
     }
@@ -495,10 +333,10 @@ impl FleetSupervisor {
                 name: m.name.clone(),
                 image_hash: m.image_hash,
                 cr3: m.cr3,
-                insns_retired: m.machine.insns_retired,
+                insns_retired: m.insns_retired(),
                 violated: m.violated(),
                 stop: m.stop.map(|s| format!("{s:?}")),
-                telemetry: m.stats.telemetry_snapshot(),
+                telemetry: m.stats().telemetry_snapshot(),
             })
             .collect();
         let checks_total = processes.iter().map(|p| p.telemetry.checks).sum();
@@ -506,7 +344,6 @@ impl FleetSupervisor {
         FleetSnapshot {
             multi_cr3: self.cfg.multi_cr3,
             cache: self.cache.stats(),
-            scheduler: self.scheduler.stats(),
             switches: self.switches,
             reconfig_cycles: self.reconfig_cycles,
             checks_total,
@@ -561,39 +398,6 @@ impl FleetSupervisor {
             "fg_fleet_artifact_cache_hit_ratio",
             "Fraction of deployment lookups served from the cache",
             snap.cache.hit_rate(),
-        )
-        .counter(
-            "fg_fleet_sched_checks_total",
-            "Checks admitted through the fleet scheduler",
-            snap.scheduler.checks_admitted,
-        )
-        .counter(
-            "fg_fleet_sched_drains_total",
-            "Background drains enqueued for deferred execution",
-            snap.scheduler.drains_enqueued,
-        )
-        .counter(
-            "fg_fleet_sched_executed_total",
-            "Deferred jobs executed in supervisor batches",
-            snap.scheduler.executed,
-        )
-        .counter(
-            "fg_fleet_sched_shed_inline_total",
-            "Jobs shed to synchronous inline execution under backpressure",
-            snap.scheduler.shed_inline,
-        )
-        .counter(
-            "fg_fleet_dropped_checks_total",
-            "Checks or drains dropped by the scheduler (invariant: zero)",
-            snap.scheduler.dropped,
-        )
-        .gauge(
-            "fg_fleet_sched_max_queue_entries",
-            "Deepest any per-process drain queue ever got",
-            #[allow(clippy::cast_precision_loss)]
-            {
-                snap.scheduler.max_queue_depth as f64
-            },
         );
         let merged = self.merged_check_latency();
         p.histogram(
@@ -630,12 +434,6 @@ impl FleetSupervisor {
             &series(&|pr| pr.telemetry.stream_drains as f64),
         )
         .labeled_counter(
-            "fg_process_sched_deferred_total",
-            "Poll-slot drains deferred onto the fleet scheduler per process",
-            "process",
-            &series(&|pr| pr.telemetry.sched_deferred_drains as f64),
-        )
-        .labeled_counter(
             "fg_process_insns_total",
             "Instructions retired per protected process",
             "process",
@@ -649,20 +447,15 @@ impl FleetSupervisor {
 mod tests {
     use super::*;
 
-    fn small_fleet_cfg(n: usize, cfg: FleetConfig) -> FleetSupervisor {
+    fn small_fleet(n: usize, multi_cr3: bool) -> FleetSupervisor {
         let w = fg_workloads::nginx_patched();
-        cfg.flowguard.validate();
-        let mut fleet = FleetSupervisor::new(cfg);
+        let mut fleet = FleetSupervisor::new(FleetConfig { multi_cr3, ..FleetConfig::default() });
         for _ in 0..n {
             fleet
                 .spawn("nginx", &w.image, std::slice::from_ref(&w.default_input), &w.default_input)
                 .expect("admitted");
         }
         fleet
-    }
-
-    fn small_fleet(n: usize, multi_cr3: bool) -> FleetSupervisor {
-        small_fleet_cfg(n, FleetConfig { multi_cr3, ..FleetConfig::default() })
     }
 
     #[test]
@@ -672,29 +465,13 @@ mod tests {
         for m in fleet.members() {
             assert_eq!(m.stop, Some(StopReason::Exited(0)), "member {} exits clean", m.pid);
             assert!(!m.violated());
-            assert!(m.stats.snapshot().checks > 0, "member {} was checked", m.pid);
+            assert!(m.stats().snapshot().checks > 0, "member {} was checked", m.pid);
         }
         // Three instances of one binary: one miss, two cache hits.
         let cs = fleet.cache_stats();
         assert_eq!((cs.hits, cs.misses), (2, 1));
         // Member 0 occupies the solo CR3.
         assert_eq!(fleet.members()[0].cr3, DEFAULT_CR3);
-    }
-
-    #[test]
-    fn deferred_drains_all_execute() {
-        let mut cfg = FleetConfig::default();
-        cfg.flowguard.streaming = true;
-        let mut fleet = small_fleet_cfg(2, cfg);
-        fleet.run();
-        let st = fleet.scheduler().stats();
-        assert!(st.drains_enqueued > 0, "streaming fleet defers poll-slot drains");
-        assert_eq!(st.executed, st.drains_enqueued, "every deferred job ran");
-        assert_eq!(st.dropped, 0);
-        assert_eq!(fleet.scheduler().pending(), 0);
-        let snap = fleet.snapshot();
-        let deferred: u64 = snap.processes.iter().map(|p| p.telemetry.sched_deferred_drains).sum();
-        assert_eq!(deferred, st.drains_enqueued, "engine and scheduler agree");
     }
 
     #[test]
@@ -722,7 +499,6 @@ mod tests {
         let problems = fg_trace::export::lint(&text);
         assert!(problems.is_empty(), "lint: {problems:?}");
         assert!(text.contains("fg_fleet_checks_total"));
-        assert!(text.contains("fg_fleet_dropped_checks_total 0"));
         assert!(text.contains("fg_process_checks_total{process=\"nginx-0\"}"));
         assert!(text.contains("fg_process_checks_total{process=\"nginx-1\"}"));
         assert!(text.contains("fg_fleet_check_latency_cycles_bucket"));
@@ -737,7 +513,7 @@ mod tests {
         let back: FleetSnapshot = serde_json::from_str(&json).expect("parses");
         assert_eq!(back.processes.len(), 2);
         assert_eq!(back.checks_total, snap.checks_total);
-        assert_eq!(back.scheduler, snap.scheduler);
+        assert_eq!(back.switches, snap.switches);
         assert_eq!(back.check_latency, snap.check_latency);
     }
 }

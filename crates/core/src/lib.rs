@@ -67,8 +67,7 @@ pub use deploy::{ArtifactError, Deployment, ProtectedProcess, DEFAULT_CR3};
 pub use engine::{EngineStats, FlowGuardEngine, ViolationRecord};
 pub use fastpath::{CheckScratch, FastPathResult, FastVerdict, Violation};
 pub use fleet::{
-    ArtifactCache, ArtifactCacheStats, FleetConfig, FleetMember, FleetScheduler, FleetSnapshot,
-    FleetSupervisor, SchedulerStats,
+    ArtifactCache, ArtifactCacheStats, FleetConfig, FleetMember, FleetSnapshot, FleetSupervisor,
 };
 pub use parallel::scan_parallel;
 pub use pool::WorkerPool;

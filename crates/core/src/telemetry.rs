@@ -325,12 +325,6 @@ pub struct EngineTelemetry {
     stream_copied_bytes: Gauge,
     /// Cumulative region-seam packet carries, sampled the same way.
     stream_seam_carries: Gauge,
-    /// Fleet mode: poll-slot drains deferred onto the fleet scheduler's
-    /// queue instead of running inline in the borrowed slot.
-    sched_deferred_drains: ShardedU64,
-    /// Fleet mode: jobs that found their queue full and were shed to
-    /// synchronous inline execution (the backpressure policy — never drop).
-    sched_shed_inline: ShardedU64,
     cache_size: Gauge,
     edge_cache_hits: Gauge,
     edge_cache_misses: Gauge,
@@ -399,8 +393,6 @@ impl EngineTelemetry {
             stream_drained_bytes: ShardedU64::new(),
             stream_copied_bytes: Gauge::new(),
             stream_seam_carries: Gauge::new(),
-            sched_deferred_drains: ShardedU64::new(),
-            sched_shed_inline: ShardedU64::new(),
             cache_size: Gauge::new(),
             edge_cache_hits: Gauge::new(),
             edge_cache_misses: Gauge::new(),
@@ -503,38 +495,10 @@ impl EngineTelemetry {
         self.stream_seam_carries.set(seam_carries);
     }
 
-    /// Records one poll-slot drain deferred onto the fleet scheduler's
-    /// queue (fleet mode only).
-    #[inline]
-    pub fn record_sched_deferred(&self) {
-        if self.enabled {
-            self.sched_deferred_drains.incr();
-        }
-    }
-
-    /// Records one job shed to synchronous inline execution because its
-    /// bounded queue was full (fleet backpressure — the job still ran).
-    #[inline]
-    pub fn record_sched_shed(&self) {
-        if self.enabled {
-            self.sched_shed_inline.incr();
-        }
-    }
-
     /// The per-check total-cycles histogram — exposed so fleet rollups can
     /// bucket-merge it across processes via [`Histogram::merge_from`].
     pub fn check_latency_hist(&self) -> &Histogram {
         &self.check_latency
-    }
-
-    /// The per-check trace-bytes histogram (fleet rollups).
-    pub fn bytes_per_check_hist(&self) -> &Histogram {
-        &self.bytes_per_check
-    }
-
-    /// The streaming frontier-lag histogram (fleet rollups).
-    pub fn frontier_lag_hist(&self) -> &Histogram {
-        &self.frontier_lag
     }
 
     /// Samples the caches' current sizes (gauges, last-write-wins).
@@ -693,8 +657,6 @@ impl EngineTelemetry {
             stream_drained_bytes: self.stream_drained_bytes.get(),
             stream_copied_bytes: self.stream_copied_bytes.get(),
             stream_seam_carries: self.stream_seam_carries.get(),
-            sched_deferred_drains: self.sched_deferred_drains.get(),
-            sched_shed_inline: self.sched_shed_inline.get(),
             edge_cache_hits: self.edge_cache_hits.get(),
             edge_cache_misses: self.edge_cache_misses.get(),
             decode_cycles: self.decode_cycles.get(),
@@ -961,15 +923,6 @@ pub struct TelemetrySnapshot {
     /// Packet fragments carried across ToPA region seams.
     #[serde(default)]
     pub stream_seam_carries: u64,
-    /// Fleet mode: poll-slot drains deferred onto the fleet scheduler's
-    /// queue (zero outside a fleet).
-    #[serde(default)]
-    pub sched_deferred_drains: u64,
-    /// Fleet mode: jobs shed to synchronous inline execution under
-    /// backpressure (zero outside a fleet; shed jobs still ran — nothing
-    /// is ever dropped).
-    #[serde(default)]
-    pub sched_shed_inline: u64,
     /// Edge-cache hits (cumulative).
     pub edge_cache_hits: u64,
     /// Edge-cache misses (cumulative).

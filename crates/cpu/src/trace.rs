@@ -304,10 +304,12 @@ impl MultiIptUnit {
         MultiIptUnit { msrs, units: Vec::new(), current: 0 }
     }
 
-    /// Admits a CR3 into the filter and allocates its private ToPA buffer.
-    /// Returns `false` (and ignores the buffer) if the CR3 is already
-    /// admitted.
-    pub fn admit(&mut self, cr3: u64, topa: Topa) -> bool {
+    /// Admits a process's IPT unit — CR3-filtered to the process
+    /// (`unit.msrs.cr3_match`), writing its private ToPA buffer — into the
+    /// core filter. Returns `false` (and drops the unit) if the CR3 is
+    /// already admitted.
+    pub fn admit(&mut self, unit: IptUnit) -> bool {
+        let cr3 = unit.msrs.cr3_match;
         if self.units.iter().any(|(c, _)| *c == cr3) {
             return false;
         }
@@ -316,7 +318,7 @@ impl MultiIptUnit {
         } else {
             self.msrs.cr3_match_extra.push(cr3);
         }
-        self.units.push((cr3, IptUnit::flowguard(cr3, topa)));
+        self.units.push((cr3, unit));
         true
     }
 
@@ -464,7 +466,7 @@ impl TraceUnit {
     /// The IPT unit, if that is what is configured. For a multi-CR3 unit
     /// this is the *currently selected* process's sub-unit, so the machine
     /// run loop (PMI pending, trace-poll slots) and the engine's drain path
-    /// work unchanged under fleet scheduling.
+    /// work unchanged while fleet members take turns on one core.
     pub fn as_ipt(&self) -> Option<&IptUnit> {
         match self {
             TraceUnit::Ipt(u) => Some(u),
@@ -616,8 +618,9 @@ mod tests {
     fn multi_unit(cr3s: &[u64]) -> TraceUnit {
         let mut m = MultiIptUnit::new();
         for &cr3 in cr3s {
-            assert!(m.admit(cr3, Topa::two_regions(8192).unwrap()));
-            m.unit_mut(cr3).unwrap().start(0x40_0000, cr3);
+            let mut u = IptUnit::flowguard(cr3, Topa::two_regions(8192).unwrap());
+            u.start(0x40_0000, cr3);
+            assert!(m.admit(u));
         }
         m.set_current(cr3s[0]);
         TraceUnit::MultiIpt(m)
@@ -630,7 +633,8 @@ mod tests {
         assert_eq!(m.admitted(), vec![0x4000, 0x5000]);
         assert_eq!(m.msrs().cr3_match, 0x4000);
         assert_eq!(m.msrs().cr3_match_extra, vec![0x5000]);
-        assert!(!m.admit(0x5000, Topa::two_regions(8192).unwrap()), "double admit rejected");
+        let twin = IptUnit::flowguard(0x5000, Topa::two_regions(8192).unwrap());
+        assert!(!m.admit(twin), "double admit rejected");
         assert!(m.set_current(0x5000) && !m.set_current(0x7777));
         assert_eq!(m.current_cr3(), Some(0x5000));
         // as_ipt now resolves to the selected process's sub-unit.

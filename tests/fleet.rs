@@ -1,12 +1,12 @@
 //! Fleet-enforcement integration tests: a process supervised inside a wide
-//! fleet must behave exactly as it does alone — same verdicts, same
-//! violations, bit-identical forensic flight records — and a fleet under
-//! concurrent attack must catch every payload.
+//! fleet must behave exactly as it does alone — the same check events,
+//! verdicts and drains, bit-identical forensic flight records — and a
+//! fleet under concurrent attack must catch every payload.
 
 use fg_cpu::StopReason;
 use flowguard::{
-    Deployment, EngineTelemetry, FleetConfig, FleetSupervisor, FlightRecord, FlowGuardConfig,
-    ViolationSummary,
+    CheckEvent, Deployment, EngineTelemetry, FleetConfig, FleetSupervisor, FlightRecord,
+    FlowGuardConfig, ViolationSummary,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -16,7 +16,7 @@ const FLEET_WIDTH: u64 = 64;
 
 fn fleet_cfg() -> FleetConfig {
     let mut cfg = FleetConfig::default();
-    // Streaming engines so the deferred-drain scheduler is actually in play.
+    // Streaming engines, so members drain at their poll slots and PMIs.
     cfg.flowguard.streaming = true;
     cfg
 }
@@ -25,24 +25,41 @@ fn solo_cfg() -> FlowGuardConfig {
     FlowGuardConfig { streaming: true, ..Default::default() }
 }
 
-/// The detection-relevant outcome of one protected run: verdict counters,
-/// the violation log, and the raw flight records (whose `topa_window`
-/// bytes prove the per-process trace itself is bit-identical).
-type Fingerprint = (u64, u64, u64, u64, u64, u64, u64, Vec<ViolationSummary>, Vec<FlightRecord>);
+/// The outcome of one protected run: verdict counters, every check event
+/// (whose `frontier_lag`/`delta_bytes` show each check found the same
+/// residue), the drain and scan totals, the violation log, and the raw
+/// flight records (whose `topa_window` bytes prove the per-process trace
+/// itself is bit-identical).
+#[derive(Debug, PartialEq)]
+struct Fingerprint {
+    verdicts: [u64; 7],
+    events: Vec<(u64, CheckEvent)>,
+    bytes_scanned: u64,
+    stream_drains: u64,
+    stream_drained_bytes: u64,
+    violations: Vec<ViolationSummary>,
+    flight_records: Vec<FlightRecord>,
+}
 
 fn fingerprint(stats: &EngineTelemetry) -> Fingerprint {
     let s = stats.telemetry_snapshot();
-    (
-        s.checks,
-        s.fast_clean,
-        s.fast_malicious,
-        s.slow_invocations,
-        s.slow_attacks,
-        s.insufficient,
-        s.violations_total,
-        s.violations,
-        s.flight_records,
-    )
+    Fingerprint {
+        verdicts: [
+            s.checks,
+            s.fast_clean,
+            s.fast_malicious,
+            s.slow_invocations,
+            s.slow_attacks,
+            s.insufficient,
+            s.violations_total,
+        ],
+        events: stats.recent_events(usize::MAX),
+        bytes_scanned: s.bytes_scanned,
+        stream_drains: s.stream_drains,
+        stream_drained_bytes: s.stream_drained_bytes,
+        violations: s.violations,
+        flight_records: s.flight_records,
+    }
 }
 
 /// One trained deployment of the patched (benign) nginx, shared across
@@ -61,9 +78,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 3, .. ProptestConfig::default() })]
 
     /// A process checked inside a 64-wide fleet produces bit-identical
-    /// verdicts, violations, and flight records to the same deployment and
-    /// input run solo. Member 0 sits at the default CR3 (the one a solo
-    /// launch uses), so even the CR3s embedded in PIP packets line up.
+    /// check events, drains, violations, and flight records to the same
+    /// deployment and input run solo. Member 0 sits at the default CR3 (the
+    /// one a solo launch uses), so even the CR3s embedded in PIP packets
+    /// line up.
     #[test]
     fn fleet_member_matches_solo(
         seed in any::<u64>(),
@@ -92,14 +110,13 @@ proptest! {
             "member 0: {:?}",
             m.stop
         );
-        prop_assert_eq!(solo, fingerprint(&m.stats), "fleet membership must not change outcomes");
+        prop_assert_eq!(solo, fingerprint(m.stats()), "fleet membership must not change outcomes");
 
         // The crowd itself stays clean, and the shared artifact cache
         // served every sibling spawn.
         prop_assert!(fleet.members().iter().all(|m| !m.violated()));
         let snap = fleet.snapshot();
         prop_assert_eq!(snap.cache.hits, FLEET_WIDTH - 1);
-        prop_assert_eq!(snap.scheduler.dropped, 0);
     }
 }
 
@@ -116,7 +133,7 @@ fn attacked_member_flight_records_match_solo() {
     let _ = p.run(500_000_000);
     assert!(p.violated(), "solo run must detect the ROP chain");
     let solo = fingerprint(&p.stats);
-    assert!(!solo.8.is_empty(), "violation must capture a flight record");
+    assert!(!solo.flight_records.is_empty(), "violation must capture a flight record");
 
     let mut fleet = FleetSupervisor::new(fleet_cfg());
     fleet.spawn_deployment("nginx-vuln", d.clone(), &payload).expect("artifact admitted");
@@ -135,7 +152,7 @@ fn attacked_member_flight_records_match_solo() {
 
     let m = &fleet.members()[0];
     assert!(m.violated(), "fleet run must detect the ROP chain");
-    assert_eq!(solo, fingerprint(&m.stats), "flight records must be bit-identical");
+    assert_eq!(solo, fingerprint(m.stats()), "flight records must be bit-identical");
 }
 
 /// Five fleet members each run a distinct attack payload against the same
@@ -173,5 +190,4 @@ fn concurrent_attack_fleet_all_detected() {
     let snap = fleet.snapshot();
     assert!(snap.violations_total as usize >= total, "one violation per member minimum");
     assert_eq!(snap.cache.hits as usize, total - 1, "shared artifact: one miss, rest hits");
-    assert_eq!(snap.scheduler.dropped, 0, "checks are never dropped");
 }
