@@ -27,5 +27,5 @@ pub use coverage::{CoverageMap, VirginMap};
 pub use machine::{
     Cpu, Machine, NullKernel, StopReason, SysOutcome, SyscallCtx, SyscallHandler, TRACE_POLL_PERIOD,
 };
-pub use mem::{AddressSpace, MemFault};
+pub use mem::{AddressSpace, MapError, MemFault};
 pub use trace::{BtsRecord, BtsUnit, IptUnit, LbrFilter, LbrUnit, MultiIptUnit, TraceUnit};

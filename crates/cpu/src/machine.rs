@@ -243,19 +243,32 @@ impl Machine {
     }
 
     /// Runs until a stop condition, with an instruction budget.
+    ///
+    /// A pending trace-buffer PMI is delivered after the instruction during
+    /// which it was raised, or after a run's first instruction if it was
+    /// raised before the run. Only trace-byte writes raise one, and only a
+    /// CoFI (syscalls included) or a kernel callback writes trace bytes, so
+    /// the loop looks for a PMI only after those.
     pub fn run(&mut self, kernel: &mut dyn SyscallHandler, max_insns: u64) -> StopReason {
         let start = self.insns_retired;
+        let mut pmi_check = true;
         loop {
             if self.insns_retired - start >= max_insns {
                 return StopReason::InsnLimit;
             }
+            let cofis = self.cofi_retired;
             match self.step(kernel) {
                 Ok(None) => {}
                 Ok(Some(stop)) => return stop,
                 Err(fault) => return StopReason::Fault(fault),
             }
+            pmi_check |= self.cofi_retired != cofis;
             // Deliver a pending trace-buffer PMI (ToPA INT region filled).
-            if self.trace.as_ipt().is_some_and(|u| u.topa().pmi_pending()) {
+            if std::mem::take(&mut pmi_check)
+                && self.trace.as_ipt().is_some_and(|u| u.topa().pmi_pending())
+            {
+                // The handler may leave the PMI pending or write more bytes.
+                pmi_check = true;
                 let mut extra = CycleAccount::default();
                 let outcome = {
                     let mut ctx = SyscallCtx {
@@ -287,6 +300,7 @@ impl Machine {
                 };
                 kernel.trace_poll(&mut ctx);
                 self.account.absorb(&extra);
+                pmi_check = true;
             }
         }
     }
@@ -301,8 +315,7 @@ impl Machine {
         kernel: &mut dyn SyscallHandler,
     ) -> Result<Option<StopReason>, MemFault> {
         let pc = self.cpu.pc;
-        let bytes = self.mem.fetch(pc)?;
-        let Ok(insn) = Insn::decode(bytes, pc) else {
+        let Ok(insn) = self.mem.fetch_insn(pc)? else {
             return Ok(Some(StopReason::BadInsn { pc }));
         };
         self.insns_retired += 1;

@@ -4,8 +4,16 @@
 //! force: code segments are non-writable, and only code segments are
 //! executable. Attacks in this reproduction therefore have to be *code
 //! reuse* attacks, exactly as in the paper.
+//!
+//! The same W^X rule lets the interpreter decode each executable segment
+//! once, when it is mapped: no path writes an executable segment (image
+//! code is mapped read-only, [`AddressSpace::map_anon`] maps only data, and
+//! `mprotect` changes nothing), so a predecoded instruction never goes
+//! stale.
 
 use fg_isa::image::Image;
+use fg_isa::insn::{DecodeInsnError, Insn, INSN_SIZE};
+use std::cell::Cell;
 use std::fmt;
 
 /// Default stack top (grows downward).
@@ -51,77 +59,128 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// A rejected [`AddressSpace::map_anon`] request: the range wraps the
+/// address space or overlaps an existing segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MapError {
+    /// Requested start address.
+    pub va: u64,
+    /// Requested length in bytes.
+    pub len: usize,
+}
+
+impl fmt::Display for MapError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cannot map {:#x} bytes at {:#x}: overlaps a segment or wraps", self.len, self.va)
+    }
+}
+
+impl std::error::Error for MapError {}
+
 #[derive(Debug, Clone)]
 struct Segment {
     va: u64,
     bytes: Vec<u8>,
     writable: bool,
     executable: bool,
+    /// The decoded instruction of every whole 8-byte word from `va` (`None`
+    /// where the word does not decode); empty unless executable.
+    code: Vec<Option<Insn>>,
 }
 
 impl Segment {
-    fn end(&self) -> u64 {
-        self.va + self.bytes.len() as u64
+    fn new(va: u64, bytes: Vec<u8>, writable: bool, executable: bool) -> Segment {
+        let code = if executable {
+            bytes
+                .chunks_exact(INSN_SIZE as usize)
+                .zip((va..).step_by(INSN_SIZE as usize))
+                .map(|(word, pc)| Insn::decode(word.try_into().expect("8-byte word"), pc).ok())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Segment { va, bytes, writable, executable, code }
     }
 
-    fn contains(&self, va: u64) -> bool {
-        va >= self.va && va < self.end()
+    fn end(&self) -> u64 {
+        self.va + self.bytes.len() as u64
     }
 }
 
 /// A process address space: image segments plus stack and heap.
+///
+/// Segments never overlap (the linker keeps modules clear of the stack and
+/// heap, and [`AddressSpace::map_anon`] refuses overlaps), so at most one
+/// holds a given address. Lookups try the segment the previous fetch (or
+/// data access) hit, then scan a compact `(start, end)` index.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     segs: Vec<Segment>,
+    /// `(start, end)` of each segment, in `segs` order.
+    index: Vec<(u64, u64)>,
+    fetch_hint: Cell<usize>,
+    data_hint: Cell<usize>,
 }
 
 impl AddressSpace {
     /// Builds an address space from a linked image, adding a stack segment
     /// at [`STACK_TOP`] and a heap at [`HEAP_BASE`].
     pub fn from_image(image: &Image) -> AddressSpace {
-        let mut segs = Vec::new();
-        for s in image.segments() {
-            segs.push(Segment {
-                va: s.va,
-                bytes: s.bytes.to_vec(),
-                writable: s.writable,
-                executable: !s.writable,
-            });
+        let mut segs: Vec<Segment> = image
+            .segments()
+            .iter()
+            .map(|s| Segment::new(s.va, s.bytes.to_vec(), s.writable, !s.writable))
+            .collect();
+        segs.push(Segment::new(STACK_TOP - STACK_SIZE, vec![0; STACK_SIZE as usize], true, false));
+        segs.push(Segment::new(HEAP_BASE, vec![0; HEAP_SIZE as usize], true, false));
+        let index = segs.iter().map(|s| (s.va, s.end())).collect();
+        AddressSpace { segs, index, fetch_hint: Cell::new(0), data_hint: Cell::new(0) }
+    }
+
+    /// Maps an additional writable, non-executable, zeroed segment.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MapError`], mapping nothing, if the range wraps the address
+    /// space or overlaps an existing segment.
+    pub fn map_anon(&mut self, va: u64, len: usize) -> Result<(), MapError> {
+        let err = MapError { va, len };
+        let end = va.checked_add(len as u64).ok_or(err)?;
+        if self.index.iter().any(|&(s, e)| va < e && end > s) {
+            return Err(err);
         }
-        segs.push(Segment {
-            va: STACK_TOP - STACK_SIZE,
-            bytes: vec![0; STACK_SIZE as usize],
-            writable: true,
-            executable: false,
-        });
-        segs.push(Segment {
-            va: HEAP_BASE,
-            bytes: vec![0; HEAP_SIZE as usize],
-            writable: true,
-            executable: false,
-        });
-        AddressSpace { segs }
+        self.segs.push(Segment::new(va, vec![0; len], true, false));
+        self.index.push((va, end));
+        Ok(())
     }
 
-    /// Maps an additional writable, non-executable segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range overlaps an existing segment.
-    pub fn map_anon(&mut self, va: u64, len: usize) {
-        assert!(
-            !self.segs.iter().any(|s| va < s.end() && va + len as u64 > s.va),
-            "anonymous mapping overlaps an existing segment"
-        );
-        self.segs.push(Segment { va, bytes: vec![0; len], writable: true, executable: false });
+    /// The index of the segment holding `va`: `hint` if it does, else the
+    /// scan's hit, which becomes the new hint.
+    #[inline]
+    fn find(&self, va: u64, hint: &Cell<usize>) -> Option<usize> {
+        let h = hint.get();
+        if self.index.get(h).is_some_and(|&(s, e)| va >= s && va < e) {
+            return Some(h);
+        }
+        let i = self.index.iter().position(|&(s, e)| va >= s && va < e)?;
+        hint.set(i);
+        Some(i)
     }
 
+    #[inline]
     fn seg(&self, va: u64) -> Result<&Segment, MemFault> {
-        self.segs.iter().find(|s| s.contains(va)).ok_or(MemFault::Unmapped { va })
+        match self.find(va, &self.data_hint) {
+            Some(i) => Ok(&self.segs[i]),
+            None => Err(MemFault::Unmapped { va }),
+        }
     }
 
+    #[inline]
     fn seg_mut(&mut self, va: u64) -> Result<&mut Segment, MemFault> {
-        self.segs.iter_mut().find(|s| s.contains(va)).ok_or(MemFault::Unmapped { va })
+        match self.find(va, &self.data_hint) {
+            Some(i) => Ok(&mut self.segs[i]),
+            None => Err(MemFault::Unmapped { va }),
+        }
     }
 
     /// Reads one byte.
@@ -213,13 +272,38 @@ impl AddressSpace {
     /// Returns [`MemFault::NotExecutable`] when fetching from a data/stack
     /// segment (DEP), [`MemFault::Unmapped`] otherwise.
     pub fn fetch(&self, pc: u64) -> Result<[u8; 8], MemFault> {
-        let s = self.seg(pc)?;
+        let Some(i) = self.find(pc, &self.fetch_hint) else {
+            return Err(MemFault::Unmapped { va: pc });
+        };
+        let s = &self.segs[i];
         if !s.executable {
             return Err(MemFault::NotExecutable { va: pc });
         }
         let off = (pc - s.va) as usize;
         let slice = s.bytes.get(off..off + 8).ok_or(MemFault::Unmapped { va: pc })?;
         Ok(slice.try_into().expect("8-byte slice"))
+    }
+
+    /// The instruction at `pc`: what [`AddressSpace::fetch`] then
+    /// [`Insn::decode`] return, read from the segment's predecoded slot when
+    /// `pc` starts a whole, decodable word of an executable segment.
+    ///
+    /// # Errors
+    ///
+    /// The outer error is the fetch fault, the inner one the decode error of
+    /// an undecodable word.
+    #[inline]
+    pub fn fetch_insn(&self, pc: u64) -> Result<Result<Insn, DecodeInsnError>, MemFault> {
+        if let Some(i) = self.find(pc, &self.fetch_hint) {
+            let s = &self.segs[i];
+            let off = pc - s.va;
+            if off.is_multiple_of(INSN_SIZE) {
+                if let Some(&Some(insn)) = s.code.get((off / INSN_SIZE) as usize) {
+                    return Ok(Ok(insn));
+                }
+            }
+        }
+        Ok(Insn::decode(self.fetch(pc)?, pc))
     }
 
     /// Total mapped bytes.
@@ -302,16 +386,21 @@ mod tests {
     #[test]
     fn map_anon_extends_space() {
         let mut m = space();
-        m.map_anon(0x5000_0000, 4096);
+        m.map_anon(0x5000_0000, 4096).unwrap();
         m.write_u64(0x5000_0000, 1).unwrap();
         assert_eq!(m.read_u64(0x5000_0000).unwrap(), 1);
+        assert!(matches!(m.fetch(0x5000_0000), Err(MemFault::NotExecutable { .. })));
     }
 
     #[test]
-    #[should_panic(expected = "overlaps")]
-    fn map_anon_overlap_panics() {
+    fn map_anon_rejects_overlap_and_wrap() {
         let mut m = space();
-        m.map_anon(HEAP_BASE, 16);
+        let before = m.mapped_bytes();
+        assert_eq!(m.map_anon(HEAP_BASE, 16), Err(MapError { va: HEAP_BASE, len: 16 }));
+        assert!(m.map_anon(HEAP_BASE - 8, 16).is_err(), "straddles the heap start");
+        assert!(m.map_anon(u64::MAX - 8, 16).is_err(), "wraps the address space");
+        assert_eq!(m.mapped_bytes(), before, "a refused mapping maps nothing");
+        assert_eq!(m.read_u8(u64::MAX - 1).unwrap_err(), MemFault::Unmapped { va: u64::MAX - 1 });
     }
 
     #[test]

@@ -30,27 +30,35 @@ pub struct BtsRecord {
 /// Branch Trace Store unit: full fidelity, no decoding, very high overhead.
 #[derive(Debug, Clone, Default)]
 pub struct BtsUnit {
+    /// The newest `capacity` records are the buffer; older ones are evicted
+    /// in bulk once `records` reaches twice that, so recording costs O(1)
+    /// amortised instead of a shift per branch.
     records: Vec<BtsRecord>,
     capacity: usize,
 }
 
 impl BtsUnit {
-    /// Creates a BTS unit with a circular buffer of `capacity` records.
+    /// Creates a BTS unit with a circular buffer of `capacity` records. A
+    /// zero-capacity buffer retains nothing.
     pub fn new(capacity: usize) -> BtsUnit {
         BtsUnit { records: Vec::with_capacity(capacity.min(4096)), capacity }
     }
 
     /// Records a transfer.
     pub fn record(&mut self, from: u64, to: u64) {
-        if self.records.len() == self.capacity {
-            self.records.remove(0);
+        if self.capacity == 0 {
+            return;
+        }
+        if self.records.len() == 2 * self.capacity {
+            self.records.drain(..self.capacity);
         }
         self.records.push(BtsRecord { from, to });
     }
 
-    /// The recorded transfers, oldest first.
+    /// The retained transfers (at most `capacity`, the newest), oldest
+    /// first.
     pub fn records(&self) -> &[BtsRecord] {
-        &self.records
+        &self.records[self.records.len().saturating_sub(self.capacity)..]
     }
 }
 
@@ -295,13 +303,35 @@ pub struct MultiIptUnit {
     msrs: IptMsrs,
     units: Vec<(u64, IptUnit)>,
     current: usize,
+    /// Whether `msrs` traces the selected CR3; recomputed whenever either
+    /// changes, so routing the running process's events skips both linear
+    /// CR3 searches.
+    current_traced: bool,
 }
 
 impl MultiIptUnit {
     /// Creates an empty multi-CR3 unit with FlowGuard's §5.1 CTL bits.
     pub fn new() -> MultiIptUnit {
         let msrs = IptMsrs { ctl: fg_ipt::msr::RtitCtl::flowguard_default(), ..Default::default() };
-        MultiIptUnit { msrs, units: Vec::new(), current: 0 }
+        MultiIptUnit { msrs, units: Vec::new(), current: 0, current_traced: false }
+    }
+
+    fn refresh_current_traced(&mut self) {
+        self.current_traced = self.current_cr3().is_some_and(|c| self.msrs.should_trace(true, c));
+    }
+
+    /// The sub-unit that receives `cr3`'s events, if the core filter traces
+    /// that CR3: the selected process's in O(1), any other by search.
+    #[inline]
+    fn route_mut(&mut self, cr3: u64) -> Option<&mut IptUnit> {
+        if self.current_cr3() == Some(cr3) {
+            let traced = self.current_traced;
+            return self.current_unit_mut().filter(|_| traced);
+        }
+        if !self.msrs.should_trace(true, cr3) {
+            return None;
+        }
+        self.unit_mut(cr3)
     }
 
     /// Admits a process's IPT unit — CR3-filtered to the process
@@ -319,6 +349,7 @@ impl MultiIptUnit {
             self.msrs.cr3_match_extra.push(cr3);
         }
         self.units.push((cr3, unit));
+        self.refresh_current_traced();
         true
     }
 
@@ -329,6 +360,7 @@ impl MultiIptUnit {
         match self.units.iter().position(|(c, _)| *c == cr3) {
             Some(i) => {
                 self.current = i;
+                self.refresh_current_traced();
                 true
             }
             None => false,
@@ -349,10 +381,12 @@ impl MultiIptUnit {
         }
         self.msrs.cr3_match = cr3;
         self.msrs.cr3_match_extra.clear();
+        self.refresh_current_traced();
         true
     }
 
     /// The CR3 currently selected, if any process was admitted.
+    #[inline]
     pub fn current_cr3(&self) -> Option<u64> {
         self.units.get(self.current).map(|(c, _)| *c)
     }
@@ -377,10 +411,12 @@ impl MultiIptUnit {
         self.units.iter_mut().find(|(c, _)| *c == cr3).map(|(_, u)| u)
     }
 
+    #[inline]
     fn current_unit(&self) -> Option<&IptUnit> {
         self.units.get(self.current).map(|(_, u)| u)
     }
 
+    #[inline]
     fn current_unit_mut(&mut self) -> Option<&mut IptUnit> {
         self.units.get_mut(self.current).map(|(_, u)| u)
     }
@@ -419,17 +455,12 @@ impl TraceUnit {
         match self {
             TraceUnit::Off => 0.0,
             TraceUnit::Ipt(u) => ipt_on_cofi(u, cost, kind, from, to, taken, cr3),
-            TraceUnit::MultiIpt(m) => {
-                // The core-level multi-CR3 filter decides admission; the
-                // event's CR3 then selects the per-process ToPA buffer.
-                if !m.msrs.should_trace(true, cr3) {
-                    return 0.0;
-                }
-                match m.unit_mut(cr3) {
-                    Some(u) => ipt_on_cofi(u, cost, kind, from, to, taken, cr3),
-                    None => 0.0,
-                }
-            }
+            // The core-level multi-CR3 filter decides admission; the event's
+            // CR3 then selects the per-process ToPA buffer.
+            TraceUnit::MultiIpt(m) => match m.route_mut(cr3) {
+                Some(u) => ipt_on_cofi(u, cost, kind, from, to, taken, cr3),
+                None => 0.0,
+            },
             TraceUnit::Bts(u) => {
                 if kind == CofiKind::None {
                     return 0.0;
@@ -448,7 +479,7 @@ impl TraceUnit {
     pub fn on_syscall_resume(&mut self, cost: &CostModel, resume_ip: u64, cr3: u64) -> f64 {
         let u = match self {
             TraceUnit::Ipt(u) => u,
-            TraceUnit::MultiIpt(m) if m.msrs.should_trace(true, cr3) => match m.unit_mut(cr3) {
+            TraceUnit::MultiIpt(m) => match m.route_mut(cr3) {
                 Some(u) => u,
                 None => return 0.0,
             },
@@ -467,6 +498,7 @@ impl TraceUnit {
     /// this is the *currently selected* process's sub-unit, so the machine
     /// run loop (PMI pending, trace-poll slots) and the engine's drain path
     /// work unchanged while fleet members take turns on one core.
+    #[inline]
     pub fn as_ipt(&self) -> Option<&IptUnit> {
         match self {
             TraceUnit::Ipt(u) => Some(u),
@@ -476,6 +508,7 @@ impl TraceUnit {
     }
 
     /// Mutable IPT access (current sub-unit for a multi-CR3 configuration).
+    #[inline]
     pub fn as_ipt_mut(&mut self) -> Option<&mut IptUnit> {
         match self {
             TraceUnit::Ipt(u) => Some(u),
@@ -659,6 +692,23 @@ mod tests {
     }
 
     #[test]
+    fn selected_process_still_obeys_the_core_filter() {
+        // restrict_to narrows the core filter to one CR3; selecting another
+        // process afterwards must not let its events through.
+        let cost = CostModel::calibrated();
+        let mut t = multi_unit(&[0x4000, 0x5000]);
+        let m = t.as_multi_ipt_mut().unwrap();
+        assert!(m.restrict_to(0x4000) && m.set_current(0x5000));
+        let before = m.unit(0x5000).unwrap().bytes_emitted();
+        assert_eq!(t.on_cofi(&cost, CofiKind::IndJmp, 0x40_0100, 0x50_0000, false, 0x5000), 0.0);
+        assert_eq!(t.on_syscall_resume(&cost, 0x40_0108, 0x5000), 0.0);
+        let m = t.as_multi_ipt_mut().unwrap();
+        assert_eq!(m.unit(0x5000).unwrap().bytes_emitted(), before);
+        // The restricted CR3 is traced, though not selected.
+        assert!(t.on_cofi(&cost, CofiKind::IndJmp, 0x40_0100, 0x50_0000, false, 0x4000) > 0.0);
+    }
+
+    #[test]
     fn multi_cr3_interleaved_trace_is_bit_identical_to_solo() {
         // The whole point of the extension: context switches stop flushing
         // trace state, so an interleaved schedule yields each process the
@@ -718,12 +768,25 @@ mod tests {
 
     #[test]
     fn bts_buffer_is_circular() {
-        let mut u = BtsUnit::new(2);
-        u.record(1, 1);
-        u.record(2, 2);
-        u.record(3, 3);
-        assert_eq!(u.records().len(), 2);
-        assert_eq!(u.records()[0].from, 2, "oldest evicted");
+        let mut u = BtsUnit::new(3);
+        for i in 1..=20u64 {
+            u.record(i, i + 100);
+            let kept: Vec<u64> = u.records().iter().map(|r| r.from).collect();
+            let want: Vec<u64> = (i.saturating_sub(2).max(1)..=i).collect();
+            assert_eq!(kept, want, "the newest 3 records, oldest first, after {i}");
+        }
+        assert_eq!(u.records()[2], BtsRecord { from: 20, to: 120 });
+    }
+
+    #[test]
+    fn zero_capacity_bts_retains_nothing() {
+        let cost = CostModel::calibrated();
+        let mut t = TraceUnit::Bts(BtsUnit::new(0));
+        let c = t.on_cofi(&cost, CofiKind::IndJmp, 1, 2, false, 0);
+        assert_eq!(c, cost.bts_record_cycles, "the store is still charged");
+        let TraceUnit::Bts(u) = &t else { unreachable!() };
+        assert!(u.records().is_empty());
+        assert!(BtsUnit::default().records().is_empty());
     }
 
     #[test]

@@ -51,6 +51,7 @@ impl RtitCtl {
         )
     }
 
+    #[inline]
     fn get(self, bit: u64) -> bool {
         self.0 & bit != 0
     }
@@ -64,6 +65,7 @@ impl RtitCtl {
     }
 
     /// Master trace enable.
+    #[inline]
     pub fn trace_en(self) -> bool {
         self.get(ctl_bits::TRACE_EN)
     }
@@ -74,6 +76,7 @@ impl RtitCtl {
     }
 
     /// Trace kernel (CPL 0) execution.
+    #[inline]
     pub fn os(self) -> bool {
         self.get(ctl_bits::OS)
     }
@@ -84,6 +87,7 @@ impl RtitCtl {
     }
 
     /// Trace user (CPL 3) execution.
+    #[inline]
     pub fn user(self) -> bool {
         self.get(ctl_bits::USER)
     }
@@ -94,6 +98,7 @@ impl RtitCtl {
     }
 
     /// CR3 filtering enabled.
+    #[inline]
     pub fn cr3_filter(self) -> bool {
         self.get(ctl_bits::CR3_FILTER)
     }
@@ -104,6 +109,7 @@ impl RtitCtl {
     }
 
     /// ToPA output scheme selected.
+    #[inline]
     pub fn topa(self) -> bool {
         self.get(ctl_bits::TOPA)
     }
@@ -114,6 +120,7 @@ impl RtitCtl {
     }
 
     /// Trace-fabric output selected.
+    #[inline]
     pub fn fabric_en(self) -> bool {
         self.get(ctl_bits::FABRIC_EN)
     }
@@ -124,6 +131,7 @@ impl RtitCtl {
     }
 
     /// Return compression disabled.
+    #[inline]
     pub fn dis_retc(self) -> bool {
         self.get(ctl_bits::DIS_RETC)
     }
@@ -134,6 +142,7 @@ impl RtitCtl {
     }
 
     /// COFI packet generation enabled.
+    #[inline]
     pub fn branch_en(self) -> bool {
         self.get(ctl_bits::BRANCH_EN)
     }
@@ -144,6 +153,7 @@ impl RtitCtl {
     }
 
     /// ADDR0 IP-range filtering enabled.
+    #[inline]
     pub fn addr0_filter(self) -> bool {
         self.get(ctl_bits::ADDR0_FILTER)
     }
@@ -208,6 +218,7 @@ impl IptMsrs {
     ///
     /// Implements the filtering matrix of §2: master enable, CPL filtering
     /// (`OS`/`User` bits) and CR3 filtering.
+    #[inline]
     pub fn should_trace(&self, cpl_user: bool, cr3: u64) -> bool {
         if !self.ctl.trace_en() || !self.ctl.branch_en() {
             return false;
@@ -229,6 +240,7 @@ impl IptMsrs {
     /// Stock hardware compares against the single `IA32_RTIT_CR3_MATCH`;
     /// with the modelled multi-CR3 extension any value in `cr3_match_extra`
     /// is also admitted.
+    #[inline]
     pub fn cr3_admitted(&self, cr3: u64) -> bool {
         cr3 == self.cr3_match || self.cr3_match_extra.contains(&cr3)
     }
@@ -239,6 +251,7 @@ impl IptMsrs {
     ///
     /// This model filters packet generation by the CoFI's source IP — a
     /// simplification of the hardware's PGE/PGD range toggling.
+    #[inline]
     pub fn ip_in_filter(&self, ip: u64) -> bool {
         !self.ctl.addr0_filter() || (ip >= self.addr0_a && ip <= self.addr0_b)
     }

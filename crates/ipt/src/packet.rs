@@ -98,6 +98,7 @@ impl TntSeq {
     /// # Panics
     ///
     /// Panics if the sequence already holds [`LONG_TNT_MAX`] bits.
+    #[inline]
     pub fn push(&mut self, taken: bool) {
         assert!(self.len < LONG_TNT_MAX, "TNT sequence overflow");
         self.bits = (self.bits << 1) | taken as u64;

@@ -158,6 +158,7 @@ impl Topa {
     }
 
     /// Whether a PMI is pending, without acknowledging it.
+    #[inline]
     pub fn pmi_pending(&self) -> bool {
         self.pmi_pending
     }
@@ -248,6 +249,7 @@ impl Topa {
 }
 
 impl TraceSink for Topa {
+    #[inline]
     fn write_packet(&mut self, bytes: &[u8]) {
         if self.stopped {
             return;

@@ -117,6 +117,7 @@ impl Cond {
 
     /// Evaluates the condition against a three-way comparison result
     /// (`ord < 0` ⇒ less, `0` ⇒ equal, `> 0` ⇒ greater).
+    #[inline]
     pub fn eval(self, ord: i64) -> bool {
         match self {
             Cond::Eq => ord == 0,
@@ -189,6 +190,7 @@ impl AluOp {
     }
 
     /// Applies the operation with wrapping semantics.
+    #[inline]
     pub fn apply(self, a: u64, b: u64) -> u64 {
         match self {
             AluOp::Add => a.wrapping_add(b),

@@ -265,11 +265,17 @@ impl SyscallHandler for Kernel {
             }
             Sysno::Close | Sysno::Mprotect => ctx.cpu.regs[0] = 0,
             Sysno::Mmap => {
-                let len = (a2.max(1) + 0xfff) & !0xfff;
+                // Page-rounded; a length whose rounding overflows, or a
+                // range that is already taken, fails with MAP_FAILED.
                 let va = self.next_mmap;
-                self.next_mmap += len + 0x1000;
-                ctx.mem.map_anon(va, len as usize);
-                ctx.cpu.regs[0] = va;
+                let len = a2.max(1).checked_next_multiple_of(0x1000);
+                match len.and_then(|len| usize::try_from(len).ok()) {
+                    Some(len) if ctx.mem.map_anon(va, len).is_ok() => {
+                        self.next_mmap = (va + len as u64).saturating_add(0x1000);
+                        ctx.cpu.regs[0] = va;
+                    }
+                    _ => ctx.cpu.regs[0] = u64::MAX,
+                }
             }
             Sysno::Execve => {
                 if let Some(path) = Kernel::read_str(ctx, a1, a2) {
@@ -402,6 +408,39 @@ mod tests {
         let mut m = Machine::new(&img, 0x1000);
         let mut k = Kernel::new();
         assert_eq!(m.run(&mut k, 1000), StopReason::Halted);
+        assert_eq!(m.cpu.regs[6], 77);
+    }
+
+    #[test]
+    fn mmap_fails_cleanly_on_overlap_and_overflow() {
+        // 512 MiB from the first mmap address runs into the heap; a length
+        // of -1 overflows the page rounding. Both return MAP_FAILED and
+        // leave the next mapping where it was.
+        let img = build(|a| {
+            a.movi(R0, Sysno::Mmap as i32);
+            a.movi(R1, 0);
+            a.movi(R2, 0x2000_0000);
+            a.syscall();
+            a.mov(R9, R0);
+            a.movi(R0, Sysno::Mmap as i32);
+            a.movi(R2, -1);
+            a.syscall();
+            a.mov(R10, R0);
+            a.movi(R0, Sysno::Mmap as i32);
+            a.movi(R2, 8192);
+            a.syscall();
+            a.mov(R11, R0);
+            a.movi(R5, 77);
+            a.st(R5, R11, 8184); // last word of the new mapping
+            a.ld(R6, R11, 8184);
+            a.halt();
+        });
+        let mut m = Machine::new(&img, 0x1000);
+        let mut k = Kernel::new();
+        assert_eq!(m.run(&mut k, 1000), StopReason::Halted);
+        assert_eq!(m.cpu.regs[9], u64::MAX, "overlapping the heap");
+        assert_eq!(m.cpu.regs[10], u64::MAX, "length overflows");
+        assert_eq!(m.cpu.regs[11], 0x5000_0000, "failures leave next_mmap alone");
         assert_eq!(m.cpu.regs[6], 77);
     }
 
