@@ -51,20 +51,9 @@ fn bench_scan_vs_flow_decode(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel_scan(c: &mut Criterion) {
-    let (_, bytes) = workload_trace();
-    let mut g = c.benchmark_group("parallel_scan");
-    g.throughput(Throughput::Bytes(bytes.len() as u64));
-    g.bench_function("serial", |b| b.iter(|| fg_ipt::fast::scan(&bytes).expect("scan")));
-    g.bench_function("psb_parallel", |b| {
-        b.iter(|| flowguard::scan_parallel(&bytes).expect("scan"));
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_encode, bench_scan_vs_flow_decode, bench_parallel_scan
+    targets = bench_encode, bench_scan_vs_flow_decode
 }
 criterion_main!(benches);

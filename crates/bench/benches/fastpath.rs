@@ -1,13 +1,13 @@
-//! Criterion benches for the incremental fast path: cold vs. parallel vs.
-//! checkpointed scanning, CSR vs. BTreeMap edge lookup, and the windowed
-//! check with a persistent scratch.
+//! Criterion benches for the incremental fast path: cold vs. checkpointed
+//! scanning, CSR vs. BTreeMap edge lookup, and the windowed check with a
+//! persistent scratch.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fg_cfg::{EdgeIdx, ItcCfg, OCfg};
 use fg_cpu::{CostModel, IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
 use fg_ipt::{fast, IncrementalScanner};
-use flowguard::{fastpath, scan_parallel, CheckScratch, FlowGuardConfig};
+use flowguard::{fastpath, CheckScratch, FlowGuardConfig};
 use std::collections::{BTreeMap, HashSet};
 
 struct Setup {
@@ -44,7 +44,6 @@ fn bench_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("scan");
     g.throughput(Throughput::Bytes(s.trace.len() as u64));
     g.bench_function("cold_full", |b| b.iter(|| fast::scan(&s.trace).expect("scan")));
-    g.bench_function("parallel", |b| b.iter(|| scan_parallel(&s.trace).expect("scan")));
     // Incremental replay: feed the trace in 4 KiB appends, as the engine
     // sees it between endpoint checks.
     g.bench_function("incremental_4k_appends", |b| {

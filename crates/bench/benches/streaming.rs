@@ -1,12 +1,11 @@
-//! Criterion benches for the streaming pipeline: scalar vs. vectorized vs.
-//! chunked-parallel scan throughput, the frontier compare of a fully
-//! drained consumer, and a chunked streaming drain replay.
+//! Criterion benches for the streaming pipeline: scalar vs. vectorized scan
+//! throughput, the frontier compare of a fully drained consumer, and a
+//! chunked streaming drain replay.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fg_cpu::{IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
 use fg_ipt::{fast, StreamConsumer};
-use flowguard::scan_parallel;
 
 fn bench_trace() -> Vec<u8> {
     let w = fg_workloads::nginx_patched();
@@ -26,7 +25,6 @@ fn bench_scan_variants(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(trace.len() as u64));
     g.bench_function("scalar", |b| b.iter(|| fast::scan(&trace).expect("scan")));
     g.bench_function("vectorized", |b| b.iter(|| fast::scan_vectorized(&trace).expect("scan")));
-    g.bench_function("parallel", |b| b.iter(|| scan_parallel(&trace).expect("scan")));
     g.finish();
 }
 

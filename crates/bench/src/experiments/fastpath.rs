@@ -1,13 +1,15 @@
 //! **Fast-path micro-benchmarks** — scan throughput, edge-lookup latency,
 //! endpoint-check latency, and the incremental scanner's bytes-per-check.
 //!
-//! Beyond the paper's simulated cycle accounting, this experiment measures
-//! the *harness's own* fast-path hot loops in wall-clock time and emits the
-//! numbers as `BENCH_fastpath.json`, which CI tracks against a checked-in
-//! baseline. Hardware-independent ratios (incremental vs. cold bytes per
-//! check, CSR vs. BTreeMap lookup speedup, edge-cache hit rate) are the
-//! regression-gated metrics; the absolute throughputs are informational.
+//! [`modeled`] is the deterministic half: bytes per check against the cold
+//! oracle, the edge-cache hit rate and the latency distributions of one
+//! protected nginx run, pinned exactly by the root `bench_golden` test.
+//! [`timed`] is the host-timed half: the harness's own fast-path hot loops
+//! in wall-clock time, of which `bench_gate` judges the CSR vs. BTreeMap
+//! lookup speedup on the median of its runs; the absolute throughputs are
+//! informational. Both land in `BENCH_fastpath.json`.
 
+use crate::measure::{time_interleaved, time_per_iter};
 use crate::table::{fmt, Table};
 use fg_cfg::EdgeIdx;
 use fg_cpu::CostModel;
@@ -16,11 +18,11 @@ use fg_ipt::topa::Topa;
 use fg_ipt::{fast, IncrementalScanner};
 use fg_trace::HistogramSnapshot;
 use flowguard::reference::ColdWindowTally;
-use flowguard::{fastpath, scan_parallel, CheckScratch, FlowGuardConfig};
+use flowguard::{fastpath, CheckScratch, FlowGuardConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
+use std::hint::black_box;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 /// The default artifact file name.
 pub const JSON_PATH: &str = "BENCH_fastpath.json";
@@ -30,8 +32,6 @@ pub const JSON_PATH: &str = "BENCH_fastpath.json";
 pub struct FastpathBench {
     /// Serial packet-scan throughput, MiB of trace per second.
     pub scan_mib_per_sec: f64,
-    /// PSB-parallel scan throughput on the worker pool, MiB per second.
-    pub parallel_scan_mib_per_sec: f64,
     /// TIP pairs checked per second through the windowed fast path.
     pub pairs_per_sec: f64,
     /// One ITC-CFG edge lookup through the interned CSR tables, in ns.
@@ -56,15 +56,11 @@ pub struct FastpathBench {
     /// Direct-mapped edge-cache hit rate over the protected run.
     pub edge_cache_hit_rate: f64,
     /// Distribution of simulated per-check latency (cycles) over the
-    /// protected run, from the engine telemetry. `#[serde(default)]` so
-    /// baselines written before these columns existed still parse.
-    #[serde(default)]
+    /// protected run, from the engine telemetry.
     pub check_cycles_dist: HistogramSnapshot,
     /// Distribution of simulated fast-path scan cycles per check.
-    #[serde(default)]
     pub scan_cycles_dist: HistogramSnapshot,
     /// Distribution of trace bytes scanned per check by the engine.
-    #[serde(default)]
     pub bytes_per_check_dist: HistogramSnapshot,
 }
 
@@ -97,21 +93,6 @@ fn setup() -> Setup {
     Setup { image: w.image.clone(), itc, trace, scan }
 }
 
-/// Times `iters` runs of `f` in 5 blocks and returns seconds per run of the
-/// fastest block — the best-of-N convention for micro-timings, insensitive
-/// to scheduler noise that would make ratio metrics flap in CI.
-fn time_per_iter<O>(iters: usize, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
-}
-
 /// A protected nginx run's full telemetry snapshot (drives bytes-per-check,
 /// cache hit rate, and the latency-distribution columns), plus the bytes
 /// the cold tail-window oracle scanned at the same checks.
@@ -128,23 +109,50 @@ fn protected_telemetry() -> (flowguard::TelemetrySnapshot, u64) {
     (t, cold_bytes.load(Ordering::Relaxed))
 }
 
-/// Runs the whole measurement.
-pub fn run() -> FastpathBench {
+/// The deterministic half: bytes per check, edge-cache hit rate and the
+/// latency distributions of one protected nginx run. The host-timed
+/// columns stay zero.
+pub fn modeled() -> FastpathBench {
+    let (t, cold_bytes) = protected_telemetry();
+    let bpc_inc = t.bytes_scanned as f64 / t.checks as f64;
+    let bpc_cold = cold_bytes as f64 / t.checks as f64;
+    let lookups = t.edge_cache_hits + t.edge_cache_misses;
+    let hit_rate = if lookups == 0 { 0.0 } else { t.edge_cache_hits as f64 / lookups as f64 };
+    FastpathBench {
+        bytes_per_check_incremental: bpc_inc,
+        bytes_per_check_cold: bpc_cold,
+        bytes_per_check_ratio: bpc_inc / bpc_cold,
+        edge_cache_hit_rate: hit_rate,
+        check_cycles_dist: t.check_latency,
+        scan_cycles_dist: t.fastpath_scan_cycles,
+        bytes_per_check_dist: t.bytes_per_check,
+        ..FastpathBench::default()
+    }
+}
+
+/// The host-timed half: fills the wall-clock columns of `b`.
+pub fn timed(b: &mut FastpathBench) {
     let s = setup();
     let mib = s.trace.len() as f64 / (1024.0 * 1024.0);
 
     let scan_sec = time_per_iter(20, || fast::scan(&s.trace).expect("scan"));
-    let par_sec = time_per_iter(20, || scan_parallel(&s.trace).expect("parallel scan"));
 
     // Edge lookups: the runtime pair stream, through both representations.
     let pairs: Vec<(u64, u64)> =
         s.scan.tip_ips().windows(2).map(|w| (w[0], w[1])).take(4096).collect();
-    let csr_sec =
-        time_per_iter(50, || pairs.iter().filter(|&&(f, t)| s.itc.edge(f, t).is_some()).count());
     let map: BTreeMap<(u64, u64), EdgeIdx> =
         s.itc.iter_edges().map(|(f, t, e)| ((f, t), e)).collect();
-    let map_sec =
-        time_per_iter(50, || pairs.iter().filter(|&&(f, t)| map.contains_key(&(f, t))).count());
+    let [csr_sec, map_sec] = time_interleaved(
+        50,
+        [
+            &mut || {
+                black_box(pairs.iter().filter(|&&(f, t)| s.itc.edge(f, t).is_some()).count());
+            },
+            &mut || {
+                black_box(pairs.iter().filter(|&&(f, t)| map.contains_key(&(f, t))).count());
+            },
+        ],
+    );
     let per_lookup = csr_sec / pairs.len() as f64 * 1e9;
     let per_lookup_map = map_sec / pairs.len() as f64 * 1e9;
 
@@ -171,13 +179,6 @@ pub fn run() -> FastpathBench {
         r
     });
 
-    // Deterministic bytes-per-check comparison on a protected run.
-    let (t_inc, cold_bytes) = protected_telemetry();
-    let bpc_inc = t_inc.bytes_scanned as f64 / t_inc.checks as f64;
-    let bpc_cold = cold_bytes as f64 / t_inc.checks as f64;
-    let lookups = t_inc.edge_cache_hits + t_inc.edge_cache_misses;
-    let hit_rate = if lookups == 0 { 0.0 } else { t_inc.edge_cache_hits as f64 / lookups as f64 };
-
     // One sanity pass of the incremental scanner over the bench trace, so a
     // broken checkpoint path fails the bench loudly rather than silently
     // producing numbers for the wrong code.
@@ -185,30 +186,35 @@ pub fn run() -> FastpathBench {
     inc.advance(&s.trace, s.trace.len() as u64, s.trace.len()).expect("incremental");
     assert_eq!(inc.scan().tip_events(), s.scan.tip_events(), "incremental != cold scan");
 
-    FastpathBench {
-        scan_mib_per_sec: mib / scan_sec,
-        parallel_scan_mib_per_sec: mib / par_sec,
-        pairs_per_sec: pairs_checked as f64 / check_sec,
-        edge_lookup_ns: per_lookup,
-        edge_lookup_ns_btreemap: per_lookup_map,
-        edge_lookup_speedup: per_lookup_map / per_lookup,
-        endpoint_check_ns: check_sec * 1e9,
-        bytes_per_check_incremental: bpc_inc,
-        bytes_per_check_cold: bpc_cold,
-        bytes_per_check_ratio: bpc_inc / bpc_cold,
-        edge_cache_hit_rate: hit_rate,
-        check_cycles_dist: t_inc.check_latency,
-        scan_cycles_dist: t_inc.fastpath_scan_cycles,
-        bytes_per_check_dist: t_inc.bytes_per_check,
-    }
+    b.scan_mib_per_sec = mib / scan_sec;
+    b.pairs_per_sec = pairs_checked as f64 / check_sec;
+    b.edge_lookup_ns = per_lookup;
+    b.edge_lookup_ns_btreemap = per_lookup_map;
+    b.edge_lookup_speedup = per_lookup_map / per_lookup;
+    b.endpoint_check_ns = check_sec * 1e9;
+}
+
+/// Runs both halves once.
+pub fn run() -> FastpathBench {
+    let mut b = modeled();
+    timed(&mut b);
+    b
 }
 
 /// Prints the table and writes `BENCH_fastpath.json`.
 pub fn print() {
     let b = run();
+    print_table(&b);
+    match crate::measure::write_json(&b, JSON_PATH) {
+        Ok(()) => println!("\nwrote {JSON_PATH}"),
+        Err(e) => eprintln!("\nfailed to write {JSON_PATH}: {e}"),
+    }
+}
+
+/// Prints the metric table for a measurement.
+pub fn print_table(b: &FastpathBench) {
     let mut t = Table::new(&["metric", "value"]);
     t.row(vec!["serial scan MiB/s".into(), fmt(b.scan_mib_per_sec, 1)]);
-    t.row(vec!["parallel scan MiB/s".into(), fmt(b.parallel_scan_mib_per_sec, 1)]);
     t.row(vec!["pairs checked / s".into(), fmt(b.pairs_per_sec, 0)]);
     t.row(vec!["edge lookup (CSR) ns".into(), fmt(b.edge_lookup_ns, 1)]);
     t.row(vec!["edge lookup (BTreeMap) ns".into(), fmt(b.edge_lookup_ns_btreemap, 1)]);
@@ -223,106 +229,4 @@ pub fn print() {
     let d = &b.bytes_per_check_dist;
     t.row(vec!["bytes/check p50/p90/p99".into(), format!("{}/{}/{}", d.p50, d.p90, d.p99)]);
     t.print("Fast-path micro-benchmarks (BENCH_fastpath.json)");
-    match write_json(&b, JSON_PATH) {
-        Ok(()) => println!("\nwrote {JSON_PATH}"),
-        Err(e) => eprintln!("\nfailed to write {JSON_PATH}: {e}"),
-    }
-}
-
-/// Serialises a measurement to `path`.
-pub fn write_json(b: &FastpathBench, path: &str) -> std::io::Result<()> {
-    let json = serde_json::to_string(b).map_err(std::io::Error::other)?;
-    std::fs::write(path, json + "\n")
-}
-
-/// Compares `current` against a baseline, returning every metric that
-/// regressed by more than `factor`. Only hardware-independent ratios are
-/// gated: throughput and latency absolutes vary across machines, the ratios
-/// do not.
-pub fn regressions(current: &FastpathBench, baseline: &FastpathBench, factor: f64) -> Vec<String> {
-    let mut out = Vec::new();
-    // Lower is better.
-    if current.bytes_per_check_ratio > baseline.bytes_per_check_ratio * factor {
-        out.push(format!(
-            "bytes_per_check_ratio regressed: {:.4} vs baseline {:.4}",
-            current.bytes_per_check_ratio, baseline.bytes_per_check_ratio
-        ));
-    }
-    // Higher is better.
-    if current.edge_lookup_speedup < baseline.edge_lookup_speedup / factor {
-        out.push(format!(
-            "edge_lookup_speedup regressed: {:.2} vs baseline {:.2}",
-            current.edge_lookup_speedup, baseline.edge_lookup_speedup
-        ));
-    }
-    if current.edge_cache_hit_rate < baseline.edge_cache_hit_rate / factor {
-        out.push(format!(
-            "edge_cache_hit_rate regressed: {:.3} vs baseline {:.3}",
-            current.edge_cache_hit_rate, baseline.edge_cache_hit_rate
-        ));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_roundtrip() {
-        let b = FastpathBench {
-            scan_mib_per_sec: 100.0,
-            parallel_scan_mib_per_sec: 200.0,
-            pairs_per_sec: 1e6,
-            edge_lookup_ns: 20.0,
-            edge_lookup_ns_btreemap: 80.0,
-            edge_lookup_speedup: 4.0,
-            endpoint_check_ns: 3000.0,
-            bytes_per_check_incremental: 120.0,
-            bytes_per_check_cold: 40_000.0,
-            bytes_per_check_ratio: 0.003,
-            edge_cache_hit_rate: 0.9,
-            ..Default::default()
-        };
-        let s = serde_json::to_string(&b).unwrap();
-        let r: FastpathBench = serde_json::from_str(&s).unwrap();
-        assert!((r.bytes_per_check_ratio - b.bytes_per_check_ratio).abs() < 1e-12);
-        assert!(regressions(&b, &b, 2.0).is_empty());
-    }
-
-    #[test]
-    fn baselines_without_distribution_columns_still_parse() {
-        // The checked-in baseline may predate the telemetry columns.
-        let old = r#"{"scan_mib_per_sec":1.0,"parallel_scan_mib_per_sec":1.0,
-            "pairs_per_sec":1.0,"edge_lookup_ns":1.0,"edge_lookup_ns_btreemap":4.0,
-            "edge_lookup_speedup":4.0,"endpoint_check_ns":1.0,
-            "bytes_per_check_incremental":1.0,"bytes_per_check_cold":100.0,
-            "bytes_per_check_ratio":0.01,"edge_cache_hit_rate":0.8}"#;
-        let b: FastpathBench = serde_json::from_str(old).unwrap();
-        assert_eq!(b.check_cycles_dist.count, 0);
-        assert_eq!(b.bytes_per_check_dist, HistogramSnapshot::default());
-    }
-
-    #[test]
-    fn regressions_flag_worse_ratios() {
-        let base = FastpathBench {
-            scan_mib_per_sec: 1.0,
-            parallel_scan_mib_per_sec: 1.0,
-            pairs_per_sec: 1.0,
-            edge_lookup_ns: 1.0,
-            edge_lookup_ns_btreemap: 4.0,
-            edge_lookup_speedup: 4.0,
-            endpoint_check_ns: 1.0,
-            bytes_per_check_incremental: 1.0,
-            bytes_per_check_cold: 100.0,
-            bytes_per_check_ratio: 0.01,
-            edge_cache_hit_rate: 0.8,
-            ..Default::default()
-        };
-        let mut bad = base.clone();
-        bad.bytes_per_check_ratio = 0.05;
-        bad.edge_lookup_speedup = 1.0;
-        let r = regressions(&bad, &base, 2.0);
-        assert_eq!(r.len(), 2, "{r:?}");
-    }
 }

@@ -2,17 +2,20 @@
 //! processes under one [`FleetSupervisor`]: shared deployment artifacts and
 //! per-CR3 tracing, measured end to end.
 //!
-//! Emits `BENCH_fleet.json`, tracked in CI against a checked-in baseline.
-//! Absolute checks/sec is informational (wall-clock); the gated metrics are
-//! deterministic properties of the fleet run:
+//! [`modeled`] is the deterministic half, at any fleet width:
 //!
-//! * artifact-cache hit rate ≥ 0.9 — 64 processes over 4 distinct images
-//!   must share artifacts (60 of 64 lookups hit);
-//! * p99 check latency (modeled cycles) within 2× of the solo baseline —
-//!   the same four processes each run as a one-member fleet;
-//! * 100% of fleet-wide attacks detected — five members running the five
-//!   distinct `fg-attacks` payloads concurrently are all caught;
-//! * `checks_total` equal to the baseline's — every request is checked.
+//! * the artifact-cache hit rate — the processes share the artifacts of 4
+//!   distinct images (60 of 64 lookups hit at the bench's width);
+//! * p99 check latency (modeled cycles) against the solo baseline — the
+//!   first four processes each run as a one-member fleet;
+//! * fleet-wide attack detection — five members running the five distinct
+//!   `fg-attacks` payloads concurrently are all caught;
+//! * `checks_total` and context switches.
+//!
+//! The root `bench_golden` test pins it exactly at 32 processes, and
+//! `bench_gate` holds the 64-process fleet to its rows. [`timed`] is the
+//! host-timed half: checks/sec at 1, 8 and 64 processes, informational.
+//! Both land in `BENCH_fleet.json`.
 
 use crate::table::{fmt, Table};
 use fg_attacks::{
@@ -53,18 +56,19 @@ pub struct FleetBench {
     pub processes: usize,
     /// Distinct binaries behind them.
     pub distinct_images: usize,
-    /// Artifact-cache hit rate (gated ≥ 0.9).
+    /// Artifact-cache hit rate.
     pub artifact_cache_hit_rate: f64,
     /// Endpoint checks across the headline fleet.
     pub checks_total: u64,
-    /// Checks per wall-clock second at 64 processes (informational).
+    /// Checks per wall-clock second at 64 processes (the last scaling
+    /// row; informational).
     pub checks_per_sec: f64,
     /// Fleet-wide p99 check latency, modeled cycles.
     pub p99_check_latency_cycles: u64,
     /// Solo baseline: the first four members (one per image) each run as
     /// a one-member fleet, latency histograms merged.
     pub solo_p99_check_latency_cycles: u64,
-    /// `fleet p99 / solo p99` (gated ≤ 2.0).
+    /// `fleet p99 / solo p99`.
     pub p99_latency_ratio: f64,
     /// Context switches across the headline run.
     pub context_switches: u64,
@@ -72,10 +76,9 @@ pub struct FleetBench {
     pub attacks_total: usize,
     /// Attacks FlowGuard detected.
     pub attacks_detected: usize,
-    /// `detected / total` (gated == 1.0).
+    /// `detected / total`.
     pub attacks_detected_fraction: f64,
     /// Checks/sec vs process count (1 / 8 / 64).
-    #[serde(default)]
     pub scaling: Vec<ScalingRow>,
 }
 
@@ -135,19 +138,13 @@ fn scaling_row(n: usize) -> ScalingRow {
 /// fleet (same seeds as fleet members 0–3), latency histograms merged.
 fn solo_p99() -> u64 {
     let merged = fg_trace::Histogram::new();
-    for pid in 0..images().len() {
-        let (fleet, _) = {
-            let ws = images();
-            let w = &ws[pid];
-            let mut fleet = FleetSupervisor::new(fleet_config());
-            let input = fg_workloads::load_input(REQUESTS_PER_MEMBER, pid as u64);
-            fleet
-                .spawn(&w.name, &w.image, std::slice::from_ref(&w.default_input), &input)
-                .expect("benign image admitted");
-            let start = Instant::now();
-            fleet.run();
-            (fleet, start.elapsed().as_secs_f64())
-        };
+    for (pid, w) in images().iter().enumerate() {
+        let mut fleet = FleetSupervisor::new(fleet_config());
+        let input = fg_workloads::load_input(REQUESTS_PER_MEMBER, pid as u64);
+        fleet
+            .spawn(&w.name, &w.image, std::slice::from_ref(&w.default_input), &input)
+            .expect("benign image admitted");
+        fleet.run();
         merged.merge_from(&fleet.merged_check_latency());
     }
     merged.quantile(0.99)
@@ -175,23 +172,20 @@ fn attack_fleet() -> (usize, usize) {
     (payloads.len(), detected)
 }
 
-/// Runs the whole measurement.
-pub fn run() -> FleetBench {
-    // Headline: 64 concurrent processes, 4 distinct images.
-    let (fleet, wall) = run_fleet(FLEET_SIZE);
+/// The deterministic half at `processes` members: cache sharing, check
+/// and switch counts, p99 latency against solo, and the attack fleet. The
+/// host-timed columns stay empty.
+pub fn modeled(processes: usize) -> FleetBench {
+    let (fleet, _) = run_fleet(processes);
     let snap = fleet.snapshot();
-    let cache = fleet.cache_stats();
     let p99 = fleet.merged_check_latency().quantile(0.99);
     let solo = solo_p99();
     let (attacks_total, attacks_detected) = attack_fleet();
-    let scaling = vec![scaling_row(1), scaling_row(8), scaling_row(FLEET_SIZE)];
-
     FleetBench {
-        processes: FLEET_SIZE,
+        processes,
         distinct_images: images().len(),
-        artifact_cache_hit_rate: cache.hit_rate(),
+        artifact_cache_hit_rate: fleet.cache_stats().hit_rate(),
         checks_total: snap.checks_total,
-        checks_per_sec: snap.checks_total as f64 / wall,
         p99_check_latency_cycles: p99,
         solo_p99_check_latency_cycles: solo,
         p99_latency_ratio: p99 as f64 / solo as f64,
@@ -199,15 +193,28 @@ pub fn run() -> FleetBench {
         attacks_total,
         attacks_detected,
         attacks_detected_fraction: attacks_detected as f64 / attacks_total as f64,
-        scaling,
+        ..FleetBench::default()
     }
+}
+
+/// The host-timed half: checks/sec at 1, 8 and [`FLEET_SIZE`] processes.
+pub fn timed(b: &mut FleetBench) {
+    b.scaling = vec![scaling_row(1), scaling_row(8), scaling_row(FLEET_SIZE)];
+    b.checks_per_sec = b.scaling[2].checks_per_sec;
+}
+
+/// Runs both halves once at [`FLEET_SIZE`] processes.
+pub fn run() -> FleetBench {
+    let mut b = modeled(FLEET_SIZE);
+    timed(&mut b);
+    b
 }
 
 /// Prints the tables and writes `BENCH_fleet.json`.
 pub fn print() {
     let b = run();
     print_table(&b);
-    match write_json(&b, JSON_PATH) {
+    match crate::measure::write_json(&b, JSON_PATH) {
         Ok(()) => println!("\nwrote {JSON_PATH}"),
         Err(e) => eprintln!("\nfailed to write {JSON_PATH}: {e}"),
     }
@@ -238,119 +245,4 @@ pub fn print_table(b: &FleetBench) {
         ]);
     }
     s.print("Fleet scaling (checks/sec vs process count)");
-}
-
-/// Serialises a measurement to `path`.
-pub fn write_json(b: &FleetBench, path: &str) -> std::io::Result<()> {
-    let json = serde_json::to_string(b).map_err(std::io::Error::other)?;
-    std::fs::write(path, json + "\n")
-}
-
-/// Compares `current` against a baseline, returning every gated metric
-/// that fails. All fleet gates are absolute (the metrics are deterministic
-/// properties of the run, not machine-dependent throughputs); the baseline
-/// pins the deterministic counters exactly so silent behaviour drift shows
-/// up in CI.
-pub fn regressions(current: &FleetBench, baseline: &FleetBench, _factor: f64) -> Vec<String> {
-    let mut out = Vec::new();
-    if current.artifact_cache_hit_rate < 0.9 {
-        out.push(format!(
-            "artifact_cache_hit_rate too low: {:.4} (must stay >= 0.9)",
-            current.artifact_cache_hit_rate
-        ));
-    }
-    if current.p99_latency_ratio > 2.0 {
-        out.push(format!(
-            "p99_latency_ratio too high: {:.3} (fleet p99 must stay within 2x of solo)",
-            current.p99_latency_ratio
-        ));
-    }
-    if (current.attacks_detected_fraction - 1.0).abs() > f64::EPSILON {
-        out.push(format!(
-            "attacks_detected_fraction: {:.2} ({}/{}; every fleet-wide attack must be caught)",
-            current.attacks_detected_fraction, current.attacks_detected, current.attacks_total
-        ));
-    }
-    if current.checks_total != baseline.checks_total {
-        out.push(format!(
-            "checks_total drifted: {} vs baseline {} (deterministic workload)",
-            current.checks_total, baseline.checks_total
-        ));
-    }
-    if current.processes != baseline.processes
-        || current.distinct_images != baseline.distinct_images
-    {
-        out.push(format!(
-            "fleet shape drifted: {}p/{}i vs baseline {}p/{}i",
-            current.processes,
-            current.distinct_images,
-            baseline.processes,
-            baseline.distinct_images
-        ));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> FleetBench {
-        FleetBench {
-            processes: 64,
-            distinct_images: 4,
-            artifact_cache_hit_rate: 0.9375,
-            checks_total: 1000,
-            checks_per_sec: 5000.0,
-            p99_check_latency_cycles: 900,
-            solo_p99_check_latency_cycles: 850,
-            p99_latency_ratio: 900.0 / 850.0,
-            context_switches: 640,
-            attacks_total: 5,
-            attacks_detected: 5,
-            attacks_detected_fraction: 1.0,
-            scaling: vec![ScalingRow {
-                processes: 1,
-                checks: 16,
-                wall_sec: 0.1,
-                checks_per_sec: 160.0,
-            }],
-        }
-    }
-
-    #[test]
-    fn json_roundtrip_and_clean_sample_passes() {
-        let b = sample();
-        let s = serde_json::to_string(&b).unwrap();
-        let r: FleetBench = serde_json::from_str(&s).unwrap();
-        assert_eq!(r.checks_total, b.checks_total);
-        assert_eq!(r.scaling.len(), 1);
-        assert!(regressions(&b, &b, 2.0).is_empty());
-    }
-
-    #[test]
-    fn regressions_flag_each_gate() {
-        let base = sample();
-        let mut bad = base.clone();
-        bad.artifact_cache_hit_rate = 0.5;
-        bad.p99_latency_ratio = 2.5;
-        bad.attacks_detected = 4;
-        bad.attacks_detected_fraction = 0.8;
-        bad.checks_total = 999;
-        let r = regressions(&bad, &base, 2.0);
-        assert_eq!(r.len(), 4, "{r:?}");
-    }
-
-    // The full 64-process measurement runs in the bench binary and CI; this
-    // smoke keeps the in-tree suite fast while proving the machinery.
-    #[test]
-    fn small_fleet_measurement_is_clean() {
-        let (fleet, _) = run_fleet(8);
-        let snap = fleet.snapshot();
-        assert!(snap.checks_total > 0);
-        let cache = fleet.cache_stats();
-        assert!(cache.hit_rate() >= 0.5, "8 processes over 4 images: half the lookups hit");
-        let (total, detected) = attack_fleet();
-        assert_eq!(detected, total, "all concurrent attacks detected");
-    }
 }

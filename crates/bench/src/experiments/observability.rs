@@ -3,13 +3,13 @@
 //! versus telemetry off, profiler self-overhead, and the watchdog verdict
 //! on a benign run.
 //!
-//! Emits `BENCH_observability.json`, tracked in CI against a checked-in
-//! baseline. The two hard gates are **attribution coverage** — check-phase
-//! span cycles must sum to at least 95% of the measured check cycles, in
-//! both the default and the streaming configuration — and **profiling
-//! overhead** — the fully-instrumented run must stay within an absolute
-//! bound of the telemetry-off run (plus the usual baseline-relative
-//! factor). Absolute nanoseconds are informational only.
+//! [`modeled`] is the deterministic half: attribution coverage (check-phase
+//! span cycles over the measured check cycles, in the default and the
+//! streaming configuration), span records, per-phase cycles and the
+//! watchdog verdict, pinned exactly by the root `bench_golden` test.
+//! [`timed`] is the host-timed half: the profiling overhead, which
+//! `bench_gate` judges on the median of its runs, and the profiler's
+//! sampled self-overhead. Both land in `BENCH_observability.json`.
 
 use crate::table::{fmt, Table};
 use flowguard::{FlowGuardConfig, HealthStatus, PhaseSpan, TelemetrySnapshot};
@@ -19,25 +19,16 @@ use std::time::Instant;
 /// The default artifact file name.
 pub const JSON_PATH: &str = "BENCH_observability.json";
 
-/// Absolute ceiling on `profiling_overhead`: the span profiler adds modeled
-/// cycles to counters, so the wall-clock cost of full profiling must stay
-/// small even on a noisy CI box.
-pub const OVERHEAD_CEILING: f64 = 1.5;
-
-/// Minimum acceptable check-phase attribution coverage.
-pub const COVERAGE_FLOOR: f64 = 0.95;
-
 /// One full measurement, serialised as `BENCH_observability.json`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ObservabilityBench {
     /// Check-phase span cycles ÷ measured check cycles (default config).
-    /// Gated: must stay ≥ [`COVERAGE_FLOOR`].
     pub attribution_coverage: f64,
     /// Same coverage on the streaming configuration, where background
     /// drains must *not* be attributed to the check path.
     pub streaming_attribution_coverage: f64,
     /// Wall-clock ratio of a fully-profiled protected run over the same
-    /// run with telemetry off. Gated against [`OVERHEAD_CEILING`].
+    /// run with telemetry off.
     pub profiling_overhead: f64,
     /// Span records written during the default-config run.
     pub span_records: u64,
@@ -90,25 +81,30 @@ fn protected_run(cfg: FlowGuardConfig) -> (TelemetrySnapshot, HealthStatus) {
     (ts, health)
 }
 
-/// Times `iters` protected runs under `cfg` in 3 blocks and returns the
-/// fastest per-run seconds (the usual best-of-N convention, smaller N
-/// because each run replays the whole workload).
-fn time_run(cfg: &FlowGuardConfig) -> f64 {
+/// Times 3 protected runs under `cfg` and returns the fastest run's
+/// seconds (the usual best-of-N convention, smaller N because each run
+/// replays the whole workload) and the last run's sampled profiler
+/// self-overhead, ns per span record.
+fn time_run(cfg: &FlowGuardConfig) -> (f64, f64) {
     let w = fg_workloads::nginx_patched();
     let d = crate::measure::trained_deployment(&w);
     let mut best = f64::INFINITY;
+    let mut ns_per_record = 0.0;
     for _ in 0..3 {
         let start = Instant::now();
         let mut p = d.launch(&w.default_input, cfg.clone());
         let stop = p.run(crate::measure::BUDGET);
         assert!(matches!(stop, fg_cpu::StopReason::Exited(0)), "benign run must exit: {stop:?}");
         best = best.min(start.elapsed().as_secs_f64());
+        ns_per_record = p.stats.telemetry_snapshot().spans.overhead.mean_ns_per_record;
     }
-    best
+    (best, ns_per_record)
 }
 
-/// Runs the whole measurement.
-pub fn run() -> ObservabilityBench {
+/// The deterministic half: attribution, per-phase cycles and the health
+/// verdict of one default-config and one streaming run. The host-timed
+/// columns stay zero.
+pub fn modeled() -> ObservabilityBench {
     // Default config, full profiling: attribution + per-phase table.
     let (ts, health) = protected_run(FlowGuardConfig::default());
     let phase = |p: PhaseSpan| ts.spans.phase_cycles(p);
@@ -116,17 +112,10 @@ pub fn run() -> ObservabilityBench {
     // Streaming config: drain phases must stay out of the check budget.
     let (sts, _) = protected_run(FlowGuardConfig { streaming: true, ..Default::default() });
 
-    // Wall-clock cost of the profiler: full profiling vs telemetry off.
-    let profiled = time_run(&FlowGuardConfig::default());
-    let dark = time_run(&FlowGuardConfig { telemetry: false, ..Default::default() });
-    let profiling_overhead = if dark > 0.0 { profiled / dark } else { 1.0 };
-
     ObservabilityBench {
         attribution_coverage: coverage(&ts),
         streaming_attribution_coverage: coverage(&sts),
-        profiling_overhead,
         span_records: ts.spans.records,
-        self_overhead_ns_per_record: ts.spans.overhead.mean_ns_per_record,
         intercept_cycles: phase(PhaseSpan::Intercept),
         tier0_probe_cycles: phase(PhaseSpan::Tier0Probe),
         edge_probe_cycles: phase(PhaseSpan::EdgeProbe),
@@ -137,14 +126,31 @@ pub fn run() -> ObservabilityBench {
         verdict_cycles: phase(PhaseSpan::Verdict),
         stream_drain_cycles: sts.spans.phase_cycles(PhaseSpan::StreamDrain),
         health_status: health.label().to_string(),
+        ..ObservabilityBench::default()
     }
+}
+
+/// The host-timed half: the wall-clock cost of the profiler (full
+/// profiling vs telemetry off) and its sampled self-overhead.
+pub fn timed(b: &mut ObservabilityBench) {
+    let (profiled, ns_per_record) = time_run(&FlowGuardConfig::default());
+    let (dark, _) = time_run(&FlowGuardConfig { telemetry: false, ..Default::default() });
+    b.profiling_overhead = if dark > 0.0 { profiled / dark } else { 1.0 };
+    b.self_overhead_ns_per_record = ns_per_record;
+}
+
+/// Runs both halves once.
+pub fn run() -> ObservabilityBench {
+    let mut b = modeled();
+    timed(&mut b);
+    b
 }
 
 /// Prints the table and writes `BENCH_observability.json`.
 pub fn print() {
     let b = run();
     print_table(&b);
-    match write_json(&b, JSON_PATH) {
+    match crate::measure::write_json(&b, JSON_PATH) {
         Ok(()) => println!("\nwrote {JSON_PATH}"),
         Err(e) => eprintln!("\nfailed to write {JSON_PATH}: {e}"),
     }
@@ -169,112 +175,4 @@ pub fn print_table(b: &ObservabilityBench) {
     t.row(vec!["stream drain cycles (bg)".into(), fmt(b.stream_drain_cycles, 0)]);
     t.row(vec!["health status".into(), b.health_status.clone()]);
     t.print("Observability-plane benchmarks (BENCH_observability.json)");
-}
-
-/// Serialises a measurement to `path`.
-pub fn write_json(b: &ObservabilityBench, path: &str) -> std::io::Result<()> {
-    let json = serde_json::to_string(b).map_err(std::io::Error::other)?;
-    std::fs::write(path, json + "\n")
-}
-
-/// Compares `current` against a baseline, returning every gated metric
-/// that regressed. Coverage gates are absolute floors ([`COVERAGE_FLOOR`]),
-/// the overhead gate combines an absolute ceiling ([`OVERHEAD_CEILING`])
-/// with the baseline-relative `factor`, and a benign run must end healthy
-/// with a non-empty span ring.
-pub fn regressions(
-    current: &ObservabilityBench,
-    baseline: &ObservabilityBench,
-    factor: f64,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    if current.attribution_coverage < COVERAGE_FLOOR {
-        out.push(format!(
-            "attribution_coverage too low: {:.3} (must stay >= {COVERAGE_FLOOR})",
-            current.attribution_coverage
-        ));
-    }
-    if current.streaming_attribution_coverage < COVERAGE_FLOOR {
-        out.push(format!(
-            "streaming_attribution_coverage too low: {:.3} (must stay >= {COVERAGE_FLOOR})",
-            current.streaming_attribution_coverage
-        ));
-    }
-    let bound = OVERHEAD_CEILING.max(baseline.profiling_overhead * factor);
-    if current.profiling_overhead > bound {
-        out.push(format!(
-            "profiling_overhead regressed: {:.3} vs bound {bound:.3}",
-            current.profiling_overhead
-        ));
-    }
-    if current.span_records == 0 {
-        out.push("span_records is zero: profiler recorded nothing".to_string());
-    }
-    if current.health_status != HealthStatus::Healthy.label() {
-        out.push(format!(
-            "benign bench run ended {}: watchdog must report healthy",
-            current.health_status
-        ));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> ObservabilityBench {
-        ObservabilityBench {
-            attribution_coverage: 1.0,
-            streaming_attribution_coverage: 1.0,
-            profiling_overhead: 1.02,
-            span_records: 120,
-            self_overhead_ns_per_record: 18.0,
-            intercept_cycles: 2880.0,
-            tier0_probe_cycles: 4181.0,
-            edge_probe_cycles: 60319.0,
-            fast_scan_cycles: 13563.0,
-            verdict_cycles: 2400.0,
-            stream_drain_cycles: 1_135_965.0,
-            health_status: "healthy".to_string(),
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let b = sample();
-        let s = serde_json::to_string(&b).unwrap();
-        let r: ObservabilityBench = serde_json::from_str(&s).unwrap();
-        assert!((r.attribution_coverage - 1.0).abs() < 1e-12);
-        assert_eq!(r.span_records, 120);
-        assert_eq!(r.health_status, "healthy");
-        assert!(regressions(&b, &b, 2.0).is_empty());
-    }
-
-    #[test]
-    fn regressions_flag_low_coverage_and_fat_overhead() {
-        let base = sample();
-        let mut bad = base.clone();
-        bad.attribution_coverage = 0.4;
-        bad.streaming_attribution_coverage = 0.9;
-        bad.profiling_overhead = 3.0;
-        bad.span_records = 0;
-        bad.health_status = "critical".to_string();
-        let r = regressions(&bad, &base, 2.0);
-        assert_eq!(r.len(), 5, "{r:?}");
-    }
-
-    #[test]
-    fn overhead_bound_is_max_of_ceiling_and_baseline_factor() {
-        let mut base = sample();
-        base.profiling_overhead = 1.0;
-        let mut cur = base.clone();
-        cur.profiling_overhead = 1.4; // above 2x baseline-relative? no: bound
-                                      // is max(1.5, 2.0) = 2.0, so fine.
-        assert!(regressions(&cur, &base, 2.0).is_empty());
-        cur.profiling_overhead = 2.1;
-        let r = regressions(&cur, &base, 2.0);
-        assert_eq!(r.len(), 1, "{r:?}");
-    }
 }

@@ -4,15 +4,18 @@
 //! The slow path is FlowGuard's dominant cost (§2: instruction-flow decode
 //! runs ~230× execution), so this experiment measures the two levers that
 //! attack it: fanning PSB-delimited shard decodes across a fixed 4-worker
-//! pool (wall-clock throughput plus a modeled critical-path speedup over
-//! the serial decode of the same window — the modeled ratio is what CI
-//! gates, since wall-clock parallelism depends on host core count), and
-//! the decode checkpoint (instructions actually decoded across a run of
-//! overlapping windows, warm vs. cold). The numbers land in
-//! `BENCH_slowpath.json`; CI gates the hardware-independent ratios —
-//! decode speedup, checkpoint instruction ratio, checkpoint hit rate —
-//! against the checked-in baseline.
+//! pool, and the decode checkpoint (instructions actually decoded across a
+//! run of overlapping windows, warm vs. cold).
+//!
+//! [`modeled`] is the deterministic half — the modeled critical-path
+//! speedup of the sharded schedule over the serial decode of the same
+//! window, the checkpoint workload, and an untrained protected run's
+//! slow-path distributions — pinned exactly by the root `bench_golden`
+//! test. [`timed`] is the host-timed half: wall-clock decode and check
+//! throughput, informational because parallelism depends on the host's
+//! core count. Both land in `BENCH_slowpath.json`.
 
+use crate::measure::time_per_iter;
 use crate::table::{fmt, Table};
 use fg_cpu::{CostModel, IptUnit, Machine, TraceUnit};
 use fg_ipt::shard::{decode_shard, shard_spans, ShardDecode, Stitcher};
@@ -23,13 +26,12 @@ use fg_trace::HistogramSnapshot;
 use flowguard::slowpath::{self, SlowScratch, SlowVerdict};
 use flowguard::{Deployment, FlowGuardConfig, WorkerPool};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// The default artifact file name.
 pub const JSON_PATH: &str = "BENCH_slowpath.json";
 
-/// Workers in the decode fleet: fixed so the gated speedup is comparable
-/// across machines with ≥ 4 cores.
+/// Workers in the decode fleet: fixed so the modeled speedup is comparable
+/// across machines.
 pub const DECODE_WORKERS: usize = 4;
 
 /// Overlapping windows in the checkpoint workload.
@@ -54,9 +56,9 @@ pub struct SlowpathBench {
     /// Modeled decode-cycle speedup of the 4-worker sharded schedule over
     /// the serial decode: total shard decode cycles divided by the critical
     /// path (the most-loaded worker's strided share plus the sequential
-    /// seam stitch). Deterministic and hardware-independent — this is the
-    /// ratio CI gates, and what the wall-clock speedup converges to on a
-    /// host with ≥ [`DECODE_WORKERS`] idle cores (higher is better; gated).
+    /// seam stitch). Deterministic and hardware-independent — what the
+    /// wall-clock speedup converges to on a host with ≥ [`DECODE_WORKERS`]
+    /// idle cores (higher is better).
     pub sharded_decode_speedup: f64,
     /// One full cold slow-path check (decode + policies), serial, in µs.
     pub serial_check_us: f64,
@@ -69,27 +71,20 @@ pub struct SlowpathBench {
     pub cold_insns_decoded: u64,
     /// Instructions decoded with one persistent scratch (warm resumes).
     pub warm_insns_decoded: u64,
-    /// `warm / cold` instructions decoded (lower is better; gated).
+    /// `warm / cold` instructions decoded (lower is better).
     pub checkpoint_insn_ratio: f64,
-    /// Fraction of workload checks that resumed warm (higher is better;
-    /// gated).
+    /// Fraction of workload checks that resumed warm (higher is better).
     pub checkpoint_hit_rate: f64,
     /// Distribution of per-escalation slow-path decode cycles over a
-    /// protected run (informational). `#[serde(default)]` so baselines
-    /// written before these columns existed still parse.
-    #[serde(default)]
+    /// protected run.
     pub slow_decode_cycles_dist: HistogramSnapshot,
     /// Distribution of per-escalation sequential stitch cycles.
-    #[serde(default)]
     pub slow_stitch_cycles_dist: HistogramSnapshot,
     /// Distribution of PSB shards per slow-path decode.
-    #[serde(default)]
     pub slow_shards_dist: HistogramSnapshot,
     /// Engine-level checkpoint hits over the protected run.
-    #[serde(default)]
     pub engine_checkpoint_hits: u64,
     /// Engine-level cold decodes over the protected run.
-    #[serde(default)]
     pub engine_checkpoint_misses: u64,
 }
 
@@ -111,20 +106,6 @@ fn setup() -> Setup {
     m.trace.as_ipt_mut().expect("ipt").flush();
     let trace = m.trace.as_ipt().expect("ipt").trace_bytes();
     Setup { image: w.image.clone(), ocfg, trace }
-}
-
-/// Times `iters` runs of `f` in 5 blocks and returns seconds per run of the
-/// fastest block (best-of-N; insensitive to scheduler noise).
-fn time_per_iter<O>(iters: usize, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
 }
 
 /// The decode half of the slow path, sharded: independent [`decode_shard`]
@@ -185,7 +166,7 @@ fn shard_cycles(sd: &ShardDecode, cost: &CostModel) -> f64 {
 /// the most-loaded worker under the runtime's strided shard distribution,
 /// plus the sequential seam-stitch replay that no fleet width removes
 /// (Amdahl's serial fraction). Deterministic: depends only on the trace,
-/// the binary, and the cost model, so a single-core CI runner gates the
+/// the binary, and the cost model, so a single-core runner computes the
 /// same number a 32-core workstation reproduces in wall-clock.
 pub fn modeled_speedup(
     image: &fg_isa::image::Image,
@@ -249,13 +230,45 @@ fn protected_telemetry() -> flowguard::TelemetrySnapshot {
     p.stats.telemetry_snapshot()
 }
 
-/// Runs the whole measurement.
-pub fn run() -> SlowpathBench {
+/// The deterministic half: trace shape, the modeled sharded speedup, the
+/// checkpoint workload cold and warm, and an untrained protected run's
+/// slow-path distributions. The host-timed columns stay zero.
+pub fn modeled() -> SlowpathBench {
+    let s = setup();
+    let cost = CostModel::calibrated();
+
+    // Checkpointed re-decode avoidance over overlapping windows.
+    let (cold_insns, _, _) = checkpoint_workload(&s, &cost, false);
+    let (warm_insns, hits, misses) = checkpoint_workload(&s, &cost, true);
+    assert!(warm_insns < cold_insns, "warm lineage must decode strictly less");
+
+    let t = protected_telemetry();
+
+    SlowpathBench {
+        trace_mib: s.trace.len() as f64 / (1024.0 * 1024.0),
+        shards: shard_spans(&s.trace).len() as u64,
+        decode_workers: DECODE_WORKERS as u64,
+        sharded_decode_speedup: modeled_speedup(&s.image, &s.trace, &cost, DECODE_WORKERS),
+        checkpoint_windows: CHECKPOINT_WINDOWS as u64,
+        cold_insns_decoded: cold_insns,
+        warm_insns_decoded: warm_insns,
+        checkpoint_insn_ratio: warm_insns as f64 / cold_insns as f64,
+        checkpoint_hit_rate: hits as f64 / (hits + misses) as f64,
+        slow_decode_cycles_dist: t.slowpath_decode_cycles,
+        slow_stitch_cycles_dist: t.slowpath_stitch_cycles,
+        slow_shards_dist: t.slowpath_shards,
+        engine_checkpoint_hits: t.slow_checkpoint_hits,
+        engine_checkpoint_misses: t.slow_checkpoint_misses,
+        ..SlowpathBench::default()
+    }
+}
+
+/// The host-timed half: fills the wall-clock columns of `b`.
+pub fn timed(b: &mut SlowpathBench) {
     let s = setup();
     let mib = s.trace.len() as f64 / (1024.0 * 1024.0);
     let pool = WorkerPool::with_size(DECODE_WORKERS);
     let cost = CostModel::calibrated();
-    let shards = shard_spans(&s.trace).len() as u64;
 
     // Decode throughput: identical result, serial vs. pool-sharded.
     let serial_insns = decode_serial_ref(&s.image, &s.trace);
@@ -266,7 +279,6 @@ pub fn run() -> SlowpathBench {
     );
     let serial_sec = time_per_iter(3, || decode_serial_ref(&s.image, &s.trace));
     let sharded_sec = time_per_iter(3, || decode_sharded_pool(&s.image, &s.trace, &pool));
-    let speedup = modeled_speedup(&s.image, &s.trace, &cost, DECODE_WORKERS);
 
     // Full cold checks (decode + forward edges + shadow stack).
     let check_serial_sec = time_per_iter(3, || slowpath::check(&s.image, &s.ocfg, &s.trace, &cost));
@@ -283,40 +295,24 @@ pub fn run() -> SlowpathBench {
         )
     });
 
-    // Checkpointed re-decode avoidance over overlapping windows.
-    let (cold_insns, _, _) = checkpoint_workload(&s, &cost, false);
-    let (warm_insns, hits, misses) = checkpoint_workload(&s, &cost, true);
-    assert!(warm_insns < cold_insns, "warm lineage must decode strictly less");
+    b.serial_decode_mib_per_sec = mib / serial_sec;
+    b.sharded_decode_mib_per_sec = mib / sharded_sec;
+    b.serial_check_us = check_serial_sec * 1e6;
+    b.sharded_check_us = check_sharded_sec * 1e6;
+}
 
-    let t = protected_telemetry();
-
-    SlowpathBench {
-        trace_mib: mib,
-        shards,
-        decode_workers: DECODE_WORKERS as u64,
-        serial_decode_mib_per_sec: mib / serial_sec,
-        sharded_decode_mib_per_sec: mib / sharded_sec,
-        sharded_decode_speedup: speedup,
-        serial_check_us: check_serial_sec * 1e6,
-        sharded_check_us: check_sharded_sec * 1e6,
-        checkpoint_windows: CHECKPOINT_WINDOWS as u64,
-        cold_insns_decoded: cold_insns,
-        warm_insns_decoded: warm_insns,
-        checkpoint_insn_ratio: warm_insns as f64 / cold_insns as f64,
-        checkpoint_hit_rate: hits as f64 / (hits + misses) as f64,
-        slow_decode_cycles_dist: t.slowpath_decode_cycles,
-        slow_stitch_cycles_dist: t.slowpath_stitch_cycles,
-        slow_shards_dist: t.slowpath_shards,
-        engine_checkpoint_hits: t.slow_checkpoint_hits,
-        engine_checkpoint_misses: t.slow_checkpoint_misses,
-    }
+/// Runs both halves once.
+pub fn run() -> SlowpathBench {
+    let mut b = modeled();
+    timed(&mut b);
+    b
 }
 
 /// Prints the table and writes `BENCH_slowpath.json`.
 pub fn print() {
     let b = run();
     print_table(&b);
-    match write_json(&b, JSON_PATH) {
+    match crate::measure::write_json(&b, JSON_PATH) {
         Ok(()) => println!("\nwrote {JSON_PATH}"),
         Err(e) => eprintln!("\nfailed to write {JSON_PATH}: {e}"),
     }
@@ -345,96 +341,4 @@ pub fn print_table(b: &SlowpathBench) {
         format!("{}/{}", b.engine_checkpoint_hits, b.engine_checkpoint_misses),
     ]);
     t.print("Slow-path micro-benchmarks (BENCH_slowpath.json)");
-}
-
-/// Serialises a measurement to `path`.
-pub fn write_json(b: &SlowpathBench, path: &str) -> std::io::Result<()> {
-    let json = serde_json::to_string(b).map_err(std::io::Error::other)?;
-    std::fs::write(path, json + "\n")
-}
-
-/// Compares `current` against a baseline, returning every metric that
-/// regressed by more than `factor`. Only hardware-independent ratios are
-/// gated: absolute throughputs vary across machines, the ratios do not.
-pub fn regressions(current: &SlowpathBench, baseline: &SlowpathBench, factor: f64) -> Vec<String> {
-    let mut out = Vec::new();
-    // Higher is better.
-    if current.sharded_decode_speedup < baseline.sharded_decode_speedup / factor {
-        out.push(format!(
-            "sharded_decode_speedup regressed: {:.2} vs baseline {:.2}",
-            current.sharded_decode_speedup, baseline.sharded_decode_speedup
-        ));
-    }
-    if current.checkpoint_hit_rate < baseline.checkpoint_hit_rate / factor {
-        out.push(format!(
-            "checkpoint_hit_rate regressed: {:.3} vs baseline {:.3}",
-            current.checkpoint_hit_rate, baseline.checkpoint_hit_rate
-        ));
-    }
-    // Lower is better.
-    if current.checkpoint_insn_ratio > baseline.checkpoint_insn_ratio * factor {
-        out.push(format!(
-            "checkpoint_insn_ratio regressed: {:.4} vs baseline {:.4}",
-            current.checkpoint_insn_ratio, baseline.checkpoint_insn_ratio
-        ));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_roundtrip_and_self_comparison() {
-        let b = SlowpathBench {
-            trace_mib: 2.0,
-            shards: 2000,
-            decode_workers: 4,
-            serial_decode_mib_per_sec: 10.0,
-            sharded_decode_mib_per_sec: 30.0,
-            sharded_decode_speedup: 3.0,
-            serial_check_us: 100_000.0,
-            sharded_check_us: 40_000.0,
-            checkpoint_windows: 8,
-            cold_insns_decoded: 1_000_000,
-            warm_insns_decoded: 250_000,
-            checkpoint_insn_ratio: 0.25,
-            checkpoint_hit_rate: 0.875,
-            ..Default::default()
-        };
-        let s = serde_json::to_string(&b).unwrap();
-        let r: SlowpathBench = serde_json::from_str(&s).unwrap();
-        assert!((r.sharded_decode_speedup - 3.0).abs() < 1e-12);
-        assert!(regressions(&b, &b, 2.0).is_empty());
-    }
-
-    #[test]
-    fn regressions_flag_worse_ratios() {
-        let base = SlowpathBench {
-            sharded_decode_speedup: 3.0,
-            checkpoint_insn_ratio: 0.25,
-            checkpoint_hit_rate: 0.875,
-            ..Default::default()
-        };
-        let mut bad = base.clone();
-        bad.sharded_decode_speedup = 1.0;
-        bad.checkpoint_insn_ratio = 0.8;
-        bad.checkpoint_hit_rate = 0.3;
-        let r = regressions(&bad, &base, 2.0);
-        assert_eq!(r.len(), 3, "{r:?}");
-    }
-
-    #[test]
-    fn baselines_without_distribution_columns_still_parse() {
-        let old = r#"{"trace_mib":1.0,"shards":100,"decode_workers":4,
-            "serial_decode_mib_per_sec":10.0,"sharded_decode_mib_per_sec":25.0,
-            "sharded_decode_speedup":2.5,"serial_check_us":1.0,
-            "sharded_check_us":1.0,"checkpoint_windows":8,
-            "cold_insns_decoded":100,"warm_insns_decoded":20,
-            "checkpoint_insn_ratio":0.2,"checkpoint_hit_rate":0.875}"#;
-        let b: SlowpathBench = serde_json::from_str(old).unwrap();
-        assert_eq!(b.slow_shards_dist.count, 0);
-        assert_eq!(b.engine_checkpoint_hits, 0);
-    }
 }

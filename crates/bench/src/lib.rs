@@ -4,11 +4,13 @@
 //! `micro_*`, `param_sweep`, `hw_extensions`, and `attacks_eval` binaries.
 //! Each binary prints the corresponding table/series of the HPCA 2017
 //! FlowGuard paper; `run_all` chains them and is what `EXPERIMENTS.md`
-//! records.
+//! records. `bench_gate` runs the implementation benches against the
+//! [`gate`] table.
 
 #![deny(unsafe_code)]
 
 pub mod experiments;
+pub mod gate;
 pub mod measure;
 pub mod table;
 

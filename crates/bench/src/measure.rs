@@ -8,6 +8,7 @@ use fg_ipt::topa::Topa;
 use fg_kernel::Kernel;
 use fg_workloads::Workload;
 use flowguard::{Deployment, FlowGuardConfig, DEFAULT_CR3};
+use std::time::Instant;
 
 /// Instruction budget for measurement runs.
 pub const BUDGET: u64 = 200_000_000;
@@ -177,6 +178,43 @@ pub fn run_protected(
         violations: s.violations.len(),
         slow_fraction: s.slow_fraction(),
     }
+}
+
+/// Times `iters` runs of `f` in 5 blocks and returns seconds per run of the
+/// fastest block — the best-of-N convention for micro-timings, insensitive
+/// to scheduler noise.
+pub fn time_per_iter<O>(iters: usize, mut f: impl FnMut() -> O) -> f64 {
+    let [t] = time_interleaved(
+        iters,
+        [&mut || {
+            std::hint::black_box(f());
+        }],
+    );
+    t
+}
+
+/// [`time_per_iter`] for closures compared with each other: each of the 5
+/// rounds times one block of every closure in turn, so host noise lands on
+/// all of them alike and their ratios stay steady. Returns each closure's
+/// seconds per run in its fastest block.
+pub fn time_interleaved<const N: usize>(iters: usize, mut fs: [&mut dyn FnMut(); N]) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..5 {
+        for (f, best) in fs.iter_mut().zip(&mut best) {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            *best = best.min(start.elapsed().as_secs_f64() / iters as f64);
+        }
+    }
+    best
+}
+
+/// Serialises a bench measurement to `path` as one line of JSON.
+pub fn write_json(b: &impl serde::Serialize, path: &str) -> std::io::Result<()> {
+    let json = serde_json::to_string(b).map_err(std::io::Error::other)?;
+    std::fs::write(path, json + "\n")
 }
 
 /// Geometric mean.

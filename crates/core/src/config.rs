@@ -21,12 +21,6 @@ pub struct FlowGuardConfig {
     /// Cache negative slow-path results as fast-path high credits (§7.1.1:
     /// "makes the performance better and better").
     pub cache_slow_path_results: bool,
-    /// Fan the slow path's PSB-delimited shard decodes out on the shared
-    /// worker pool (§5.3: "with the help of packet stream boundary (PSB)
-    /// packets … this process can be done in parallel"). The sequential
-    /// stitch pass keeps the result bit-identical to a serial decode.
-    #[serde(default = "default_parallel_slow_path")]
-    pub parallel_slow_path: bool,
     /// Checkpoint the slow path's flow decode between escalations: when the
     /// next slow window extends the previous one, only the appended bytes
     /// are decoded (the flow machine and shadow stack park between checks,
@@ -62,23 +56,12 @@ pub struct FlowGuardConfig {
     /// record collapses to one predictable-not-taken branch.
     #[serde(default = "default_profile_spans")]
     pub profile_spans: bool,
-    /// Probe the tier-0 entry-point bitset ahead of every ITC edge lookup
-    /// (FineIBT-style coarse pre-check). Only takes effect when the
-    /// deployment actually ships a bitset; sound either way — the bitset is
-    /// verified to cover every ITC node (rule `FG-X01`), so the probe can
-    /// only short-circuit detections, never reject a benign transfer.
-    #[serde(default = "default_tier0_bitset")]
-    pub tier0_bitset: bool,
     /// The sensitive-syscall endpoint set.
     #[serde(skip, default = "SensitiveSet::patharmor_default")]
     pub endpoints: SensitiveSet,
     /// ToPA region size per core (the paper's default config uses ~16 KiB
     /// total across two regions).
     pub topa_region_bytes: usize,
-}
-
-fn default_parallel_slow_path() -> bool {
-    true
 }
 
 fn default_slow_checkpoint() -> bool {
@@ -97,10 +80,6 @@ fn default_profile_spans() -> bool {
     true
 }
 
-fn default_tier0_bitset() -> bool {
-    true
-}
-
 impl Default for FlowGuardConfig {
     fn default() -> FlowGuardConfig {
         FlowGuardConfig {
@@ -108,14 +87,12 @@ impl Default for FlowGuardConfig {
             cred_ratio: 1.0,
             require_module_stride: true,
             cache_slow_path_results: true,
-            parallel_slow_path: true,
             slow_checkpoint: true,
             streaming: false,
             pmi_endpoints: false,
             path_matching: false,
             telemetry: true,
             profile_spans: true,
-            tier0_bitset: true,
             endpoints: SensitiveSet::patharmor_default(),
             topa_region_bytes: 8192,
         }
@@ -145,12 +122,10 @@ mod tests {
         assert_eq!(c.cred_ratio, 1.0);
         assert!(c.require_module_stride);
         assert!(c.cache_slow_path_results);
-        assert!(c.parallel_slow_path);
         assert!(c.slow_checkpoint);
         assert!(!c.streaming, "streaming is opt-in; the paper's checks consume at endpoints");
         assert!(c.telemetry);
         assert!(c.profile_spans, "span attribution rides on telemetry by default");
-        assert!(c.tier0_bitset);
         c.validate();
     }
 

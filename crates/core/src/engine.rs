@@ -135,7 +135,7 @@ pub struct FlowGuardEngine {
     slow_scratch: slowpath::SlowScratch,
     stats: Arc<EngineTelemetry>,
     /// Tier-0 entry-point bitset, probed ahead of the ITC edge lookup when
-    /// [`FlowGuardConfig::tier0_bitset`] is on and the deployment ships one.
+    /// the deployment ships one.
     tier0: Option<EntryBitset>,
 }
 
@@ -197,8 +197,8 @@ impl FlowGuardEngine {
         self.stream.set_profiler(self.stats.spans_handle(), cost.packet_scan_byte_cycles);
     }
 
-    /// Installs the deployment's tier-0 entry-point bitset. The fast path
-    /// probes it only while [`FlowGuardConfig::tier0_bitset`] is on.
+    /// Installs the deployment's tier-0 entry-point bitset; `None` turns the
+    /// probe off.
     pub fn set_tier0(&mut self, bits: Option<EntryBitset>) {
         self.tier0 = bits;
     }
@@ -426,7 +426,6 @@ impl FlowGuardEngine {
         } else {
             (self.cfg.pkt_count, self.cfg.require_module_stride)
         };
-        let tier0 = if self.cfg.tier0_bitset { self.tier0.as_ref() } else { None };
         let fast = fastpath::check_windowed(
             &self.itc,
             &self.cache,
@@ -437,7 +436,7 @@ impl FlowGuardEngine {
             require_module_stride,
             self.cost.edge_check_cycles,
             self.stream.first_tip_truncated(),
-            tier0,
+            self.tier0.as_ref(),
         );
         // Bound the accumulated scan: keep comfortably more than the widest
         // window the checker reaches back (pkt_count * 4).
@@ -506,14 +505,13 @@ impl FlowGuardEngine {
             }
         }
         let slow_window = &bytes[(window_start - buf_start) as usize..];
-        let pool = self.cfg.parallel_slow_path.then(crate::pool::WorkerPool::global);
         let slow = slowpath::check_incremental(
             &self.image,
             &self.ocfg,
             slow_window,
             window_start,
             &self.cost,
-            pool,
+            Some(crate::pool::WorkerPool::global()),
             &mut self.slow_scratch,
         );
         ev.slow_cycles = slow.decode_cycles;

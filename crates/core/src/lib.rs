@@ -18,7 +18,6 @@
 //! * [`slowpath`] — instruction-flow decoding + fine-grained policy (§5.3
 //!   "slow path");
 //! * [`shadow`] — the slow path's shadow stack;
-//! * [`parallel`] — PSB-parallel packet scanning (§5.3);
 //! * [`engine`] — the kernel-module interceptor with slow-path result
 //!   caching (§5.2, §7.1.1);
 //! * [`reference`] — the cold tail-window scan, kept as the oracle the
@@ -54,7 +53,6 @@ pub mod deploy;
 pub mod engine;
 pub mod fastpath;
 pub mod fleet;
-pub mod parallel;
 pub mod pool;
 pub mod reference;
 pub mod shadow;
@@ -69,7 +67,6 @@ pub use fastpath::{CheckScratch, FastPathResult, FastVerdict, Violation};
 pub use fleet::{
     ArtifactCache, ArtifactCacheStats, FleetConfig, FleetMember, FleetSnapshot, FleetSupervisor,
 };
-pub use parallel::scan_parallel;
 pub use pool::WorkerPool;
 pub use shadow::{ShadowOutcome, ShadowStack};
 pub use slowpath::{SlowPathResult, SlowScratch, SlowVerdict, SlowViolation};

@@ -28,7 +28,6 @@
 //! with no pool); the equivalence between the two is property-tested in
 //! `tests/soundness.rs`.
 
-use crate::parallel::run_sharded;
 use crate::pool::WorkerPool;
 use crate::shadow::{ShadowOutcome, ShadowStack};
 use fg_cfg::ocfg::SuccSet;
@@ -220,6 +219,39 @@ fn shard_task(image: &Image, ocfg: &OCfg, bytes: &[u8]) -> ShardTask {
     ShardTask { decode, prescan }
 }
 
+/// Runs [`shard_task`] over `spans` of `buf` on the pool and returns the
+/// tasks in span order. Shards are strided over one batched task per
+/// worker: PSB shards average well under a KiB, so per-shard dispatch
+/// would drown the decode work.
+fn run_sharded(
+    pool: &WorkerPool,
+    image: &Image,
+    ocfg: &OCfg,
+    buf: &[u8],
+    spans: &[(usize, usize)],
+) -> Vec<ShardTask> {
+    let workers = spans.len().min(pool.size());
+    if workers <= 1 {
+        return spans.iter().map(|&(s, e)| shard_task(image, ocfg, &buf[s..e])).collect();
+    }
+    let tasks: Vec<_> = (0..workers)
+        .map(|w| {
+            move || {
+                spans
+                    .iter()
+                    .enumerate()
+                    .skip(w)
+                    .step_by(workers)
+                    .map(|(i, &(s, e))| (i, shard_task(image, ocfg, &buf[s..e])))
+                    .collect::<Vec<_>>()
+            }
+        })
+        .collect();
+    let mut results: Vec<(usize, ShardTask)> = pool.run(tasks).into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, t)| t).collect()
+}
+
 /// The fine-grained forward-edge policy for one event: TypeArmor-refined
 /// target sets for indirect calls/jumps, the conservative return-site set
 /// for returns. Direct branches never violate.
@@ -343,9 +375,7 @@ fn decode_chunk(
 
     // Independent shard decodes — the parallel fan-out.
     let tasks: Vec<ShardTask> = match pool {
-        Some(p) if spans.len() >= 2 => {
-            run_sharded(p, chunk, &spans, |_, bytes| shard_task(image, ocfg, bytes))
-        }
+        Some(p) if spans.len() >= 2 => run_sharded(p, image, ocfg, chunk, &spans),
         _ => spans.iter().map(|&(s, e)| shard_task(image, ocfg, &chunk[s..e])).collect(),
     };
 

@@ -1,4 +1,4 @@
-//! Property tests: the serial scanner, the PSB-parallel scanner, and the
+//! Property tests: the scalar scanner, the vectorized scanner, and the
 //! checkpointed incremental scanner are three implementations of the same
 //! function and must extract byte-identical TIP/TNT flow from any trace —
 //! including traces with overflow packets, mid-stream damage, and arbitrary
@@ -8,7 +8,6 @@
 use fg_ipt::encode::PacketEncoder;
 use fg_ipt::fast::{self, Boundary, FastScan, TipEvent};
 use fg_ipt::{IncrementalScanner, PacketParser};
-use flowguard::scan_parallel;
 use proptest::prelude::*;
 
 /// Tiny deterministic generator so stream shape is a pure function of the
@@ -90,22 +89,22 @@ fn events(s: &FastScan) -> (Vec<TipEvent>, Vec<(usize, Boundary)>, Vec<bool>) {
 }
 
 proptest! {
-    /// Serial and PSB-parallel scans are equal on the full result, and an
+    /// Scalar and vectorized scans are equal on the full result, and an
     /// incremental scan over randomly chosen chunk seams reproduces the
     /// same flow with no byte scanned twice.
     #[test]
-    fn serial_parallel_incremental_agree(
+    fn serial_vectorized_incremental_agree(
         seed in any::<u64>(),
         n_ops in 10usize..150,
         with_garbage in any::<bool>(),
     ) {
         let stream = build_stream(seed, n_ops, with_garbage);
         let serial = fast::scan(&stream);
-        let parallel = scan_parallel(&stream);
-        match (&serial, &parallel) {
-            (Ok(s), Ok(p)) => prop_assert_eq!(p, s),
+        let vectorized = fast::scan_vectorized(&stream);
+        match (&serial, &vectorized) {
+            (Ok(s), Ok(v)) => prop_assert_eq!(v, s),
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "serial {a:?} vs parallel {b:?}"),
+            (a, b) => prop_assert!(false, "serial {a:?} vs vectorized {b:?}"),
         }
 
         let mut rng = XorShift(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
@@ -176,11 +175,11 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
         let serial = fast::scan(&bytes);
-        let parallel = scan_parallel(&bytes);
-        match (&serial, &parallel) {
-            (Ok(s), Ok(p)) => prop_assert_eq!(p, s),
+        let vectorized = fast::scan_vectorized(&bytes);
+        match (&serial, &vectorized) {
+            (Ok(s), Ok(v)) => prop_assert_eq!(v, s),
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "serial {a:?} vs parallel {b:?}"),
+            (a, b) => prop_assert!(false, "serial {a:?} vs vectorized {b:?}"),
         }
         // One whole-buffer advance (a mid-soup seam is not a packet
         // boundary, which the incremental contract requires outside damaged

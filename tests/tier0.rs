@@ -34,23 +34,23 @@ fn tier0_probe_detects_rop_attack() {
     );
 }
 
-/// With the probe gated off, detection still happens (the edge check is the
-/// backstop), but no tier-0 counters move — the bitset is a pure
-/// acceleration layer, not a correctness dependency.
+/// Without a bitset in the deployment, detection still happens (the edge
+/// check is the backstop), but no tier-0 counters move — the bitset is a
+/// pure acceleration layer, not a correctness dependency.
 #[test]
 fn attack_detected_even_with_tier0_disabled() {
-    let (w, d) = fg_attacks::trained_vulnerable_nginx();
+    let (w, mut d) = fg_attacks::trained_vulnerable_nginx();
     let g = fg_attacks::find_gadgets(&w.image);
     let payload = fg_attacks::rop_write(&w.image, &g);
 
-    let cfg = FlowGuardConfig { tier0_bitset: false, ..FlowGuardConfig::default() };
-    let mut p = d.launch(&payload, cfg);
+    d.entry_bitset = None;
+    let mut p = d.launch(&payload, FlowGuardConfig::default());
     p.run(50_000_000);
     assert!(p.violated(), "detection must not depend on the bitset");
 
     let ts = p.stats.telemetry_snapshot();
-    assert_eq!(ts.tier0_hits, 0, "no probes while the bitset is gated off");
-    assert_eq!(ts.tier0_misses, 0, "no probes while the bitset is gated off");
+    assert_eq!(ts.tier0_hits, 0, "no probes without a bitset");
+    assert_eq!(ts.tier0_misses, 0, "no probes without a bitset");
 }
 
 /// A trained benign run exercises the probe on every checked TIP pair and
