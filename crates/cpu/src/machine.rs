@@ -229,137 +229,130 @@ impl Machine {
         self
     }
 
-    fn on_branch(&mut self, kind: CofiKind, from: u64, to: u64, taken: bool) {
-        self.cofi_retired += 1;
-        let c = self.trace.on_cofi(&self.cost, kind, from, to, taken, self.cr3);
-        self.account.trace += c;
-        if let Some(cov) = &mut self.coverage {
-            cov.record(to);
-        }
-        if let Some(log) = &mut self.branch_log {
-            let taken = matches!(kind, CofiKind::CondBranch).then_some(taken);
-            log.push(BranchEvent { from, to, kind, taken });
-        }
-    }
-
     /// Runs until a stop condition, with an instruction budget.
     ///
-    /// A pending trace-buffer PMI is delivered after the instruction during
-    /// which it was raised, or after a run's first instruction if it was
-    /// raised before the run. Only trace-byte writes raise one, and only a
-    /// CoFI (syscalls included) or a kernel callback writes trace bytes, so
-    /// the loop looks for a PMI only after those.
+    /// Each round executes a straight-line run of predecoded instructions
+    /// and the CoFI (or `halt`) ending it, with one fetch lookup and one
+    /// round of bookkeeping. A round is cut short of the run's end by the
+    /// budget, by the next trace-poll slot, and to one instruction when a
+    /// PMI check is due. A pending trace-buffer PMI is delivered after the
+    /// instruction during which it was raised, or after a run's first
+    /// instruction if it was raised before the run. Only trace-byte writes
+    /// raise one, and only a CoFI (syscalls included) or a kernel callback
+    /// writes trace bytes, so the loop looks for a PMI only after those.
     pub fn run(&mut self, kernel: &mut dyn SyscallHandler, max_insns: u64) -> StopReason {
-        let start = self.insns_retired;
+        let mut retired = self.insns_retired;
+        let mut left = max_insns;
         let mut pmi_check = true;
-        loop {
-            if self.insns_retired - start >= max_insns {
-                return StopReason::InsnLimit;
+        let stop = loop {
+            if left == 0 {
+                break StopReason::InsnLimit;
             }
-            let cofis = self.cofi_retired;
-            match self.step(kernel) {
-                Ok(None) => {}
-                Ok(Some(stop)) => return stop,
-                Err(fault) => return StopReason::Fault(fault),
+            let cap = if pmi_check {
+                1
+            } else {
+                left.min(TRACE_POLL_PERIOD - retired % TRACE_POLL_PERIOD)
+            };
+            let (executed, flow) = self.execute_run(self.cpu.pc, cap);
+            retired += executed;
+            left -= executed;
+            match flow {
+                Ok(Flow::Next { wrote_trace }) => pmi_check |= wrote_trace,
+                Ok(Flow::Halt) => break StopReason::Halted,
+                Ok(Flow::Syscall { pc }) => {
+                    if let Some(stop) = self.syscall(kernel, pc) {
+                        break stop;
+                    }
+                    pmi_check = true;
+                }
+                Err(stop) => break stop,
             }
-            pmi_check |= self.cofi_retired != cofis;
             // Deliver a pending trace-buffer PMI (ToPA INT region filled).
             if std::mem::take(&mut pmi_check)
                 && self.trace.as_ipt().is_some_and(|u| u.topa().pmi_pending())
             {
                 // The handler may leave the PMI pending or write more bytes.
                 pmi_check = true;
-                let mut extra = CycleAccount::default();
-                let outcome = {
-                    let mut ctx = SyscallCtx {
-                        cpu: &mut self.cpu,
-                        mem: &mut self.mem,
-                        trace: &mut self.trace,
-                        cr3: self.cr3,
-                        extra_cycles: &mut extra,
-                    };
-                    kernel.pmi(&mut ctx)
-                };
-                self.account.absorb(&extra);
-                match outcome {
-                    SysOutcome::Continue => {}
-                    SysOutcome::Exit(code) => return StopReason::Exited(code),
-                    SysOutcome::Kill(sig) => return StopReason::Killed(sig),
+                if let Some(stop) = stop_for(self.callback(|ctx| kernel.pmi(ctx))) {
+                    break stop;
                 }
             }
             // Periodic trace-poll slot for the streaming consumer.
-            if self.insns_retired.is_multiple_of(TRACE_POLL_PERIOD) && self.trace.as_ipt().is_some()
-            {
-                let mut extra = CycleAccount::default();
-                let mut ctx = SyscallCtx {
-                    cpu: &mut self.cpu,
-                    mem: &mut self.mem,
-                    trace: &mut self.trace,
-                    cr3: self.cr3,
-                    extra_cycles: &mut extra,
-                };
-                kernel.trace_poll(&mut ctx);
-                self.account.absorb(&extra);
+            if retired.is_multiple_of(TRACE_POLL_PERIOD) && self.trace.as_ipt().is_some() {
+                self.callback(|ctx| kernel.trace_poll(ctx));
                 pmi_check = true;
+            }
+        };
+        self.insns_retired = retired;
+        stop
+    }
+
+    /// Executes at most `cap` instructions from `pc` with one fetch lookup:
+    /// the straight-line run starting there, then, if `cap` leaves room,
+    /// the instruction ending it. Returns how many instructions retired, a
+    /// faulting one included, and what the last one left to do.
+    #[inline(always)]
+    fn execute_run(&mut self, pc: u64, cap: u64) -> (u64, Result<Flow, StopReason>) {
+        let Some((seg, slot, run)) = self.mem.code_slot(pc) else {
+            // Not a predecoded slot: fetch and decode the word.
+            return match self.mem.fetch(pc).map(|word| Insn::decode(word, pc)) {
+                Ok(Ok(insn)) => (1, self.exec(insn, pc).map_err(StopReason::Fault)),
+                Ok(Err(_)) => (0, Err(StopReason::BadInsn { pc })),
+                Err(fault) => (0, Err(StopReason::Fault(fault))),
+            };
+        };
+        let m = run.min(cap);
+        // The run, then, if it was not cut, the instruction ending it.
+        let end = if m < cap { m + 1 } else { m };
+        let mut done = 0;
+        loop {
+            let Some(insn) = self.mem.slot_insn(seg, slot + done as usize) else {
+                // The run ends at an undecodable word or the segment's
+                // end: the next round's lookup reports it.
+                return (done, Ok(Flow::Next { wrote_trace: false }));
+            };
+            let flow = match self.exec(insn, pc + done * INSN_SIZE) {
+                Ok(flow) => flow,
+                Err(fault) => return (done + 1, Err(StopReason::Fault(fault))),
+            };
+            done += 1;
+            if done == end {
+                return (done, Ok(flow));
             }
         }
     }
 
-    /// Executes one instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`MemFault`] of a crashing access.
-    pub fn step(
-        &mut self,
-        kernel: &mut dyn SyscallHandler,
-    ) -> Result<Option<StopReason>, MemFault> {
-        let pc = self.cpu.pc;
-        let Ok(insn) = self.mem.fetch_insn(pc)? else {
-            return Ok(Some(StopReason::BadInsn { pc }));
-        };
-        self.insns_retired += 1;
+    /// Executes `insn`, fetched from `pc`, and charges its exec cycles:
+    /// the one place instruction semantics live. A faulting instruction is
+    /// charged and leaves `pc` on itself.
+    #[inline(always)]
+    fn exec(&mut self, insn: Insn, pc: u64) -> Result<Flow, MemFault> {
         self.account.exec += self.cost.insn_cycles;
         let next = pc + INSN_SIZE;
-
         match insn {
-            Insn::Nop => self.cpu.pc = next,
-            Insn::Halt => return Ok(Some(StopReason::Halted)),
-            Insn::MovImm { rd, imm } => {
-                self.cpu.set_reg(rd, imm as i64 as u64);
-                self.cpu.pc = next;
-            }
-            Insn::Mov { rd, rs } => {
-                let v = self.cpu.reg(rs);
-                self.cpu.set_reg(rd, v);
-                self.cpu.pc = next;
-            }
+            Insn::Nop => {}
+            Insn::Halt => return Ok(Flow::Halt),
+            Insn::MovImm { rd, imm } => self.cpu.set_reg(rd, imm as i64 as u64),
+            Insn::Mov { rd, rs } => self.cpu.set_reg(rd, self.cpu.reg(rs)),
             Insn::Alu { op, rd, rs } => {
-                let v = op.apply(self.cpu.reg(rd), self.cpu.reg(rs));
-                self.cpu.set_reg(rd, v);
-                self.cpu.pc = next;
+                self.cpu.set_reg(rd, op.apply(self.cpu.reg(rd), self.cpu.reg(rs)));
             }
             Insn::AluImm { op, rd, imm } => {
-                let v = op.apply(self.cpu.reg(rd), imm as i64 as u64);
-                self.cpu.set_reg(rd, v);
-                self.cpu.pc = next;
+                self.cpu.set_reg(rd, op.apply(self.cpu.reg(rd), imm as i64 as u64));
             }
             Insn::Cmp { rs1, rs2 } => {
-                self.cpu.flags = (self.cpu.reg(rs1) as i64) - (self.cpu.reg(rs2) as i64);
-                self.cpu.pc = next;
+                self.cpu.flags = signed_order(self.cpu.reg(rs1), self.cpu.reg(rs2) as i64);
             }
             Insn::CmpImm { rs, imm } => {
-                self.cpu.flags = (self.cpu.reg(rs) as i64) - imm as i64;
-                self.cpu.pc = next;
+                self.cpu.flags = signed_order(self.cpu.reg(rs), i64::from(imm));
             }
             Insn::Load { w, rd, base, off } => {
                 let va = self.cpu.reg(base).wrapping_add(off as i64 as u64);
                 let v = match w {
                     Width::B8 => self.mem.read_u64(va)?,
-                    Width::B1 => self.mem.read_u8(va)? as u64,
+                    Width::B1 => u64::from(self.mem.read_u8(va)?),
                 };
                 self.cpu.set_reg(rd, v);
-                self.cpu.pc = next;
             }
             Insn::Store { w, rs, base, off } => {
                 let va = self.cpu.reg(base).wrapping_add(off as i64 as u64);
@@ -368,106 +361,142 @@ impl Machine {
                     Width::B8 => self.mem.write_u64(va, v)?,
                     Width::B1 => self.mem.write_u8(va, v as u8)?,
                 }
-                self.cpu.pc = next;
             }
-            Insn::Push { rs } => {
-                let sp = self.cpu.sp() - 8;
-                self.mem.write_u64(sp, self.cpu.reg(rs))?;
-                self.cpu.set_reg(Reg::SP, sp);
-                self.cpu.pc = next;
-            }
+            Insn::Push { rs } => self.push(self.cpu.reg(rs))?,
             Insn::Pop { rd } => {
                 let sp = self.cpu.sp();
                 let v = self.mem.read_u64(sp)?;
                 self.cpu.set_reg(rd, v);
-                self.cpu.set_reg(Reg::SP, sp + 8);
-                self.cpu.pc = next;
+                self.cpu.set_reg(Reg::SP, sp.wrapping_add(8));
             }
-            Insn::Jmp { target } => {
-                self.on_branch(CofiKind::DirectJmp, pc, target, false);
-                self.cpu.pc = target;
-            }
+            Insn::Jmp { target } => return Ok(self.branch(CofiKind::DirectJmp, pc, target, false)),
             Insn::Jcc { cc, target } => {
                 let taken = cc.eval(self.cpu.flags);
                 let to = if taken { target } else { next };
-                self.on_branch(CofiKind::CondBranch, pc, to, taken);
-                self.cpu.pc = to;
+                return Ok(self.branch(CofiKind::CondBranch, pc, to, taken));
             }
             Insn::JmpInd { rs } => {
-                let to = self.cpu.reg(rs);
-                self.on_branch(CofiKind::IndJmp, pc, to, false);
-                self.cpu.pc = to;
+                return Ok(self.branch(CofiKind::IndJmp, pc, self.cpu.reg(rs), false));
             }
             Insn::Call { target } => {
-                let sp = self.cpu.sp() - 8;
-                self.mem.write_u64(sp, next)?;
-                self.cpu.set_reg(Reg::SP, sp);
-                self.on_branch(CofiKind::DirectCall, pc, target, false);
-                self.cpu.pc = target;
+                self.push(next)?;
+                return Ok(self.branch(CofiKind::DirectCall, pc, target, false));
             }
             Insn::CallInd { rs } => {
                 let to = self.cpu.reg(rs);
-                let sp = self.cpu.sp() - 8;
-                self.mem.write_u64(sp, next)?;
-                self.cpu.set_reg(Reg::SP, sp);
-                self.on_branch(CofiKind::IndCall, pc, to, false);
-                self.cpu.pc = to;
+                self.push(next)?;
+                return Ok(self.branch(CofiKind::IndCall, pc, to, false));
             }
             Insn::Ret => {
                 let sp = self.cpu.sp();
                 let to = self.mem.read_u64(sp)?;
-                self.cpu.set_reg(Reg::SP, sp + 8);
-                self.on_branch(CofiKind::Ret, pc, to, false);
-                self.cpu.pc = to;
+                self.cpu.set_reg(Reg::SP, sp.wrapping_add(8));
+                return Ok(self.branch(CofiKind::Ret, pc, to, false));
             }
             Insn::Syscall => {
                 // FUP + TIP.PGD: tracing pauses for the kernel.
                 self.cofi_retired += 1;
-                let c =
-                    self.trace.on_cofi(&self.cost, CofiKind::FarTransfer, pc, 0, false, self.cr3);
-                self.account.trace += c;
+                let (cost, cycles) = (&self.cost, &mut self.account.trace);
+                self.trace.on_cofi(cost, cycles, CofiKind::FarTransfer, pc, 0, false, self.cr3);
                 self.cpu.pc = next;
-                let mut extra = CycleAccount::default();
-                let outcome = {
-                    let mut ctx = SyscallCtx {
-                        cpu: &mut self.cpu,
-                        mem: &mut self.mem,
-                        trace: &mut self.trace,
-                        cr3: self.cr3,
-                        extra_cycles: &mut extra,
-                    };
-                    kernel.syscall(&mut ctx)
-                };
-                self.account.absorb(&extra);
-                match outcome {
-                    SysOutcome::Continue => {
-                        // TIP.PGE at the resume address (the handler may have
-                        // redirected pc, e.g. sigreturn). The branch log
-                        // records the actual resume target — exactly what the
-                        // flow decoder reconstructs from the PGE packet.
-                        let c = self.trace.on_syscall_resume(&self.cost, self.cpu.pc, self.cr3);
-                        self.account.trace += c;
-                        if let Some(cov) = &mut self.coverage {
-                            cov.record(self.cpu.pc);
-                        }
-                        if let Some(log) = &mut self.branch_log {
-                            log.push(BranchEvent {
-                                from: pc,
-                                to: self.cpu.pc,
-                                kind: CofiKind::FarTransfer,
-                                taken: None,
-                            });
-                        }
-                    }
-                    // Terminating syscalls never resume: no PGE, no log entry
-                    // (matching the decoder's view of the trace).
-                    SysOutcome::Exit(code) => return Ok(Some(StopReason::Exited(code))),
-                    SysOutcome::Kill(sig) => return Ok(Some(StopReason::Killed(sig))),
-                }
+                return Ok(Flow::Syscall { pc });
             }
         }
-        Ok(None)
+        self.cpu.pc = next;
+        Ok(Flow::Next { wrote_trace: false })
     }
+
+    /// Pushes `v`. The store comes first, so a faulting push leaves `sp`
+    /// as it was.
+    #[inline(always)]
+    fn push(&mut self, v: u64) -> Result<(), MemFault> {
+        let sp = self.cpu.sp().wrapping_sub(8);
+        self.mem.write_u64(sp, v)?;
+        self.cpu.set_reg(Reg::SP, sp);
+        Ok(())
+    }
+
+    /// Retires a CoFI from `from` to `to`: the trace unit, the coverage
+    /// map and the branch log see it, and `pc` moves to `to`.
+    #[inline(always)]
+    fn branch(&mut self, kind: CofiKind, from: u64, to: u64, taken: bool) -> Flow {
+        self.cofi_retired += 1;
+        let cycles = &mut self.account.trace;
+        let wrote_trace = self.trace.on_cofi(&self.cost, cycles, kind, from, to, taken, self.cr3);
+        if let Some(cov) = &mut self.coverage {
+            cov.record(to);
+        }
+        if let Some(log) = &mut self.branch_log {
+            let taken = matches!(kind, CofiKind::CondBranch).then_some(taken);
+            log.push(BranchEvent { from, to, kind, taken });
+        }
+        self.cpu.pc = to;
+        Flow::Next { wrote_trace }
+    }
+
+    /// Hands the `syscall` retired at `pc` to the kernel. On resume, the
+    /// trace unit sees the return to user mode (TIP.PGE) at the pc the
+    /// kernel left (it may redirect it, e.g. `sigreturn`), and the branch
+    /// log records that actual resume target — exactly what the flow
+    /// decoder reconstructs from the PGE packet.
+    fn syscall(&mut self, kernel: &mut dyn SyscallHandler, pc: u64) -> Option<StopReason> {
+        // Terminating syscalls never resume: no PGE, no log entry (matching
+        // the decoder's view of the trace).
+        let stop = stop_for(self.callback(|ctx| kernel.syscall(ctx)));
+        if stop.is_none() {
+            let to = self.cpu.pc;
+            self.trace.on_syscall_resume(&self.cost, &mut self.account.trace, to, self.cr3);
+            if let Some(cov) = &mut self.coverage {
+                cov.record(to);
+            }
+            if let Some(log) = &mut self.branch_log {
+                log.push(BranchEvent { from: pc, to, kind: CofiKind::FarTransfer, taken: None });
+            }
+        }
+        stop
+    }
+
+    /// Runs a kernel callback on this machine and charges the cycles it
+    /// reports.
+    fn callback<T>(&mut self, f: impl FnOnce(&mut SyscallCtx<'_>) -> T) -> T {
+        let mut extra = CycleAccount::default();
+        let out = f(&mut SyscallCtx {
+            cpu: &mut self.cpu,
+            mem: &mut self.mem,
+            trace: &mut self.trace,
+            cr3: self.cr3,
+            extra_cycles: &mut extra,
+        });
+        self.account.absorb(&extra);
+        out
+    }
+}
+
+/// What an executed instruction leaves for [`Machine::run`] to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    /// Execution continues at `cpu.pc`. `wrote_trace` is set when the
+    /// instruction wrote trace bytes, which may have raised a PMI.
+    Next { wrote_trace: bool },
+    /// `halt` retired.
+    Halt,
+    /// The `syscall` at `pc` retired; the kernel handles it next.
+    Syscall { pc: u64 },
+}
+
+/// The run's stop reason for a kernel outcome, if it ends the run.
+fn stop_for(outcome: SysOutcome) -> Option<StopReason> {
+    match outcome {
+        SysOutcome::Continue => None,
+        SysOutcome::Exit(code) => Some(StopReason::Exited(code)),
+        SysOutcome::Kill(sig) => Some(StopReason::Killed(sig)),
+    }
+}
+
+/// The flags a compare of `a` with `b` leaves: their signed ordering, -1,
+/// 0 or 1. (A difference could overflow.)
+fn signed_order(a: u64, b: i64) -> i64 {
+    (a as i64).cmp(&b) as i64
 }
 
 #[cfg(test)]

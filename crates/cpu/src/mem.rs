@@ -8,8 +8,8 @@
 //! The same W^X rule lets the interpreter decode each executable segment
 //! once, when it is mapped: no path writes an executable segment (image
 //! code is mapped read-only, [`AddressSpace::map_anon`] maps only data, and
-//! `mprotect` changes nothing), so a predecoded instruction never goes
-//! stale.
+//! `mprotect` changes nothing), so a predecoded instruction, and the
+//! straight-line run table derived from it, never go stale.
 
 use fg_isa::image::Image;
 use fg_isa::insn::{DecodeInsnError, Insn, INSN_SIZE};
@@ -86,11 +86,14 @@ struct Segment {
     /// The decoded instruction of every whole 8-byte word from `va` (`None`
     /// where the word does not decode); empty unless executable.
     code: Vec<Option<Insn>>,
+    /// For each slot of `code`, how many consecutive straight-line
+    /// instructions (decodable, not a block terminator) start there.
+    runs: Vec<u32>,
 }
 
 impl Segment {
     fn new(va: u64, bytes: Vec<u8>, writable: bool, executable: bool) -> Segment {
-        let code = if executable {
+        let code: Vec<Option<Insn>> = if executable {
             bytes
                 .chunks_exact(INSN_SIZE as usize)
                 .zip((va..).step_by(INSN_SIZE as usize))
@@ -99,7 +102,13 @@ impl Segment {
         } else {
             Vec::new()
         };
-        Segment { va, bytes, writable, executable, code }
+        let mut runs = vec![0; code.len()];
+        let mut len = 0;
+        for (run, insn) in runs.iter_mut().zip(&code).rev() {
+            len = if insn.as_ref().is_some_and(|i| !i.is_terminator()) { len + 1 } else { 0 };
+            *run = len;
+        }
+        Segment { va, bytes, writable, executable, code, runs }
     }
 
     fn end(&self) -> u64 {
@@ -294,16 +303,29 @@ impl AddressSpace {
     /// an undecodable word.
     #[inline]
     pub fn fetch_insn(&self, pc: u64) -> Result<Result<Insn, DecodeInsnError>, MemFault> {
-        if let Some(i) = self.find(pc, &self.fetch_hint) {
-            let s = &self.segs[i];
-            let off = pc - s.va;
-            if off.is_multiple_of(INSN_SIZE) {
-                if let Some(&Some(insn)) = s.code.get((off / INSN_SIZE) as usize) {
-                    return Ok(Ok(insn));
-                }
-            }
+        match self.code_slot(pc).and_then(|(seg, slot, _)| self.slot_insn(seg, slot)) {
+            Some(insn) => Ok(Ok(insn)),
+            None => Ok(Insn::decode(self.fetch(pc)?, pc)),
         }
-        Ok(Insn::decode(self.fetch(pc)?, pc))
+    }
+
+    /// The predecoded slot `pc` starts, when it starts a decodable word of an
+    /// executable segment: the segment's index, the slot's, and how many
+    /// straight-line instructions start there.
+    #[inline]
+    pub(crate) fn code_slot(&self, pc: u64) -> Option<(usize, usize, u64)> {
+        let i = self.find(pc, &self.fetch_hint)?;
+        let s = &self.segs[i];
+        let off = pc - s.va;
+        let slot = (off / INSN_SIZE) as usize;
+        let decodable = off.is_multiple_of(INSN_SIZE) && matches!(s.code.get(slot), Some(Some(_)));
+        decodable.then(|| (i, slot, u64::from(s.runs[slot])))
+    }
+
+    /// The instruction in a predecoded slot, if it decodes.
+    #[inline]
+    pub(crate) fn slot_insn(&self, seg: usize, slot: usize) -> Option<Insn> {
+        self.segs[seg].code.get(slot).copied().flatten()
     }
 
     /// Total mapped bytes.
@@ -401,6 +423,50 @@ mod tests {
         assert!(m.map_anon(u64::MAX - 8, 16).is_err(), "wraps the address space");
         assert_eq!(m.mapped_bytes(), before, "a refused mapping maps nothing");
         assert_eq!(m.read_u8(u64::MAX - 1).unwrap_err(), MemFault::Unmapped { va: u64::MAX - 1 });
+    }
+
+    #[test]
+    fn run_table_counts_straight_line_words() {
+        // Each slot's run is the number of words from it, within its
+        // segment, that fetch and decode to a non-terminator; a damaged
+        // word (opcode 0xff) ends a run as a branch or `halt` does.
+        let mut a = Asm::new("app");
+        a.export("main");
+        a.label("main");
+        a.nop();
+        a.movi(fg_isa::insn::regs::R1, 1);
+        a.jmp("main");
+        a.nop();
+        a.nop();
+        a.ret();
+        a.nop();
+        a.halt();
+        let img = Linker::new(a.finish().unwrap()).link().unwrap();
+        let mut m = AddressSpace::from_image(&img);
+        let i = m.segs.iter().position(|s| s.executable).expect("a code segment");
+        let s = &m.segs[i];
+        let mut bytes = s.bytes.clone();
+        bytes[(img.entry() - s.va + 3 * INSN_SIZE) as usize] = 0xff;
+        m.segs[i] = Segment::new(s.va, bytes, false, true);
+        for (i, s) in m.segs.iter().enumerate().filter(|(_, s)| s.executable) {
+            let straight = |pc: u64| {
+                pc + INSN_SIZE <= s.end()
+                    && m.fetch(pc)
+                        .is_ok_and(|w| Insn::decode(w, pc).is_ok_and(|i| !i.is_terminator()))
+            };
+            for (slot, &run) in s.runs.iter().enumerate() {
+                let pc = s.va + slot as u64 * INSN_SIZE;
+                let run = u64::from(run);
+                assert!((0..run).all(|k| straight(pc + k * INSN_SIZE)), "slot at {pc:#x}");
+                assert!(!straight(pc + run * INSN_SIZE), "slot at {pc:#x}");
+                let decodes = m.fetch(pc).is_ok_and(|w| Insn::decode(w, pc).is_ok());
+                assert_eq!(m.code_slot(pc), decodes.then_some((i, slot, run)), "slot at {pc:#x}");
+            }
+        }
+        let main = img.entry();
+        let runs: Vec<u64> =
+            (0..8).map(|k| m.code_slot(main + k * INSN_SIZE).map_or(0, |c| c.2)).collect();
+        assert_eq!(runs, [2, 1, 0, 0, 1, 0, 1, 0]);
     }
 
     #[test]

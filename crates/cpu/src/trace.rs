@@ -142,8 +142,15 @@ const RET_STACK_DEPTH: usize = 64;
 /// The IPT unit: MSR file + packet encoder writing into a ToPA.
 #[derive(Debug)]
 pub struct IptUnit {
-    /// The `IA32_RTIT_*` register file.
-    pub msrs: IptMsrs,
+    /// The `IA32_RTIT_*` register file, fixed when the unit is created, so
+    /// the admission decisions below cannot go stale.
+    msrs: IptMsrs,
+    /// The source IPs, `lo..=hi`, whose CoFIs `msrs` traces: the ADDR0
+    /// range when that filter is on, else every address.
+    ip_range: (u64, u64),
+    /// `msrs.should_trace(true, cr3)` for the last CR3 it was asked about,
+    /// decided when the CR3 changes rather than on every CoFI.
+    traces_cr3: (u64, bool),
     enc: PacketEncoder<Topa>,
     psb_period: u64,
     /// The hardware RET-compression stack (active when `DisRETC` is clear):
@@ -161,12 +168,25 @@ impl IptUnit {
             cr3_match: cr3,
             ..Default::default()
         };
-        IptUnit { msrs, enc: PacketEncoder::new(topa), psb_period: 512, ret_stack: Vec::new() }
+        IptUnit::new(msrs, topa, 512)
     }
 
     /// Creates a unit with explicit MSRs (for non-FlowGuard configurations).
     pub fn with_msrs(msrs: IptMsrs, topa: Topa) -> IptUnit {
-        IptUnit { msrs, enc: PacketEncoder::new(topa), psb_period: 1024, ret_stack: Vec::new() }
+        IptUnit::new(msrs, topa, 1024)
+    }
+
+    fn new(msrs: IptMsrs, topa: Topa, psb_period: u64) -> IptUnit {
+        let ip_range =
+            if msrs.ctl.addr0_filter() { (msrs.addr0_a, msrs.addr0_b) } else { (0, u64::MAX) };
+        IptUnit {
+            ip_range,
+            traces_cr3: (msrs.cr3_match, msrs.should_trace(true, msrs.cr3_match)),
+            msrs,
+            enc: PacketEncoder::new(topa),
+            psb_period,
+            ret_stack: Vec::new(),
+        }
     }
 
     /// Sets the PSB cadence in trace bytes.
@@ -174,9 +194,14 @@ impl IptUnit {
         self.psb_period = bytes;
     }
 
-    /// Whether this unit traces the given context.
-    pub fn active(&self, cpl_user: bool, cr3: u64) -> bool {
-        self.msrs.should_trace(cpl_user, cr3) && !self.enc.sink().stopped()
+    /// Whether this unit traces user-mode execution under `cr3` now: the
+    /// MSRs admit it and no ToPA STOP region has filled.
+    #[inline]
+    fn traces(&mut self, cr3: u64) -> bool {
+        if self.traces_cr3.0 != cr3 {
+            self.traces_cr3 = (cr3, self.msrs.should_trace(true, cr3));
+        }
+        self.traces_cr3.1 && !self.enc.sink().stopped()
     }
 
     /// Emits the trace-start PSB+ (also used for periodic re-sync).
@@ -230,58 +255,88 @@ impl IptUnit {
             self.enc.psb_plus(Some(next_ip), Some(cr3));
         }
     }
-}
 
-/// Encodes one CoFI event into an IPT unit (the Table 3 packet taxonomy),
-/// returning the tracing cost in cycles. Shared by the single-process
-/// [`TraceUnit::Ipt`] path and the per-CR3 routing of
-/// [`TraceUnit::MultiIpt`].
-fn ipt_on_cofi(
-    u: &mut IptUnit,
-    cost: &CostModel,
-    kind: CofiKind,
-    from: u64,
-    to: u64,
-    taken: bool,
-    cr3: u64,
-) -> f64 {
-    if !u.active(true, cr3) || !u.msrs.ip_in_filter(from) {
-        return 0.0;
+    /// Charges the bytes written since the encoder had emitted `before` to
+    /// `cycles`, returning whether there were any. A write-free event does
+    /// no floating-point work: adding `0.0` would not change the sum.
+    #[inline]
+    fn charge_since(&self, before: u64, cost: &CostModel, cycles: &mut f64) -> bool {
+        let bytes = self.enc.bytes_emitted() - before;
+        if bytes == 0 {
+            return false;
+        }
+        *cycles += bytes as f64 * cost.ipt_byte_cycles;
+        true
     }
-    let before = u.enc.bytes_emitted();
-    let retc = !u.msrs.ctl.dis_retc();
-    match kind {
-        CofiKind::CondBranch => u.enc.tnt_bit(taken),
-        CofiKind::IndCall | CofiKind::DirectCall if retc => {
-            // Track the call for RET compression.
-            if u.ret_stack.len() == RET_STACK_DEPTH {
-                u.ret_stack.remove(0);
-            }
-            u.ret_stack.push(from + fg_isa::insn::INSN_SIZE);
-            if kind == CofiKind::IndCall {
-                u.enc.tip(to);
-            }
+
+    /// Encodes one CoFI event (the Table 3 packet taxonomy) and charges its
+    /// bytes to `cycles`, returning whether it wrote any. Shared by the
+    /// single-process [`TraceUnit::Ipt`] path and the per-CR3 routing of
+    /// [`TraceUnit::MultiIpt`]. The events that usually write nothing — a
+    /// direct jump or call, a TNT bit short of a full packet — take an
+    /// inlined path; the rest are encoded out of line.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn on_cofi(
+        &mut self,
+        cost: &CostModel,
+        cycles: &mut f64,
+        kind: CofiKind,
+        from: u64,
+        to: u64,
+        taken: bool,
+        cr3: u64,
+    ) -> bool {
+        let (lo, hi) = self.ip_range;
+        if !self.traces(cr3) || from < lo || from > hi {
+            return false;
         }
-        CofiKind::Ret if retc => {
-            // Compressed return: a matching target is one taken
-            // TNT bit; a mismatch emits a full TIP.
-            if u.ret_stack.last() == Some(&to) {
-                u.ret_stack.pop();
-                u.enc.tnt_bit(true);
-            } else {
-                u.ret_stack.pop();
-                u.enc.tip(to);
-            }
+        let before = self.enc.bytes_emitted();
+        match kind {
+            CofiKind::CondBranch => self.enc.tnt_bit(taken),
+            CofiKind::DirectJmp | CofiKind::None => {}
+            CofiKind::DirectCall if self.msrs.ctl.dis_retc() => {}
+            _ => self.encode_packet(kind, from, to),
         }
-        CofiKind::IndJmp | CofiKind::IndCall | CofiKind::Ret => u.enc.tip(to),
-        CofiKind::FarTransfer => {
-            u.enc.fup(from);
-            u.enc.tip_pgd(None);
-        }
-        CofiKind::DirectJmp | CofiKind::DirectCall | CofiKind::None => {}
+        self.maybe_psb(to, cr3);
+        self.charge_since(before, cost, cycles)
     }
-    u.maybe_psb(to, cr3);
-    (u.enc.bytes_emitted() - before) as f64 * cost.ipt_byte_cycles
+
+    /// Encodes a call, return, indirect jump or far transfer.
+    #[inline(never)]
+    fn encode_packet(&mut self, kind: CofiKind, from: u64, to: u64) {
+        let retc = !self.msrs.ctl.dis_retc();
+        match kind {
+            CofiKind::IndCall | CofiKind::DirectCall if retc => {
+                // Track the call for RET compression.
+                if self.ret_stack.len() == RET_STACK_DEPTH {
+                    self.ret_stack.remove(0);
+                }
+                self.ret_stack.push(from + fg_isa::insn::INSN_SIZE);
+                if kind == CofiKind::IndCall {
+                    self.enc.tip(to);
+                }
+            }
+            CofiKind::Ret if retc => {
+                // Compressed return: a matching target is one taken
+                // TNT bit; a mismatch emits a full TIP.
+                if self.ret_stack.last() == Some(&to) {
+                    self.ret_stack.pop();
+                    self.enc.tnt_bit(true);
+                } else {
+                    self.ret_stack.pop();
+                    self.enc.tip(to);
+                }
+            }
+            CofiKind::IndJmp | CofiKind::IndCall | CofiKind::Ret => self.enc.tip(to),
+            CofiKind::FarTransfer => {
+                self.enc.fup(from);
+                self.enc.tip_pgd(None);
+            }
+            // Encoded inline by `on_cofi`.
+            CofiKind::CondBranch | CofiKind::DirectJmp | CofiKind::DirectCall | CofiKind::None => {}
+        }
+    }
 }
 
 /// Per-core multi-process IPT front-end — the §7.2.4 "configurable multi-CR3
@@ -439,59 +494,66 @@ pub enum TraceUnit {
 }
 
 impl TraceUnit {
-    /// Handles a CoFI event, returning the tracing cost in cycles.
-    ///
-    /// `next_ip` is the address of the next instruction to execute after the
-    /// transfer (used for PSB sync points).
-    pub fn on_cofi(
+    /// Records a CoFI from `from` to `to` (`taken` for a conditional
+    /// branch) and adds its tracing cycles to `cycles`. Returns whether it
+    /// wrote IPT bytes, the only writes that can raise a PMI.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn on_cofi(
         &mut self,
         cost: &CostModel,
+        cycles: &mut f64,
         kind: CofiKind,
         from: u64,
         to: u64,
         taken: bool,
         cr3: u64,
-    ) -> f64 {
+    ) -> bool {
         match self {
-            TraceUnit::Off => 0.0,
-            TraceUnit::Ipt(u) => ipt_on_cofi(u, cost, kind, from, to, taken, cr3),
+            TraceUnit::Off => false,
+            TraceUnit::Ipt(u) => u.on_cofi(cost, cycles, kind, from, to, taken, cr3),
             // The core-level multi-CR3 filter decides admission; the event's
             // CR3 then selects the per-process ToPA buffer.
             TraceUnit::MultiIpt(m) => match m.route_mut(cr3) {
-                Some(u) => ipt_on_cofi(u, cost, kind, from, to, taken, cr3),
-                None => 0.0,
+                Some(u) => u.on_cofi(cost, cycles, kind, from, to, taken, cr3),
+                None => false,
             },
             TraceUnit::Bts(u) => {
-                if kind == CofiKind::None {
-                    return 0.0;
-                }
                 u.record(from, to);
-                cost.bts_record_cycles
+                *cycles += cost.bts_record_cycles;
+                false
             }
             TraceUnit::Lbr(u) => {
                 u.record(kind, from, to);
-                cost.lbr_rotate_cycles
+                *cycles += cost.lbr_rotate_cycles;
+                false
             }
         }
     }
 
-    /// Handles syscall *return* to user mode (TIP.PGE for IPT).
-    pub fn on_syscall_resume(&mut self, cost: &CostModel, resume_ip: u64, cr3: u64) -> f64 {
+    /// Handles syscall *return* to user mode (TIP.PGE for IPT), adding its
+    /// tracing cycles to `cycles`.
+    pub(crate) fn on_syscall_resume(
+        &mut self,
+        cost: &CostModel,
+        cycles: &mut f64,
+        resume_ip: u64,
+        cr3: u64,
+    ) {
         let u = match self {
             TraceUnit::Ipt(u) => u,
             TraceUnit::MultiIpt(m) => match m.route_mut(cr3) {
                 Some(u) => u,
-                None => return 0.0,
+                None => return,
             },
-            _ => return 0.0,
+            _ => return,
         };
-        if !u.active(true, cr3) {
-            return 0.0;
+        if u.traces(cr3) {
+            let before = u.enc.bytes_emitted();
+            u.enc.tip_pge(resume_ip);
+            u.maybe_psb(resume_ip, cr3);
+            u.charge_since(before, cost, cycles);
         }
-        let before = u.enc.bytes_emitted();
-        u.enc.tip_pge(resume_ip);
-        u.maybe_psb(resume_ip, cr3);
-        (u.enc.bytes_emitted() - before) as f64 * cost.ipt_byte_cycles
     }
 
     /// The IPT unit, if that is what is configured. For a multi-CR3 unit
@@ -539,6 +601,28 @@ mod tests {
     use super::*;
     use fg_ipt::fast;
 
+    /// [`TraceUnit::on_cofi`], returning the cycles it charged.
+    fn cofi(
+        t: &mut TraceUnit,
+        cost: &CostModel,
+        kind: CofiKind,
+        from: u64,
+        to: u64,
+        taken: bool,
+        cr3: u64,
+    ) -> f64 {
+        let mut cycles = 0.0;
+        t.on_cofi(cost, &mut cycles, kind, from, to, taken, cr3);
+        cycles
+    }
+
+    /// [`TraceUnit::on_syscall_resume`], returning the cycles it charged.
+    fn resume(t: &mut TraceUnit, cost: &CostModel, resume_ip: u64, cr3: u64) -> f64 {
+        let mut cycles = 0.0;
+        t.on_syscall_resume(cost, &mut cycles, resume_ip, cr3);
+        cycles
+    }
+
     fn ipt_unit(cr3: u64) -> TraceUnit {
         TraceUnit::Ipt(IptUnit::flowguard(cr3, Topa::two_regions(8192).unwrap()))
     }
@@ -549,12 +633,12 @@ mod tests {
         let mut t = ipt_unit(0x1000);
         t.as_ipt_mut().unwrap().start(0x40_0000, 0x1000);
         // direct call: no output
-        let c0 = t.on_cofi(&cost, CofiKind::DirectCall, 0x40_0000, 0x40_0100, false, 0x1000);
+        let c0 = cofi(&mut t, &cost, CofiKind::DirectCall, 0x40_0000, 0x40_0100, false, 0x1000);
         assert_eq!(c0, 0.0);
         // conditional: TNT bit (buffered, zero bytes until flush)
-        t.on_cofi(&cost, CofiKind::CondBranch, 0x40_0100, 0x40_0110, true, 0x1000);
+        cofi(&mut t, &cost, CofiKind::CondBranch, 0x40_0100, 0x40_0110, true, 0x1000);
         // indirect: TIP
-        let c2 = t.on_cofi(&cost, CofiKind::IndCall, 0x40_0110, 0x50_0000, false, 0x1000);
+        let c2 = cofi(&mut t, &cost, CofiKind::IndCall, 0x40_0110, 0x50_0000, false, 0x1000);
         assert!(c2 > 0.0);
         let bytes = t.as_ipt().unwrap().trace_bytes();
         let scan = fast::scan(&bytes).unwrap();
@@ -569,7 +653,7 @@ mod tests {
         let mut t = ipt_unit(0x1000);
         t.as_ipt_mut().unwrap().start(0x40_0000, 0x1000);
         for i in 0..40u64 {
-            t.on_cofi(&cost, CofiKind::IndCall, 0x40_0110 + i, 0x50_0000 + 8 * i, false, 0x1000);
+            cofi(&mut t, &cost, CofiKind::IndCall, 0x40_0110 + i, 0x50_0000 + 8 * i, false, 0x1000);
         }
         let u = t.as_ipt().unwrap();
         // The segmented view concatenates to the linearised bytes, scans
@@ -598,11 +682,11 @@ mod tests {
         msrs.ctl.set_addr0_filter(true);
         let mut t = TraceUnit::Ipt(IptUnit::with_msrs(msrs, Topa::two_regions(8192).unwrap()));
         // In range: traced.
-        let c1 = t.on_cofi(&cost, CofiKind::IndJmp, 0x40_0100, 0x50_0000, false, 0x1000);
+        let c1 = cofi(&mut t, &cost, CofiKind::IndJmp, 0x40_0100, 0x50_0000, false, 0x1000);
         assert!(c1 > 0.0);
         // Source outside the range: suppressed.
         let before = t.as_ipt().unwrap().bytes_emitted();
-        let c2 = t.on_cofi(&cost, CofiKind::IndJmp, 0x1000_0000, 0x40_0000, false, 0x1000);
+        let c2 = cofi(&mut t, &cost, CofiKind::IndJmp, 0x1000_0000, 0x40_0000, false, 0x1000);
         assert_eq!(c2, 0.0);
         assert_eq!(t.as_ipt().unwrap().bytes_emitted(), before);
     }
@@ -611,9 +695,23 @@ mod tests {
     fn ipt_cr3_filter_suppresses_other_processes() {
         let cost = CostModel::calibrated();
         let mut t = ipt_unit(0x1000);
-        let c = t.on_cofi(&cost, CofiKind::IndJmp, 0x40_0000, 0x50_0000, false, 0x2000);
+        let c = cofi(&mut t, &cost, CofiKind::IndJmp, 0x40_0000, 0x50_0000, false, 0x2000);
         assert_eq!(c, 0.0);
         assert_eq!(t.as_ipt().unwrap().bytes_emitted(), 0);
+    }
+
+    #[test]
+    fn ipt_admission_follows_the_cr3() {
+        // The admission decision is cached per CR3: switching away and back
+        // must re-decide it both times.
+        let cost = CostModel::calibrated();
+        let mut t = ipt_unit(0x1000);
+        for (cr3, traced) in [(0x1000, true), (0x2000, false), (0x1000, true), (0x2000, false)] {
+            let before = t.as_ipt().unwrap().bytes_emitted();
+            cofi(&mut t, &cost, CofiKind::IndJmp, 0x40_0000, 0x50_0000, false, cr3);
+            assert_eq!(t.as_ipt().unwrap().bytes_emitted() > before, traced, "cr3 {cr3:#x}");
+            assert_eq!(resume(&mut t, &cost, 0x40_0008, cr3) > 0.0, traced, "cr3 {cr3:#x}");
+        }
     }
 
     #[test]
@@ -621,8 +719,8 @@ mod tests {
         let cost = CostModel::calibrated();
         let mut t = ipt_unit(0x1000);
         t.as_ipt_mut().unwrap().start(0x40_0000, 0x1000);
-        t.on_cofi(&cost, CofiKind::FarTransfer, 0x40_0010, 0, false, 0x1000);
-        t.on_syscall_resume(&cost, 0x40_0018, 0x1000);
+        cofi(&mut t, &cost, CofiKind::FarTransfer, 0x40_0010, 0, false, 0x1000);
+        resume(&mut t, &cost, 0x40_0018, 0x1000);
         let bytes = t.as_ipt().unwrap().trace_bytes();
         let scan = fast::scan(&bytes).unwrap();
         use fg_ipt::fast::Boundary;
@@ -641,7 +739,15 @@ mod tests {
         u.set_psb_period(64);
         u.start(0x40_0000, 0x1000);
         for i in 0..100u64 {
-            t.on_cofi(&cost, CofiKind::IndJmp, 0x40_0000 + i * 8, 0x50_0000 + i * 8, false, 0x1000);
+            cofi(
+                &mut t,
+                &cost,
+                CofiKind::IndJmp,
+                0x40_0000 + i * 8,
+                0x50_0000 + i * 8,
+                false,
+                0x1000,
+            );
         }
         let bytes = t.as_ipt().unwrap().trace_bytes();
         let psbs = fg_ipt::PacketParser::psb_offsets(&bytes);
@@ -678,11 +784,11 @@ mod tests {
     fn multi_cr3_routes_by_event_cr3_and_filters_strangers() {
         let cost = CostModel::calibrated();
         let mut t = multi_unit(&[0x4000, 0x5000]);
-        let c1 = t.on_cofi(&cost, CofiKind::IndJmp, 0x40_0100, 0x50_0000, false, 0x4000);
-        let c2 = t.on_cofi(&cost, CofiKind::IndJmp, 0x40_0200, 0x50_0008, false, 0x5000);
+        let c1 = cofi(&mut t, &cost, CofiKind::IndJmp, 0x40_0100, 0x50_0000, false, 0x4000);
+        let c2 = cofi(&mut t, &cost, CofiKind::IndJmp, 0x40_0200, 0x50_0008, false, 0x5000);
         assert!(c1 > 0.0 && c2 > 0.0);
         // A CR3 outside the filter set produces nothing.
-        let c3 = t.on_cofi(&cost, CofiKind::IndJmp, 0x40_0300, 0x50_0010, false, 0x6000);
+        let c3 = cofi(&mut t, &cost, CofiKind::IndJmp, 0x40_0300, 0x50_0010, false, 0x6000);
         assert_eq!(c3, 0.0);
         let m = t.as_multi_ipt().unwrap();
         let scan_a = fast::scan(&m.unit(0x4000).unwrap().trace_bytes()).unwrap();
@@ -700,12 +806,12 @@ mod tests {
         let m = t.as_multi_ipt_mut().unwrap();
         assert!(m.restrict_to(0x4000) && m.set_current(0x5000));
         let before = m.unit(0x5000).unwrap().bytes_emitted();
-        assert_eq!(t.on_cofi(&cost, CofiKind::IndJmp, 0x40_0100, 0x50_0000, false, 0x5000), 0.0);
-        assert_eq!(t.on_syscall_resume(&cost, 0x40_0108, 0x5000), 0.0);
+        assert_eq!(cofi(&mut t, &cost, CofiKind::IndJmp, 0x40_0100, 0x50_0000, false, 0x5000), 0.0);
+        assert_eq!(resume(&mut t, &cost, 0x40_0108, 0x5000), 0.0);
         let m = t.as_multi_ipt_mut().unwrap();
         assert_eq!(m.unit(0x5000).unwrap().bytes_emitted(), before);
         // The restricted CR3 is traced, though not selected.
-        assert!(t.on_cofi(&cost, CofiKind::IndJmp, 0x40_0100, 0x50_0000, false, 0x4000) > 0.0);
+        assert!(cofi(&mut t, &cost, CofiKind::IndJmp, 0x40_0100, 0x50_0000, false, 0x4000) > 0.0);
     }
 
     #[test]
@@ -726,13 +832,14 @@ mod tests {
             (CofiKind::IndJmp, 0x40_0118, 0x42_0000, false),
         ];
         for (i, &(kind, from, to, taken)) in events.iter().enumerate() {
-            solo.on_cofi(&cost, kind, from, to, taken, 0x4000);
+            cofi(&mut solo, &cost, kind, from, to, taken, 0x4000);
             fleet.as_multi_ipt_mut().unwrap().set_current(0x4000);
-            fleet.on_cofi(&cost, kind, from, to, taken, 0x4000);
+            cofi(&mut fleet, &cost, kind, from, to, taken, 0x4000);
             // Interleave a context switch + stranger activity between every
             // event of the process under test.
             fleet.as_multi_ipt_mut().unwrap().set_current(0x5000);
-            fleet.on_cofi(
+            cofi(
+                &mut fleet,
                 &cost,
                 CofiKind::IndJmp,
                 0x43_0000 + i as u64 * 8,
@@ -755,8 +862,8 @@ mod tests {
     fn bts_records_everything_at_high_cost() {
         let cost = CostModel::calibrated();
         let mut t = TraceUnit::Bts(BtsUnit::new(1024));
-        let c1 = t.on_cofi(&cost, CofiKind::DirectJmp, 1, 2, false, 0);
-        let c2 = t.on_cofi(&cost, CofiKind::CondBranch, 3, 4, true, 0);
+        let c1 = cofi(&mut t, &cost, CofiKind::DirectJmp, 1, 2, false, 0);
+        let c2 = cofi(&mut t, &cost, CofiKind::CondBranch, 3, 4, true, 0);
         assert_eq!(c1, cost.bts_record_cycles);
         assert_eq!(c2, cost.bts_record_cycles);
         if let TraceUnit::Bts(u) = &t {
@@ -782,7 +889,7 @@ mod tests {
     fn zero_capacity_bts_retains_nothing() {
         let cost = CostModel::calibrated();
         let mut t = TraceUnit::Bts(BtsUnit::new(0));
-        let c = t.on_cofi(&cost, CofiKind::IndJmp, 1, 2, false, 0);
+        let c = cofi(&mut t, &cost, CofiKind::IndJmp, 1, 2, false, 0);
         assert_eq!(c, cost.bts_record_cycles, "the store is still charged");
         let TraceUnit::Bts(u) = &t else { unreachable!() };
         assert!(u.records().is_empty());
@@ -793,10 +900,10 @@ mod tests {
     fn lbr_filters_and_rotates() {
         let cost = CostModel::calibrated();
         let mut t = TraceUnit::Lbr(LbrUnit::new(16, LbrFilter::indirect_only()));
-        let c = t.on_cofi(&cost, CofiKind::CondBranch, 1, 2, true, 0);
+        let c = cofi(&mut t, &cost, CofiKind::CondBranch, 1, 2, true, 0);
         assert_eq!(c, 0.0);
-        t.on_cofi(&cost, CofiKind::Ret, 3, 4, false, 0);
-        t.on_cofi(&cost, CofiKind::DirectCall, 5, 6, false, 0);
+        cofi(&mut t, &cost, CofiKind::Ret, 3, 4, false, 0);
+        cofi(&mut t, &cost, CofiKind::DirectCall, 5, 6, false, 0);
         if let TraceUnit::Lbr(u) = &t {
             assert_eq!(u.stack().len(), 1, "only the ret admitted");
             assert_eq!(u.depth(), 16);
@@ -819,7 +926,7 @@ mod tests {
     fn off_unit_is_free() {
         let cost = CostModel::calibrated();
         let mut t = TraceUnit::Off;
-        assert_eq!(t.on_cofi(&cost, CofiKind::IndJmp, 1, 2, false, 0), 0.0);
+        assert_eq!(cofi(&mut t, &cost, CofiKind::IndJmp, 1, 2, false, 0), 0.0);
         assert!(t.as_ipt().is_none());
     }
 }

@@ -2,10 +2,10 @@
 //! every mapped segment, and around each, `AddressSpace::fetch_insn`
 //! returns exactly what `fetch` followed by `Insn::decode` returns — the
 //! same instruction, the same decode error, or the same `MemFault` variant
-//! and address.
+//! and address. A machine reaching an undecodable word stops on it.
 
 use fg_cpu::mem::{HEAP_BASE, HEAP_SIZE, STACK_SIZE, STACK_TOP};
-use fg_cpu::AddressSpace;
+use fg_cpu::{AddressSpace, Machine, NullKernel, StopReason};
 use fg_isa::asm::Asm;
 use fg_isa::image::{Image, Linker};
 use fg_isa::insn::Insn;
@@ -60,24 +60,57 @@ fn predecoded_fetch_matches_fetch_then_decode() {
     check_all(&fg_workloads::nginx().image);
 }
 
-#[test]
-fn undecodable_code_words_fall_back_to_decode_errors() {
-    // Linked code always decodes, so damage the image: the first word's
-    // opcode becomes 0xff, an invalid encoding.
+/// `n` nops, then `halt; nop; halt` with the first `halt` damaged into an
+/// undecodable word (opcode 0xff). Linked code always decodes, so the
+/// damage is done to the serialised image.
+fn image_with_bad_word(n: usize) -> Image {
     let mut a = Asm::new("app");
     a.export("main");
     a.label("main");
+    for _ in 0..n {
+        a.nop();
+    }
     a.halt();
     a.nop();
     a.halt();
     let image = Linker::new(a.finish().expect("assembles")).link().expect("links");
     let text = serde_json::to_string(&image).expect("serialises");
-    let damaged = text.replacen("\"bytes\":[1,0,0,0,0,0,0,0,", "\"bytes\":[255,0,0,0,0,0,0,0,", 1);
-    assert_ne!(damaged, text, "the first code word is `halt`");
-    let image: Image = serde_json::from_str(&damaged).expect("deserialises");
+    let nops = "0,".repeat(8 * n);
+    let damaged = text.replacen(
+        &format!("\"bytes\":[{nops}1,0,0,0,0,0,0,0,"),
+        &format!("\"bytes\":[{nops}255,0,0,0,0,0,0,0,"),
+        1,
+    );
+    assert_ne!(damaged, text, "the code starts with {n} nops and a `halt`");
+    serde_json::from_str(&damaged).expect("deserialises")
+}
+
+#[test]
+fn undecodable_code_words_fall_back_to_decode_errors() {
+    let image = image_with_bad_word(0);
     let main = image.entry();
     let (space, _) = space_and_ranges(&image);
     assert!(matches!(space.fetch_insn(main), Ok(Err(e)) if e.opcode == 0xff));
     assert_eq!(space.fetch_insn(main + 8), Ok(Ok(Insn::Nop)));
     check_all(&image);
+}
+
+#[test]
+fn run_stops_at_an_undecodable_word() {
+    // `nop; nop; <0xff word>`: the two nops retire and are charged, then
+    // the run stops on the damaged word, in one call or one instruction
+    // per call.
+    let image = image_with_bad_word(2);
+    let main = image.entry();
+    let bad = StopReason::BadInsn { pc: main + 16 };
+    let mut whole = Machine::new(&image, 0x1000);
+    assert_eq!(whole.run(&mut NullKernel, 100), bad);
+    let mut split = Machine::new(&image, 0x1000);
+    let stops: Vec<StopReason> = (0..4).map(|_| split.run(&mut NullKernel, 1)).collect();
+    assert_eq!(stops, [StopReason::InsnLimit, StopReason::InsnLimit, bad, bad]);
+    for m in [&whole, &split] {
+        assert_eq!(m.insns_retired, 2);
+        assert_eq!(m.account.exec.to_bits(), 2.0f64.to_bits());
+        assert_eq!(m.cpu.pc, main + 16);
+    }
 }
