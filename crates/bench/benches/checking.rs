@@ -6,8 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fg_cfg::{ItcCfg, OCfg};
 use fg_cpu::{CostModel, IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
-use flowguard::FlowGuardConfig;
-use std::collections::HashSet;
+use flowguard::{FlowGuardConfig, SlowPathCache};
 
 struct Setup {
     w: fg_workloads::Workload,
@@ -59,7 +58,7 @@ fn bench_edge_lookup(c: &mut Criterion) {
 fn bench_paths(c: &mut Criterion) {
     let s = setup();
     let cfg = FlowGuardConfig::default();
-    let cache = HashSet::new();
+    let cache = SlowPathCache::default();
     let cost = CostModel::calibrated();
     c.bench_function("fast_path_window", |b| {
         b.iter(|| {

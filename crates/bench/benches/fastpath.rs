@@ -7,8 +7,8 @@ use fg_cfg::{EdgeIdx, ItcCfg, OCfg};
 use fg_cpu::{CostModel, IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
 use fg_ipt::{fast, IncrementalScanner};
-use flowguard::{fastpath, CheckScratch, FlowGuardConfig};
-use std::collections::{BTreeMap, HashSet};
+use flowguard::{fastpath, CheckScratch, FlowGuardConfig, SlowPathCache};
+use std::collections::BTreeMap;
 
 struct Setup {
     w: fg_workloads::Workload,
@@ -79,7 +79,7 @@ fn bench_edge_lookup(c: &mut Criterion) {
 fn bench_check(c: &mut Criterion) {
     let s = setup();
     let cfg = FlowGuardConfig::default();
-    let cache = HashSet::new();
+    let cache = SlowPathCache::default();
     let cost = CostModel::calibrated();
     let mut scratch = CheckScratch::new(&s.w.image);
     c.bench_function("fastpath_check_scratch", |b| {

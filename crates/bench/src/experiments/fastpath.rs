@@ -18,9 +18,9 @@ use fg_ipt::topa::Topa;
 use fg_ipt::{fast, IncrementalScanner};
 use fg_trace::HistogramSnapshot;
 use flowguard::reference::ColdWindowTally;
-use flowguard::{fastpath, CheckScratch, FlowGuardConfig};
+use flowguard::{fastpath, CheckScratch, FlowGuardConfig, SlowPathCache};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::atomic::Ordering;
 
@@ -158,7 +158,7 @@ pub fn timed(b: &mut FastpathBench) {
 
     // The windowed check with persistent scratch (the engine's hot loop).
     let cfg = FlowGuardConfig::default();
-    let cache = HashSet::new();
+    let cache = SlowPathCache::default();
     let cost = CostModel::calibrated();
     let mut scratch = CheckScratch::new(&s.image);
     let mut pairs_checked = 0usize;

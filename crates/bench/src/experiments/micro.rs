@@ -5,8 +5,7 @@ use crate::table::{fmt, Table};
 use fg_cfg::OCfg;
 use fg_cpu::CostModel;
 use fg_ipt::fast;
-use flowguard::{slowpath, FlowGuardConfig};
-use std::collections::HashSet;
+use flowguard::{slowpath, FlowGuardConfig, SlowPathCache};
 use std::time::Instant;
 
 /// The comparison result.
@@ -85,7 +84,7 @@ pub fn run() -> MicroResult {
 
     let cfg =
         FlowGuardConfig { pkt_count: 100, require_module_stride: false, ..Default::default() };
-    let cache = HashSet::new();
+    let cache = SlowPathCache::default();
 
     // Fast path: simulated + wall clock (averaged over repeats).
     const REPS: u32 = 200;

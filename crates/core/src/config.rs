@@ -1,7 +1,9 @@
 //! FlowGuard runtime configuration (§7.1.1's `pkt_count` and `cred_ratio`).
 
+use fg_ipt::topa::TopaRegion;
 use fg_kernel::SensitiveSet;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -99,15 +101,58 @@ impl Default for FlowGuardConfig {
     }
 }
 
+/// The largest `pkt_count` [`FlowGuardConfig::validate`] accepts: the
+/// engine sizes its windows as multiples of it — the drain budget (×24),
+/// the module-stride reach (×4), the retained scan (×8) and the slow-path
+/// window (×110) — and every product must fit in a `usize`.
+pub const MAX_PKT_COUNT: usize = usize::MAX / 110;
+
+/// A configuration value the engine cannot run with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// `cred_ratio` is outside `[0, 1]`.
+    CredRatio(f64),
+    /// `pkt_count` is zero or above [`MAX_PKT_COUNT`].
+    PktCount(usize),
+    /// `topa_region_bytes` is not a ToPA region size
+    /// ([`fg_ipt::topa::TopaRegion::valid_size`]).
+    TopaRegionBytes(usize),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::CredRatio(r) => write!(f, "cred_ratio must be within [0,1], got {r}"),
+            ConfigError::PktCount(n) => {
+                write!(f, "pkt_count must be within [1,{MAX_PKT_COUNT}], got {n}")
+            }
+            ConfigError::TopaRegionBytes(n) => {
+                write!(f, "topa_region_bytes must be a power of two of at least 4096, got {n}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl FlowGuardConfig {
     /// Validates parameter ranges.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cred_ratio` is outside `[0, 1]` or `pkt_count` is zero.
-    pub fn validate(&self) {
-        assert!((0.0..=1.0).contains(&self.cred_ratio), "cred_ratio must be within [0,1]");
-        assert!(self.pkt_count > 0, "pkt_count must be positive");
+    /// Returns the first field, in declaration order, whose value the
+    /// engine cannot run with.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(0.0..=1.0).contains(&self.cred_ratio) {
+            return Err(ConfigError::CredRatio(self.cred_ratio));
+        }
+        if !(1..=MAX_PKT_COUNT).contains(&self.pkt_count) {
+            return Err(ConfigError::PktCount(self.pkt_count));
+        }
+        if !TopaRegion::valid_size(self.topa_region_bytes) {
+            return Err(ConfigError::TopaRegionBytes(self.topa_region_bytes));
+        }
+        Ok(())
     }
 }
 
@@ -126,18 +171,58 @@ mod tests {
         assert!(!c.streaming, "streaming is opt-in; the paper's checks consume at endpoints");
         assert!(c.telemetry);
         assert!(c.profile_spans, "span attribution rides on telemetry by default");
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "cred_ratio")]
     fn bad_ratio_rejected() {
-        FlowGuardConfig { cred_ratio: 1.2, ..Default::default() }.validate();
+        let c = FlowGuardConfig { cred_ratio: 1.2, ..Default::default() };
+        assert_eq!(c.validate(), Err(ConfigError::CredRatio(1.2)));
     }
 
     #[test]
-    #[should_panic(expected = "pkt_count")]
     fn zero_pkt_count_rejected() {
-        FlowGuardConfig { pkt_count: 0, ..Default::default() }.validate();
+        let c = FlowGuardConfig { pkt_count: 0, ..Default::default() };
+        assert_eq!(c.validate(), Err(ConfigError::PktCount(0)));
+    }
+
+    /// One row per validated field: a refused value with its error, and
+    /// the accepted value at the edge of the range.
+    #[test]
+    fn each_field_has_its_error() {
+        let d = FlowGuardConfig::default;
+        let rows: [(FlowGuardConfig, Result<(), ConfigError>); 9] = [
+            (FlowGuardConfig { cred_ratio: -0.1, ..d() }, Err(ConfigError::CredRatio(-0.1))),
+            (FlowGuardConfig { cred_ratio: 0.0, ..d() }, Ok(())),
+            (
+                FlowGuardConfig { pkt_count: usize::MAX / 16, ..d() },
+                Err(ConfigError::PktCount(usize::MAX / 16)),
+            ),
+            (
+                FlowGuardConfig { pkt_count: MAX_PKT_COUNT + 1, ..d() },
+                Err(ConfigError::PktCount(MAX_PKT_COUNT + 1)),
+            ),
+            (FlowGuardConfig { pkt_count: MAX_PKT_COUNT, ..d() }, Ok(())),
+            (
+                FlowGuardConfig { topa_region_bytes: 100, ..d() },
+                Err(ConfigError::TopaRegionBytes(100)),
+            ),
+            (
+                FlowGuardConfig { topa_region_bytes: 6144, ..d() },
+                Err(ConfigError::TopaRegionBytes(6144)),
+            ),
+            (
+                FlowGuardConfig { topa_region_bytes: 2048, ..d() },
+                Err(ConfigError::TopaRegionBytes(2048)),
+            ),
+            (FlowGuardConfig { topa_region_bytes: 4096, ..d() }, Ok(())),
+        ];
+        for (c, want) in rows {
+            assert_eq!(c.validate(), want, "{c:?}");
+        }
+        let nan = FlowGuardConfig { cred_ratio: f64::NAN, ..d() };
+        assert!(matches!(nan.validate(), Err(ConfigError::CredRatio(r)) if r.is_nan()));
+        // Every product the engine forms from the largest accepted count fits.
+        assert!(MAX_PKT_COUNT.checked_mul(110).is_some());
     }
 }

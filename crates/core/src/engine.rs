@@ -11,12 +11,12 @@
 //! [`EngineStats`] struct survives as its on-demand snapshot form.
 
 use crate::config::FlowGuardConfig;
-use crate::fastpath::{self, CheckScratch, FastVerdict, Violation};
+use crate::fastpath::{self, CheckScratch, FastVerdict, SlowPathCache, Violation};
 use crate::slowpath::{self, SlowVerdict, SlowViolation};
 use crate::telemetry::{
     render_packets, CheckEvent, CheckVerdict, EngineTelemetry, FLIGHT_WINDOW_BYTES, PMI_SYSNO,
 };
-use fg_cfg::{EdgeIdx, EntryBitset, ItcCfg, OCfg};
+use fg_cfg::{EntryBitset, ItcCfg, OCfg};
 use fg_cpu::cost::CostModel;
 use fg_cpu::machine::SyscallCtx;
 use fg_ipt::topa::Topa;
@@ -24,7 +24,6 @@ use fg_ipt::StreamConsumer;
 use fg_isa::image::Image;
 use fg_kernel::{InterceptVerdict, SyscallInterceptor, Sysno, SIGKILL};
 use fg_trace::PhaseSpan;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A recorded violation.
@@ -121,7 +120,9 @@ pub struct FlowGuardEngine {
     cfg: FlowGuardConfig,
     cost: CostModel,
     cr3: u64,
-    cache: HashSet<EdgeIdx>,
+    /// Edges the slow path found conformant (§7.1.1), credited by later
+    /// fast-path checks.
+    cache: SlowPathCache,
     /// The one trace consumer. Every check drains the residue written
     /// since the previous drain (at most one window); with
     /// [`FlowGuardConfig::streaming`] on, trace-poll slots and region-fill
@@ -151,6 +152,11 @@ impl std::fmt::Debug for FlowGuardEngine {
 
 impl FlowGuardEngine {
     /// Creates an engine protecting the process with page table `cr3`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`](crate::config::ConfigError) message
+    /// when `cfg` does not validate.
     pub fn new(
         image: Image,
         ocfg: Arc<OCfg>,
@@ -158,7 +164,9 @@ impl FlowGuardEngine {
         cfg: FlowGuardConfig,
         cr3: u64,
     ) -> FlowGuardEngine {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid FlowGuardConfig: {e}");
+        }
         let cost = CostModel::calibrated();
         let stats = Arc::new(EngineTelemetry::with_spans(
             cfg.telemetry,
@@ -180,7 +188,7 @@ impl FlowGuardEngine {
             cfg,
             cost,
             cr3,
-            cache: HashSet::new(),
+            cache: SlowPathCache::default(),
             stream,
             drained_at_last_check: 0,
             slow_scratch,
@@ -815,6 +823,29 @@ mod tests {
         let ts = stats.telemetry_snapshot();
         assert!(ts.checks > 0, "telemetry itself stays on");
         assert_eq!(ts.spans.records, 0, "no spans with profiling off");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid FlowGuardConfig: topa_region_bytes")]
+    fn engine_refuses_an_invalid_config() {
+        let w = fg_workloads::nginx_patched();
+        let ocfg = Arc::new(OCfg::build(&w.image));
+        let itc = ItcCfg::build(&ocfg);
+        let cfg = FlowGuardConfig { topa_region_bytes: 100, ..Default::default() };
+        let _ = FlowGuardEngine::new(w.image.clone(), ocfg, itc, cfg, 0x4000);
+    }
+
+    /// The largest accepted window runs its checks without overflowing a
+    /// window product (debug builds panic on overflow).
+    #[test]
+    fn largest_pkt_count_checks_without_overflow() {
+        let w = fg_workloads::nginx_patched();
+        let (itc, ocfg) = trained_deployment(&w);
+        let cfg = FlowGuardConfig { pkt_count: crate::config::MAX_PKT_COUNT, ..Default::default() };
+        let (stop, stats, k) = protected_run(&w, itc, ocfg, &w.default_input, cfg);
+        assert_eq!(stop, StopReason::Exited(0));
+        assert!(!k.violated());
+        assert!(stats.snapshot().checks > 0);
     }
 
     #[test]

@@ -12,13 +12,60 @@ use fg_cfg::{Credit, EdgeIdx, EntryBitset, ItcCfg};
 use fg_ipt::fast::{Boundary, FastScan};
 use fg_isa::image::{Image, ModuleKind};
 use fg_trace::{PhaseSpan, SpanProfiler};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Direct-mapped cache slots for `(from, to) → edge` resolutions. Credited
 /// edges repeat heavily (the same handlers are dispatched over and over),
 /// so even a small cache short-circuits most CSR probes.
 const EDGE_CACHE_SLOTS: usize = 512;
+
+/// The slow-path result cache (§7.1.1): the ITC edges a slow-path check
+/// found conformant, which the fast path then treats as high-credit. A
+/// bitset over the ITC's dense edge indices, so a probe is one bit read.
+#[derive(Debug, Clone, Default)]
+pub struct SlowPathCache {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl SlowPathCache {
+    /// Whether edge `e` is cached.
+    #[inline]
+    pub fn contains(&self, e: EdgeIdx) -> bool {
+        self.words.get(e / 64).is_some_and(|w| w >> (e % 64) & 1 == 1)
+    }
+
+    /// Caches edge `e`; returns whether it was new. The bitset grows to
+    /// the highest edge inserted, so an empty cache holds no memory.
+    pub fn insert(&mut self, e: EdgeIdx) -> bool {
+        if e / 64 >= self.words.len() {
+            self.words.resize(e / 64 + 1, 0);
+        }
+        let (word, bit) = (&mut self.words[e / 64], 1u64 << (e % 64));
+        let new = *word & bit == 0;
+        *word |= bit;
+        self.len += usize::from(new);
+        new
+    }
+
+    /// Number of cached edges.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no edge is cached.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl Extend<EdgeIdx> for SlowPathCache {
+    fn extend<I: IntoIterator<Item = EdgeIdx>>(&mut self, edges: I) {
+        for e in edges {
+            self.insert(e);
+        }
+    }
+}
 
 /// Reusable per-process scratch for the fast path: precomputed sorted
 /// module ranges (replacing a linear module scan per TIP) and a
@@ -35,7 +82,8 @@ pub struct CheckScratch {
     /// Direct-mapped `(from, to, edge)`; `from == u64::MAX` marks empty.
     edge_cache: Vec<(u64, u64, EdgeIdx)>,
     /// Per-module stamp used to count distinct modules in a window without
-    /// allocating (stamp == current generation ⇒ seen this pass).
+    /// allocating (stamp == current generation ⇒ seen this pass; 0 is
+    /// never a generation).
     module_stamp: Vec<u32>,
     stamp_gen: u32,
     /// Edge-cache hits (for BENCH_fastpath.json).
@@ -45,6 +93,13 @@ pub struct CheckScratch {
     /// Optional span profiler: when set, every check records
     /// tier-0/edge/verdict phase spans with the modeled cycle split.
     spans: Option<Arc<SpanProfiler>>,
+}
+
+/// What one module-stride pass has seen so far.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stride {
+    distinct: usize,
+    exec: bool,
 }
 
 impl CheckScratch {
@@ -81,6 +136,36 @@ impl CheckScratch {
         let i = self.module_ranges.partition_point(|&(base, ..)| base <= va).checked_sub(1)?;
         let (_, end, id, is_exec) = self.module_ranges[i];
         (va < end).then_some((id, is_exec))
+    }
+
+    /// Starts a module-stride pass: no module is seen yet. The stamps are
+    /// cleared when the generation wraps, since 0 is what a never-seen
+    /// module holds.
+    fn new_stride(&mut self) -> Stride {
+        self.stamp_gen = self.stamp_gen.wrapping_add(1);
+        if self.stamp_gen == 0 {
+            self.module_stamp.fill(0);
+            self.stamp_gen = 1;
+        }
+        Stride::default()
+    }
+
+    /// Adds the modules of `tips` to the pass, returning as soon as it has
+    /// seen two distinct modules, one of them the executable.
+    fn stride_reached(&mut self, stride: &mut Stride, tips: &[u64]) -> bool {
+        for &ip in tips {
+            if let Some((m, is_exec)) = self.module_of(ip) {
+                if self.module_stamp[m as usize] != self.stamp_gen {
+                    self.module_stamp[m as usize] = self.stamp_gen;
+                    stride.distinct += 1;
+                    stride.exec |= is_exec;
+                    if stride.exec && stride.distinct >= 2 {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
     }
 
     /// Resolves `from → to` through the direct-mapped cache.
@@ -214,7 +299,7 @@ fn finish(
 /// [`check_windowed`].
 pub fn check(
     itc: &ItcCfg,
-    cache: &HashSet<EdgeIdx>,
+    cache: &SlowPathCache,
     image: &Image,
     scan: &FastScan,
     cfg: &FlowGuardConfig,
@@ -254,7 +339,7 @@ pub fn check(
 #[allow(clippy::too_many_arguments)]
 pub fn check_windowed(
     itc: &ItcCfg,
-    cache: &HashSet<EdgeIdx>,
+    cache: &SlowPathCache,
     scratch: &mut CheckScratch,
     scan: &FastScan,
     cfg: &FlowGuardConfig,
@@ -264,8 +349,6 @@ pub fn check_windowed(
     first_tnt_truncated: bool,
     tier0: Option<&EntryBitset>,
 ) -> FastPathResult {
-    let spans = scratch.spans.clone();
-    let spans = spans.as_deref();
     let mut tier0_hits = 0u64;
     let mut tier0_misses = 0u64;
     let tips = scan.tip_ips();
@@ -277,33 +360,22 @@ pub fn check_windowed(
             tier0_hits,
             tier0_misses,
             edge_check_cycles,
-            spans,
+            scratch.spans.as_deref(),
         );
     }
 
     // --- window selection -------------------------------------------------
     let mut start = tips.len().saturating_sub(pkt_count);
     if require_module_stride {
-        let satisfies = |scratch: &mut CheckScratch, s: usize| {
-            let mut exec = false;
-            let mut distinct = 0usize;
-            scratch.stamp_gen = scratch.stamp_gen.wrapping_add(1);
-            for &ip in &tips[s..] {
-                if let Some((m, is_exec)) = scratch.module_of(ip) {
-                    if scratch.module_stamp[m as usize] != scratch.stamp_gen {
-                        scratch.module_stamp[m as usize] = scratch.stamp_gen;
-                        distinct += 1;
-                        exec |= is_exec;
-                    }
-                }
-            }
-            exec && distinct >= 2
-        };
         // Widen while unsatisfied, but boundedly (the ToPA buffer itself
         // bounds how far back the implementation can reach): at most 4x the
-        // configured window.
+        // configured window. The rule only gets easier as the window grows,
+        // so each step adds just the modules of the TIPs it brings in.
         let floor = tips.len().saturating_sub(pkt_count * 4);
-        while start > floor && !satisfies(scratch, start) {
+        let mut stride = scratch.new_stride();
+        let mut seen_from = tips.len();
+        while start > floor && !scratch.stride_reached(&mut stride, &tips[start..seen_from]) {
+            seen_from = start;
             start = start.saturating_sub(8).max(floor);
         }
     }
@@ -311,9 +383,10 @@ pub fn check_windowed(
     // --- pair checking ----------------------------------------------------
     // TIP indices whose predecessor is *not* consecutive (buffer seams,
     // packet loss): pairs crossing them are unjudgeable and skipped. The
-    // boundary list is sorted by TIP index, so membership is a cursor walk.
-    let mut breaks = scan
-        .boundaries
+    // boundary list is sorted by TIP index, so membership is a cursor walk
+    // that starts at the window's first pair.
+    let in_window = scan.boundaries.partition_point(|&(i, _)| i <= start);
+    let mut breaks = scan.boundaries[in_window..]
         .iter()
         .filter(|(_, b)| matches!(b, Boundary::Overflow | Boundary::Resync))
         .map(|&(i, _)| i)
@@ -350,7 +423,7 @@ pub fn check_windowed(
                     tier0_hits,
                     tier0_misses,
                     edge_check_cycles,
-                    spans,
+                    scratch.spans.as_deref(),
                 );
             }
         }
@@ -362,7 +435,7 @@ pub fn check_windowed(
                 tier0_hits,
                 tier0_misses,
                 edge_check_cycles,
-                spans,
+                scratch.spans.as_deref(),
             );
         }
         let Some(e) = scratch.edge(itc, from, to) else {
@@ -373,10 +446,10 @@ pub fn check_windowed(
                 tier0_hits,
                 tier0_misses,
                 edge_check_cycles,
-                spans,
+                scratch.spans.as_deref(),
             );
         };
-        let cached = cfg.cache_slow_path_results && cache.contains(&e);
+        let cached = cfg.cache_slow_path_results && cache.contains(e);
         let high = itc.credit(e) == Credit::High || cached;
         // TNT association (§4.3): trained edges must match a recorded
         // signature; a mismatch means a direct-fork path never seen in
@@ -404,6 +477,7 @@ pub fn check_windowed(
     } else {
         FastVerdict::Suspicious { uncredited }
     };
+    let spans = scratch.spans.as_deref();
     finish(verdict, pairs, credited, tier0_hits, tier0_misses, edge_check_cycles, spans)
 }
 
@@ -455,7 +529,7 @@ mod tests {
         let cfg = FlowGuardConfig::default();
         check_windowed(
             &s.itc,
-            &HashSet::new(),
+            &SlowPathCache::default(),
             scratch,
             scan,
             &cfg,
@@ -471,7 +545,7 @@ mod tests {
     fn trained_benign_flow_is_clean() {
         let s = trained_setup();
         let cfg = FlowGuardConfig::default();
-        let r = check(&s.itc, &HashSet::new(), &s.image, &s.scan, &cfg, 18.0);
+        let r = check(&s.itc, &SlowPathCache::default(), &s.image, &s.scan, &cfg, 18.0);
         assert_eq!(r.verdict, FastVerdict::Clean, "trained input must pass the fast path");
         assert!(r.pairs_checked >= cfg.pkt_count.min(s.scan.tip_count()) - 1);
         assert!(r.check_cycles > 0.0);
@@ -484,7 +558,7 @@ mod tests {
         let itc = ItcCfg::build(&ocfg); // no training at all
         let s = trained_setup();
         let cfg = FlowGuardConfig::default();
-        let r = check(&itc, &HashSet::new(), &w.image, &s.scan, &cfg, 18.0);
+        let r = check(&itc, &SlowPathCache::default(), &w.image, &s.scan, &cfg, 18.0);
         match r.verdict {
             FastVerdict::Suspicious { uncredited } => assert!(!uncredited.is_empty()),
             other => panic!("expected Suspicious, got {other:?}"),
@@ -499,11 +573,12 @@ mod tests {
         let s = trained_setup();
         let cfg = FlowGuardConfig::default();
         // Prime the cache with every edge the window needs.
-        let r1 = check(&itc, &HashSet::new(), &w.image, &s.scan, &cfg, 18.0);
+        let r1 = check(&itc, &SlowPathCache::default(), &w.image, &s.scan, &cfg, 18.0);
         let FastVerdict::Suspicious { uncredited } = r1.verdict else {
             panic!("expected Suspicious")
         };
-        let cache: HashSet<EdgeIdx> = uncredited.into_iter().collect();
+        let mut cache = SlowPathCache::default();
+        cache.extend(uncredited);
         let r2 = check(&itc, &cache, &w.image, &s.scan, &cfg, 18.0);
         assert_eq!(r2.verdict, FastVerdict::Clean, "cached slow-path results satisfy fast path");
     }
@@ -516,7 +591,7 @@ mod tests {
         // Tamper: retarget the last TIP to a non-IT-BB code address.
         let exec_base = s.image.executable().base;
         scan.set_tip_ip(scan.tip_count() - 1, exec_base + 8); // mid-entry block
-        let r = check(&s.itc, &HashSet::new(), &s.image, &scan, &cfg, 18.0);
+        let r = check(&s.itc, &SlowPathCache::default(), &s.image, &scan, &cfg, 18.0);
         assert!(
             matches!(r.verdict, FastVerdict::Malicious(_)),
             "off-CFG target must be flagged, got {:?}",
@@ -534,7 +609,7 @@ mod tests {
         // passes via the Suspicious arm — assert "not Clean").
         let n = scan.tip_count();
         scan.swap_tips(n - 2, n - 8);
-        let r = check(&s.itc, &HashSet::new(), &s.image, &scan, &cfg, 18.0);
+        let r = check(&s.itc, &SlowPathCache::default(), &s.image, &scan, &cfg, 18.0);
         assert_ne!(r.verdict, FastVerdict::Clean);
     }
 
@@ -543,7 +618,7 @@ mod tests {
         let s = trained_setup();
         let cfg = FlowGuardConfig::default();
         let scan = FastScan::default();
-        let r = check(&s.itc, &HashSet::new(), &s.image, &scan, &cfg, 18.0);
+        let r = check(&s.itc, &SlowPathCache::default(), &s.image, &scan, &cfg, 18.0);
         assert_eq!(r.verdict, FastVerdict::InsufficientTrace);
     }
 
@@ -562,7 +637,7 @@ mod tests {
             tnt[n - 1] = !tnt[n - 1];
         }
         scan.set_tip_tnt(i, &tnt);
-        let r = check(&s.itc, &HashSet::new(), &s.image, &scan, &cfg, 18.0);
+        let r = check(&s.itc, &SlowPathCache::default(), &s.image, &scan, &cfg, 18.0);
         assert_ne!(
             r.verdict,
             FastVerdict::Clean,
@@ -574,7 +649,7 @@ mod tests {
     fn path_matching_passes_trained_traffic() {
         let s = trained_setup();
         let cfg = FlowGuardConfig { path_matching: true, ..Default::default() };
-        let r = check(&s.itc, &HashSet::new(), &s.image, &s.scan, &cfg, 18.0);
+        let r = check(&s.itc, &SlowPathCache::default(), &s.image, &s.scan, &cfg, 18.0);
         assert_eq!(r.verdict, FastVerdict::Clean, "grams learned from the same input must match");
     }
 
@@ -609,7 +684,7 @@ mod tests {
             path_matching: true,
             ..Default::default()
         };
-        let r = check(&s.itc, &HashSet::new(), &s.image, &scan, &pm, 18.0);
+        let r = check(&s.itc, &SlowPathCache::default(), &s.image, &scan, &pm, 18.0);
         assert!(
             matches!(r.verdict, FastVerdict::Suspicious { .. }),
             "unseen edge adjacency must escalate under path matching, got {:?}",
@@ -628,6 +703,20 @@ mod tests {
         scratch.invalidate_edges();
         let r3 = endpoint_check(&s, &mut scratch, &s.scan, None);
         assert_eq!(r1, r3);
+    }
+
+    #[test]
+    fn stamp_generation_wrap_clears_the_stamps() {
+        // Never-seen modules hold stamp 0: a generation that wrapped to 0
+        // would count them as seen, and the window would widen to its floor.
+        let s = trained_setup();
+        let fresh = endpoint_check(&s, &mut CheckScratch::new(&s.image), &s.scan, None);
+        let cfg = FlowGuardConfig::default();
+        assert!(fresh.pairs_checked < 4 * cfg.pkt_count - 1, "the stride rule ends the widening");
+        let mut wrapped = CheckScratch::new(&s.image);
+        wrapped.stamp_gen = u32::MAX;
+        assert_eq!(endpoint_check(&s, &mut wrapped, &s.scan, None), fresh);
+        assert_eq!(wrapped.stamp_gen, 1, "the generation skips 0");
     }
 
     #[test]
@@ -682,11 +771,30 @@ mod tests {
     }
 
     #[test]
+    fn a_break_at_the_window_edge_skips_only_its_pair() {
+        // With pkt_count 5 the window's pairs end at TIPs n-4 ..= n-1. An
+        // overflow just before TIP n-4 makes the window's first pair
+        // unjudgeable; one just before TIP n-5 lies outside the window.
+        let s = trained_setup();
+        let cfg =
+            FlowGuardConfig { pkt_count: 5, require_module_stride: false, ..Default::default() };
+        let n = s.scan.tip_count();
+        let pairs_with_break_at = |at: usize| {
+            let mut scan = s.scan.clone();
+            let pos = scan.boundaries.partition_point(|&(i, _)| i <= at);
+            scan.boundaries.insert(pos, (at, Boundary::Overflow));
+            check(&s.itc, &SlowPathCache::default(), &s.image, &scan, &cfg, 18.0).pairs_checked
+        };
+        assert_eq!(pairs_with_break_at(n - 4), 3);
+        assert_eq!(pairs_with_break_at(n - 5), 4);
+    }
+
+    #[test]
     fn window_honors_pkt_count() {
         let s = trained_setup();
         let cfg =
             FlowGuardConfig { pkt_count: 5, require_module_stride: false, ..Default::default() };
-        let r = check(&s.itc, &HashSet::new(), &s.image, &s.scan, &cfg, 18.0);
+        let r = check(&s.itc, &SlowPathCache::default(), &s.image, &s.scan, &cfg, 18.0);
         assert_eq!(r.pairs_checked, 4);
     }
 }

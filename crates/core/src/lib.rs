@@ -60,10 +60,10 @@ pub mod slowpath;
 pub mod telemetry;
 
 pub use baselines::{BaselineStats, BaselineTelemetry, CfimonLike, KBouncerLike};
-pub use config::FlowGuardConfig;
+pub use config::{ConfigError, FlowGuardConfig};
 pub use deploy::{ArtifactError, Deployment, ProtectedProcess, DEFAULT_CR3};
 pub use engine::{EngineStats, FlowGuardEngine, ViolationRecord};
-pub use fastpath::{CheckScratch, FastPathResult, FastVerdict, Violation};
+pub use fastpath::{CheckScratch, FastPathResult, FastVerdict, SlowPathCache, Violation};
 pub use fleet::{
     ArtifactCache, ArtifactCacheStats, FleetConfig, FleetMember, FleetSnapshot, FleetSupervisor,
 };

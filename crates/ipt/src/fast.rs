@@ -174,9 +174,16 @@ pub enum Boundary {
 }
 
 /// Result of a packet-level scan, in structure-of-arrays layout.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// [`FastScan::truncate_front`] drops the oldest TIPs by advancing a
+/// logical head: the dropped TIPs stay in the arrays until the dead prefix
+/// is at least as long as the live part, and only then are the arrays
+/// compacted in place. Every accessor, equality and the serialised form see
+/// the live part alone — exactly the scan an eager truncation would leave.
+#[derive(Debug, Clone, Default, Deserialize)]
 pub struct FastScan {
-    /// Extracted indirect-branch target addresses in execution order.
+    /// Extracted indirect-branch target addresses in execution order (the
+    /// live ones from `head` on).
     tip_ips: Vec<u64>,
     /// Per TIP: `(offset, len)` slice of `bits` holding the TNT run
     /// observed since the previous TIP.
@@ -185,8 +192,8 @@ pub struct FastScan {
     bits: BitVec,
     /// `(offset, len)` slice of `bits` trailing after the last TIP.
     trailing: (u32, u32),
-    /// Trace boundaries, each tagged with the index into the TIP stream at
-    /// which it occurred.
+    /// Trace boundaries in stream order, each tagged with the index into
+    /// the TIP stream at which it occurred (so sorted by that index).
     pub boundaries: Vec<(usize, Boundary)>,
     /// Number of bytes scanned (the fast-decode cost driver).
     pub bytes_scanned: u64,
@@ -202,14 +209,39 @@ pub struct FastScan {
     /// exactly like the cold scanner's head probe — no [`Boundary::Resync`].
     #[serde(default)]
     pub(crate) damage_at_head: bool,
+    /// Index of the first live TIP: the ones before it were truncated and
+    /// wait for the next compaction.
+    #[serde(skip)]
+    head: usize,
+}
+
+/// The serialised form is the live scan as an eager truncation would have
+/// left it: the dead prefix is compacted out of a copy first.
+impl Serialize for FastScan {
+    fn to_value(&self) -> serde::Value {
+        let mut s = self.clone();
+        s.compact();
+        serde::Value::Object(vec![
+            ("tip_ips".into(), s.tip_ips.to_value()),
+            ("tnt_ranges".into(), s.tnt_ranges.to_value()),
+            ("bits".into(), s.bits.to_value()),
+            ("trailing".into(), s.trailing.to_value()),
+            ("boundaries".into(), s.boundaries.to_value()),
+            ("bytes_scanned".into(), s.bytes_scanned.to_value()),
+            ("sync_offset".into(), s.sync_offset.to_value()),
+            ("truncated".into(), s.truncated.to_value()),
+            ("damage_at_head".into(), s.damage_at_head.to_value()),
+        ])
+    }
 }
 
 /// Two scans are equal when they describe the same TIP/TNT/boundary stream;
 /// the physical packing of the shared bitvec (orphaned runs cleared by OVF,
-/// ranges re-pointed by mutation helpers) is not observable.
+/// ranges re-pointed by mutation helpers, a dead prefix awaiting
+/// compaction) is not observable.
 impl PartialEq for FastScan {
     fn eq(&self, other: &FastScan) -> bool {
-        self.tip_ips == other.tip_ips
+        self.tip_ips() == other.tip_ips()
             && self.boundaries == other.boundaries
             && self.bytes_scanned == other.bytes_scanned
             && self.sync_offset == other.sync_offset
@@ -217,9 +249,9 @@ impl PartialEq for FastScan {
             && self.damage_at_head == other.damage_at_head
             && self.trailing_tnt() == other.trailing_tnt()
             && (0..self.tip_count()).all(|i| {
-                self.tnt_ranges[i].1 == other.tnt_ranges[i].1
+                self.tnt_len(i) == other.tnt_len(i)
                     && self.tnt_raw(i) == other.tnt_raw(i)
-                    && (self.tnt_ranges[i].1 as usize <= 64 || self.tnt_vec(i) == other.tnt_vec(i))
+                    && (self.tnt_len(i) <= 64 || self.tnt_vec(i) == other.tnt_vec(i))
             })
     }
 }
@@ -229,40 +261,45 @@ impl Eq for FastScan {}
 impl FastScan {
     /// Total TIP count.
     pub fn tip_count(&self) -> usize {
-        self.tip_ips.len()
+        self.tip_ips.len() - self.head
     }
 
     /// The extracted TIP target addresses, in execution order.
     pub fn tip_ips(&self) -> &[u64] {
-        &self.tip_ips
+        &self.tip_ips[self.head..]
     }
 
     /// The `i`-th TIP target address.
     pub fn tip_ip(&self, i: usize) -> u64 {
-        self.tip_ips[i]
+        self.tip_ips()[i]
     }
 
     /// The last `n` TIP target addresses (or all of them if fewer).
     pub fn last_tips(&self, n: usize) -> &[u64] {
-        let start = self.tip_ips.len().saturating_sub(n);
-        &self.tip_ips[start..]
+        let tips = self.tip_ips();
+        &tips[tips.len().saturating_sub(n)..]
+    }
+
+    /// The `(offset, len)` bit slice of the `i`-th TIP's TNT run.
+    fn tnt_range(&self, i: usize) -> (u32, u32) {
+        self.tnt_ranges[self.head..][i]
     }
 
     /// Length of the TNT run preceding the `i`-th TIP.
     pub fn tnt_len(&self, i: usize) -> usize {
-        self.tnt_ranges[i].1 as usize
+        self.tnt_range(i).1 as usize
     }
 
     /// The TNT run preceding the `i`-th TIP, packed as `(bits, len)` in the
     /// signature word encoding; `None` when the run exceeds 64 bits.
     pub fn tnt_raw(&self, i: usize) -> Option<(u64, u8)> {
-        let (start, len) = self.tnt_ranges[i];
+        let (start, len) = self.tnt_range(i);
         self.bits.range_raw(start as usize, len as usize)
     }
 
     /// The TNT run preceding the `i`-th TIP, materialised (oldest first).
     pub fn tnt_vec(&self, i: usize) -> Vec<bool> {
-        let (start, len) = self.tnt_ranges[i];
+        let (start, len) = self.tnt_range(i);
         self.bits.range_vec(start as usize, len as usize)
     }
 
@@ -301,13 +338,13 @@ impl FastScan {
 
     /// Rewrites the `i`-th TIP's target address (tamper-style tests).
     pub fn set_tip_ip(&mut self, i: usize, ip: u64) {
-        self.tip_ips[i] = ip;
+        self.tip_ips[self.head + i] = ip;
     }
 
     /// Swaps two TIP events (address and TNT run together).
     pub fn swap_tips(&mut self, i: usize, j: usize) {
-        self.tip_ips.swap(i, j);
-        self.tnt_ranges.swap(i, j);
+        self.tip_ips.swap(self.head + i, self.head + j);
+        self.tnt_ranges.swap(self.head + i, self.head + j);
     }
 
     /// Replaces the `i`-th TIP's TNT run (tamper-style tests). The old bits
@@ -317,7 +354,7 @@ impl FastScan {
         for &b in tnt_before {
             self.bits.push(b);
         }
-        self.tnt_ranges[i] = (start as u32, tnt_before.len() as u32);
+        self.tnt_ranges[self.head + i] = (start as u32, tnt_before.len() as u32);
     }
 
     /// Replaces the trailing TNT run (test construction).
@@ -345,48 +382,59 @@ impl FastScan {
         self.bits.len()
     }
 
-    /// Drops the oldest `drop_tips` TIP events in place, rebasing
-    /// boundaries and shifting out the bits only dropped TIPs referenced —
-    /// the compaction step bounding the memory of a long-lived incremental
-    /// scan. Allocation-free.
+    /// Drops the oldest `drop_tips` TIP events, rebasing boundaries — the
+    /// step bounding the memory of a long-lived incremental scan.
+    /// Amortised O(1) per dropped TIP: it advances the live head, and
+    /// compacts the arrays in place once the dead prefix is at least as
+    /// long as the live part. Allocation-free.
     pub fn truncate_front(&mut self, drop_tips: usize) {
         let drop_tips = drop_tips.min(self.tip_count());
         if drop_tips == 0 {
             return;
         }
+        self.head += drop_tips;
+        // Boundaries are in stream order, so the dropped ones are a prefix.
+        let dropped = self.boundaries.partition_point(|&(i, _)| i < drop_tips);
+        self.boundaries.drain(..dropped);
+        for (i, _) in &mut self.boundaries {
+            *i -= drop_tips;
+        }
+        if self.head >= self.tip_count() {
+            self.compact();
+        }
+    }
+
+    /// Moves the live part to the front of the arrays, shifting out the
+    /// dead TIPs and the bits only they referenced.
+    fn compact(&mut self) {
+        if self.head == 0 {
+            return;
+        }
         // Every bit before the oldest surviving run belongs to dropped TIPs
         // (or to runs an OVF orphaned).
-        let cut = self.tnt_ranges[drop_tips..]
+        let cut = self.tnt_ranges[self.head..]
             .iter()
             .map(|&(start, _)| start)
             .fold(self.trailing.0, u32::min);
         self.bits.drop_front(cut as usize);
-        self.tnt_ranges.drain(..drop_tips);
+        self.tip_ips.drain(..self.head);
+        self.tnt_ranges.drain(..self.head);
         for range in &mut self.tnt_ranges {
             range.0 -= cut;
         }
         self.trailing.0 -= cut;
-        self.tip_ips.drain(..drop_tips);
-        self.boundaries.retain_mut(|(i, _)| {
-            if *i < drop_tips {
-                false
-            } else {
-                *i -= drop_tips;
-                true
-            }
-        });
+        self.head = 0;
     }
-}
 
-impl FastScan {
-    /// Reserves room for the scan to grow to twice its TIP count — with as
-    /// many boundaries, and 64 TNT bits per TIP — before it reallocates. A
-    /// no-op once the capacity is there, so a scan compacted to a fixed
-    /// size reserves once.
+    /// Reserves room for the dead prefix (which compaction keeps shorter
+    /// than the live part) plus as many TIPs again as are live — with as
+    /// many boundaries, and 64 TNT bits per TIP — before the scan
+    /// reallocates. A no-op once the capacity is there, so a scan truncated
+    /// to a fixed size reserves only while it warms up.
     pub(crate) fn reserve_headroom(&mut self) {
-        let room = 2 * self.tip_ips.len();
-        self.tip_ips.reserve(room - self.tip_ips.len());
-        self.tnt_ranges.reserve(room - self.tnt_ranges.len());
+        let room = 3 * self.tip_count();
+        self.tip_ips.reserve(room.saturating_sub(self.tip_ips.len()));
+        self.tnt_ranges.reserve(room.saturating_sub(self.tnt_ranges.len()));
         self.boundaries.reserve(room.saturating_sub(self.boundaries.len()));
         self.bits.words.reserve(room.saturating_sub(self.bits.words.len()));
     }
@@ -1048,5 +1096,18 @@ mod tests {
         b.push_tip(0x10, &[false, false]);
         b.set_tip_tnt(0, &[true, false]); // orphans the old run
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn an_untruncated_scan_serialises_every_bit_it_holds() {
+        // Without a dead prefix there is nothing to compact: the bits before
+        // the first run stay in the serialised form, as in the derived one.
+        let mut s = FastScan::default();
+        s.set_trailing_tnt(&[true, false]);
+        s.clear_pending(); // orphans the leading run
+        s.push_tip(0x10, &[true]);
+        let back = FastScan::from_value(&s.to_value()).unwrap();
+        assert_eq!(back.bits.len(), 3);
+        assert_eq!(back, s);
     }
 }

@@ -141,9 +141,10 @@ impl IncrementalScanner {
 
     /// Drops the oldest TIPs so at most `keep_tips` remain, bounding the
     /// memory of a long-lived scan. Boundaries are rebased; the parser
-    /// checkpoint is unaffected. The scan keeps room for as much flow again
-    /// as it kept, so the appends between compactions stop reallocating
-    /// once it has warmed up.
+    /// checkpoint is unaffected. Amortised O(1) per dropped TIP (see
+    /// [`FastScan::truncate_front`]). The scan keeps room for its dead
+    /// prefix plus as much flow again as it kept, so the appends between
+    /// compactions stop reallocating once it has warmed up.
     pub fn compact(&mut self, keep_tips: usize) {
         let n = self.acc.tip_count();
         if n > keep_tips {

@@ -40,11 +40,16 @@ impl TopaRegion {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is not a power of two or is smaller than 4 KiB
-    /// (hardware constraint on ToPA region sizes).
+    /// Panics unless [`TopaRegion::valid_size`] accepts `size`.
     pub fn new(size: usize, flags: TopaFlags) -> TopaRegion {
-        assert!(size.is_power_of_two() && size >= 4096, "ToPA regions are power-of-two ≥ 4 KiB");
+        assert!(TopaRegion::valid_size(size), "ToPA regions are power-of-two ≥ 4 KiB");
         TopaRegion { size, flags, buf: Vec::with_capacity(size) }
+    }
+
+    /// Whether a region can be `size` bytes: a power of two of at least
+    /// 4 KiB (the hardware constraint on ToPA region sizes).
+    pub const fn valid_size(size: usize) -> bool {
+        size.is_power_of_two() && size >= 4096
     }
 
     /// Region capacity in bytes.
