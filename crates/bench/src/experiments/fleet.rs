@@ -137,7 +137,7 @@ fn scaling_row(n: usize) -> ScalingRow {
 /// The solo baseline: each of the four images run alone as a one-member
 /// fleet (same seeds as fleet members 0–3), latency histograms merged.
 fn solo_p99() -> u64 {
-    let merged = fg_trace::Histogram::new();
+    let mut merged = fg_trace::Histogram::new();
     for (pid, w) in images().iter().enumerate() {
         let mut fleet = FleetSupervisor::new(fleet_config());
         let input = fg_workloads::load_input(REQUESTS_PER_MEMBER, pid as u64);

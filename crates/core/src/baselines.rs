@@ -17,60 +17,7 @@ use fg_cpu::trace::{BtsRecord, TraceUnit};
 use fg_isa::image::Image;
 use fg_isa::insn::{Insn, INSN_SIZE};
 use fg_kernel::{InterceptVerdict, SensitiveSet, SyscallInterceptor, Sysno, SIGKILL};
-use fg_trace::ShardedU64;
-use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// Detection statistics snapshot for the baselines.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineStats {
-    /// Endpoint checks performed.
-    pub checks: u64,
-    /// Detections raised.
-    pub detections: u64,
-    /// Description of the first detection.
-    pub first_detail: Option<String>,
-}
-
-/// Shared lock-free recorder behind both baseline detectors — the same
-/// sharded-counter discipline as the engine's
-/// [`EngineTelemetry`](crate::telemetry::EngineTelemetry), deduplicating
-/// the two per-detector `Mutex<BaselineStats>` copies that used to hold a
-/// lock across every check.
-#[derive(Debug, Default)]
-pub struct BaselineTelemetry {
-    checks: ShardedU64,
-    detections: ShardedU64,
-    first_detail: Mutex<Option<String>>,
-}
-
-impl BaselineTelemetry {
-    /// A zeroed recorder.
-    pub fn new() -> BaselineTelemetry {
-        BaselineTelemetry::default()
-    }
-
-    /// Counts one endpoint check.
-    #[inline]
-    pub fn record_check(&self) {
-        self.checks.incr();
-    }
-
-    /// Counts a detection, keeping the first description.
-    pub fn record_detection(&self, detail: String) {
-        self.detections.incr();
-        self.first_detail.lock().get_or_insert(detail);
-    }
-
-    /// Assembles the [`BaselineStats`] snapshot.
-    pub fn snapshot(&self) -> BaselineStats {
-        BaselineStats {
-            checks: self.checks.get(),
-            detections: self.detections.get(),
-            first_detail: self.first_detail.lock().clone(),
-        }
-    }
-}
 
 /// kBouncer/ROPecker-style LBR heuristics.
 pub struct KBouncerLike {
@@ -81,7 +28,6 @@ pub struct KBouncerLike {
     pub chain_min: usize,
     /// Gadget length (instructions) below which a snippet is "short".
     pub gadget_max_insns: u64,
-    stats: Arc<BaselineTelemetry>,
 }
 
 impl KBouncerLike {
@@ -94,13 +40,7 @@ impl KBouncerLike {
             cr3,
             chain_min: 8,
             gadget_max_insns: 20,
-            stats: Arc::new(BaselineTelemetry::new()),
         }
-    }
-
-    /// Shared statistics handle.
-    pub fn stats_handle(&self) -> Arc<BaselineTelemetry> {
-        Arc::clone(&self.stats)
     }
 
     /// Whether `to` is a call-preceded location (the instruction before it
@@ -151,12 +91,10 @@ impl SyscallInterceptor for KBouncerLike {
     }
 
     fn check(&mut self, _nr: Sysno, ctx: &mut SyscallCtx<'_>) -> InterceptVerdict {
-        self.stats.record_check();
         let TraceUnit::Lbr(lbr) = &*ctx.trace else {
             return InterceptVerdict::Allow; // needs an LBR-configured core
         };
-        if let Some(detail) = self.inspect(lbr.stack()) {
-            self.stats.record_detection(detail);
+        if self.inspect(lbr.stack()).is_some() {
             return InterceptVerdict::Kill(SIGKILL);
         }
         InterceptVerdict::Allow
@@ -168,23 +106,12 @@ pub struct CfimonLike {
     ocfg: Arc<OCfg>,
     endpoints: SensitiveSet,
     cr3: u64,
-    stats: Arc<BaselineTelemetry>,
 }
 
 impl CfimonLike {
     /// Creates the detector.
     pub fn new(ocfg: Arc<OCfg>, cr3: u64) -> CfimonLike {
-        CfimonLike {
-            ocfg,
-            endpoints: SensitiveSet::patharmor_default(),
-            cr3,
-            stats: Arc::new(BaselineTelemetry::new()),
-        }
-    }
-
-    /// Shared statistics handle.
-    pub fn stats_handle(&self) -> Arc<BaselineTelemetry> {
-        Arc::clone(&self.stats)
+        CfimonLike { ocfg, endpoints: SensitiveSet::patharmor_default(), cr3 }
     }
 
     /// Checks every record against the conservative CFG.
@@ -220,12 +147,10 @@ impl SyscallInterceptor for CfimonLike {
     }
 
     fn check(&mut self, _nr: Sysno, ctx: &mut SyscallCtx<'_>) -> InterceptVerdict {
-        self.stats.record_check();
         let TraceUnit::Bts(bts) = &*ctx.trace else {
             return InterceptVerdict::Allow;
         };
-        if let Some(detail) = self.inspect(bts.records()) {
-            self.stats.record_detection(detail);
+        if self.inspect(bts.records()).is_some() {
             return InterceptVerdict::Kill(SIGKILL);
         }
         InterceptVerdict::Allow

@@ -47,15 +47,18 @@ pub struct FlowGuardConfig {
     /// extension ("may introduce larger number of slow path checking").
     pub path_matching: bool,
     /// Record runtime telemetry (counters, latency histograms, the check
-    /// event ring). Off, every hot-path record collapses to one
-    /// predictable-not-taken branch; violations and flight records are
-    /// still captured.
+    /// event ring, the span profiler). On, each check and each background
+    /// drain takes the telemetry's one lock once; off, they record nothing
+    /// and take no lock (one predictable-not-taken branch). Violations and
+    /// flight records are still captured.
     #[serde(default = "default_telemetry")]
     pub telemetry: bool,
     /// Record per-phase cycle-attribution spans (intercept, tier-0 probe,
     /// edge probe, scans, slow decode, stitch, verdict) in the span
     /// profiler. Only takes effect when `telemetry` is on; off, every span
-    /// record collapses to one predictable-not-taken branch.
+    /// record collapses to one predictable-not-taken branch. Spans cost a
+    /// few ns per check and per drain (EXPERIMENTS.md, "Plain-data
+    /// telemetry").
     #[serde(default = "default_profile_spans")]
     pub profile_spans: bool,
     /// The sensitive-syscall endpoint set.

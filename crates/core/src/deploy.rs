@@ -262,11 +262,7 @@ impl Deployment {
         machine.trace = TraceUnit::Ipt(unit);
         let mut kernel = Kernel::with_input(input);
         kernel.install_interceptor(Box::new(engine));
-        let intercept_latency = Arc::new(fg_trace::Histogram::new());
-        if cfg.telemetry {
-            kernel.set_intercept_probe(Arc::clone(&intercept_latency));
-        }
-        ProtectedProcess { machine, kernel, stats, intercept_latency }
+        ProtectedProcess { machine, kernel, stats }
     }
 }
 
@@ -280,9 +276,6 @@ pub struct ProtectedProcess {
     /// Shared engine telemetry (snapshot via
     /// [`EngineTelemetry::snapshot`]).
     pub stats: Arc<EngineTelemetry>,
-    /// Wall-clock nanoseconds per interceptor invocation, recorded by the
-    /// kernel's dispatch-path probe (empty when telemetry is disabled).
-    pub intercept_latency: Arc<fg_trace::Histogram>,
 }
 
 impl ProtectedProcess {

@@ -6,15 +6,17 @@
 //! path (the "upcall to the waiting user-level process"), caches negative
 //! slow-path results, and kills the process on violation.
 //!
-//! Statistics flow through the lock-free [`EngineTelemetry`] aggregate (one
-//! [`CheckEvent`](crate::telemetry::CheckEvent) per endpoint check); the
-//! [`EngineStats`] struct survives as its on-demand snapshot form.
+//! Statistics flow through the [`EngineTelemetry`] aggregate: the engine
+//! records every check — its [`CheckEvent`](crate::telemetry::CheckEvent)
+//! and the modeled cycles of each pipeline phase — in one call; the
+//! [`EngineStats`] struct is its on-demand snapshot form.
 
 use crate::config::FlowGuardConfig;
 use crate::fastpath::{self, CheckScratch, FastVerdict, SlowPathCache, Violation};
 use crate::slowpath::{self, SlowVerdict, SlowViolation};
 use crate::telemetry::{
-    render_packets, CheckEvent, CheckVerdict, EngineTelemetry, FLIGHT_WINDOW_BYTES, PMI_SYSNO,
+    render_packets, CheckEvent, CheckRecord, CheckVerdict, EngineTelemetry, FLIGHT_WINDOW_BYTES,
+    PMI_SYSNO,
 };
 use fg_cfg::{EntryBitset, ItcCfg, OCfg};
 use fg_cpu::cost::CostModel;
@@ -172,15 +174,8 @@ impl FlowGuardEngine {
             cfg.telemetry,
             cfg.telemetry && cfg.profile_spans,
         ));
-        let spans = stats.spans_handle();
-        let mut scratch = CheckScratch::new(&image);
-        scratch.set_profiler(Arc::clone(&spans));
-        let mut slow_scratch = slowpath::SlowScratch::new();
-        slow_scratch.set_profiler(Arc::clone(&spans));
-        let mut stream = StreamConsumer::new();
-        stream.set_profiler(spans, cost.packet_scan_byte_cycles);
         FlowGuardEngine {
-            scratch,
+            scratch: CheckScratch::new(&image),
             stats,
             image,
             ocfg,
@@ -189,9 +184,9 @@ impl FlowGuardEngine {
             cost,
             cr3,
             cache: SlowPathCache::default(),
-            stream,
+            stream: StreamConsumer::new(),
             drained_at_last_check: 0,
-            slow_scratch,
+            slow_scratch: slowpath::SlowScratch::new(),
             tier0: None,
         }
     }
@@ -199,10 +194,6 @@ impl FlowGuardEngine {
     /// Overrides the cost model (hardware-extension ablations, §7.2.4).
     pub fn set_cost_model(&mut self, cost: CostModel) {
         self.cost = cost;
-        // The consumer carries its own per-byte span cost — re-wire it so
-        // drains recorded after the override use the new model, matching
-        // `ev.scan_cycles` accounting.
-        self.stream.set_profiler(self.stats.spans_handle(), cost.packet_scan_byte_cycles);
     }
 
     /// Installs the deployment's tier-0 entry-point bitset; `None` turns the
@@ -310,25 +301,18 @@ impl FlowGuardEngine {
         // Zero-copy drain: the consumer reads the ToPA's regions in place —
         // only ≤15-byte packet fragments straddling region seams get copied
         // (into the consumer's carry).
-        let drained = self.stream.drain_window_profiled(
-            topa.segments(),
-            total,
-            usize::MAX,
-            PhaseSpan::StreamDrain,
-        );
-        match drained {
-            Ok(info) => {
-                if info.new_bytes > 0 || info.cold_restart {
-                    self.stats.record_stream_drain(info.new_bytes);
-                }
-            }
+        let (bytes, counted) = match self.stream.drain_window(topa.segments(), total, usize::MAX) {
+            Ok(info) => (info.new_bytes, info.new_bytes > 0 || info.cold_restart),
             // Corrupt PSB+ bundle mid-stream: abandon it; the next drain
             // re-synchronises. The same conservative recovery the check
-            // path uses.
-            Err(_) => self.stream.skip_to(total),
-        }
-        let ds = self.stream.stats();
-        self.stats.sample_stream_copies(ds.copied_bytes, ds.seam_carries);
+            // path uses. The failed drain's span is empty.
+            Err(_) => {
+                self.stream.skip_to(total);
+                (0, false)
+            }
+        };
+        let cycles = bytes as f64 * self.cost.packet_scan_byte_cycles;
+        self.stats.record_stream_drain(counted.then_some(bytes), cycles, &self.stream.stats());
     }
 
     fn flow_check(
@@ -338,18 +322,15 @@ impl FlowGuardEngine {
         ctx: &mut SyscallCtx<'_>,
         full_buffer: bool,
     ) -> InterceptVerdict {
-        let mut ev = CheckEvent { sysno, ..Default::default() };
+        let mut rec =
+            CheckRecord { event: CheckEvent { sysno, ..Default::default() }, ..Default::default() };
         let hits_before = self.scratch.edge_cache_hits;
         let misses_before = self.scratch.edge_cache_misses;
-        let verdict = self.flow_check_inner(endpoint, ctx, full_buffer, &mut ev);
-        ev.edge_cache_hits = self.scratch.edge_cache_hits - hits_before;
-        ev.edge_cache_misses = self.scratch.edge_cache_misses - misses_before;
-        self.stats.sample_caches(
-            self.cache.len() as u64,
-            self.scratch.edge_cache_hits,
-            self.scratch.edge_cache_misses,
-        );
-        self.stats.record_check(&ev);
+        let verdict = self.flow_check_inner(endpoint, ctx, full_buffer, &mut rec);
+        rec.event.edge_cache_hits = self.scratch.edge_cache_hits - hits_before;
+        rec.event.edge_cache_misses = self.scratch.edge_cache_misses - misses_before;
+        rec.cache_size = self.cache.len();
+        self.stats.record_check(&rec);
         verdict
     }
 
@@ -358,11 +339,13 @@ impl FlowGuardEngine {
         endpoint: &'static str,
         ctx: &mut SyscallCtx<'_>,
         full_buffer: bool,
-        ev: &mut CheckEvent,
+        rec: &mut CheckRecord,
     ) -> InterceptVerdict {
+        let CheckRecord { event: ev, spans, drain_stats, .. } = rec;
+        let mut span = |phase: PhaseSpan, cycles: f64| spans[phase.index()] = Some(cycles);
         ev.other_cycles = self.cost.intercept_cycles;
         ctx.extra_cycles.other += self.cost.intercept_cycles;
-        self.stats.spans().record(PhaseSpan::Intercept, self.cost.intercept_cycles, 0);
+        span(PhaseSpan::Intercept, self.cost.intercept_cycles);
 
         let Some(ipt) = ctx.trace.as_ipt() else {
             // Not traced (misconfiguration): nothing to check.
@@ -403,16 +386,19 @@ impl FlowGuardEngine {
             // streaming checks to the residue-scan phase (background drains
             // go to the stream-drain phase instead).
             let phase = if streaming { PhaseSpan::ResidueScan } else { PhaseSpan::FastScan };
-            match self.stream.drain_window_profiled(topa.segments(), total_written, budget, phase) {
+            match self.stream.drain_window(topa.segments(), total_written, budget) {
                 Ok(info) => {
                     ev.cold_restart = info.cold_restart;
                     ev.delta_bytes += info.new_bytes;
                     let scan_cycles = info.new_bytes as f64 * self.cost.packet_scan_byte_cycles;
+                    span(phase, scan_cycles);
                     ev.scan_cycles += scan_cycles;
                     ctx.extra_cycles.decode += scan_cycles;
                 }
                 Err(_) => {
                     // Corrupt PSB+ bundle: skip past it, stay conservative.
+                    // The failed drain's span is empty.
+                    span(phase, 0.0);
                     self.stream.skip_to(total_written);
                     self.drained_at_last_check = self.stream.stats().drained_bytes;
                     ev.verdict = CheckVerdict::Insufficient;
@@ -423,7 +409,7 @@ impl FlowGuardEngine {
         let ds = self.stream.stats();
         self.drained_at_last_check = ds.drained_bytes;
         if streaming {
-            self.stats.sample_stream_copies(ds.copied_bytes, ds.seam_carries);
+            *drain_stats = Some(ds);
         }
 
         // PMI mode checks every pair in the accumulated flow; endpoint mode
@@ -455,6 +441,13 @@ impl FlowGuardEngine {
         ev.tier0_misses = fast.tier0_misses;
         ev.check_cycles = fast.check_cycles;
         ctx.extra_cycles.check += fast.check_cycles;
+        if fast.tier0_hits + fast.tier0_misses > 0 {
+            span(PhaseSpan::Tier0Probe, fast.tier0_cycles);
+        }
+        if fast.pairs_checked > 0 {
+            span(PhaseSpan::EdgeProbe, fast.edge_cycles);
+            span(PhaseSpan::Verdict, fast.verdict_cycles);
+        }
 
         let uncredited = match fast.verdict {
             FastVerdict::Clean => {
@@ -528,6 +521,8 @@ impl FlowGuardEngine {
         ev.slow_insns_decoded = slow.insns_decoded;
         ev.checkpoint_hit = slow.checkpoint_hit;
         ctx.extra_cycles.decode += slow.decode_cycles + slow.stitch_cycles;
+        span(PhaseSpan::SlowDecode, slow.decode_cycles);
+        span(PhaseSpan::ShardStitch, slow.stitch_cycles);
 
         match slow.verdict {
             SlowVerdict::Attack(v) => {

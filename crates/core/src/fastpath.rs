@@ -11,8 +11,6 @@ use crate::config::FlowGuardConfig;
 use fg_cfg::{Credit, EdgeIdx, EntryBitset, ItcCfg};
 use fg_ipt::fast::{Boundary, FastScan};
 use fg_isa::image::{Image, ModuleKind};
-use fg_trace::{PhaseSpan, SpanProfiler};
-use std::sync::Arc;
 
 /// Direct-mapped cache slots for `(from, to) → edge` resolutions. Credited
 /// edges repeat heavily (the same handlers are dispatched over and over),
@@ -90,9 +88,6 @@ pub struct CheckScratch {
     pub edge_cache_hits: u64,
     /// Edge-cache misses.
     pub edge_cache_misses: u64,
-    /// Optional span profiler: when set, every check records
-    /// tier-0/edge/verdict phase spans with the modeled cycle split.
-    spans: Option<Arc<SpanProfiler>>,
 }
 
 /// What one module-stride pass has seen so far.
@@ -119,14 +114,7 @@ impl CheckScratch {
             stamp_gen: 0,
             edge_cache_hits: 0,
             edge_cache_misses: 0,
-            spans: None,
         }
-    }
-
-    /// Attaches a span profiler: subsequent checks through this scratch
-    /// record tier-0-probe, edge-probe and verdict phase spans.
-    pub fn set_profiler(&mut self, spans: Arc<SpanProfiler>) {
-        self.spans = Some(spans);
     }
 
     /// The module containing `va` (id and is-executable flag), by binary
@@ -245,9 +233,8 @@ pub struct FastPathResult {
 }
 
 /// Builds a [`FastPathResult`], splitting `check_cycles` into the tier-0 /
-/// edge / verdict phases and recording the spans when a profiler is
-/// attached. Every `check_windowed` exit funnels through here so the three
-/// phase fields always partition `check_cycles` exactly.
+/// edge / verdict phases. Every `check_windowed` exit funnels through here
+/// so the three phase fields always partition `check_cycles` exactly.
 fn finish(
     verdict: FastVerdict,
     pairs: usize,
@@ -255,7 +242,6 @@ fn finish(
     tier0_hits: u64,
     tier0_misses: u64,
     edge_check_cycles: f64,
-    spans: Option<&SpanProfiler>,
 ) -> FastPathResult {
     let check_cycles = pairs as f64 * edge_check_cycles;
     let probes = tier0_hits + tier0_misses;
@@ -266,15 +252,6 @@ fn finish(
     let verdict_cycles =
         if pairs == 0 { 0.0 } else { edge_check_cycles.min(check_cycles - tier0_cycles) };
     let edge_cycles = (check_cycles - tier0_cycles - verdict_cycles).max(0.0);
-    if let Some(p) = spans {
-        if probes > 0 {
-            p.record(PhaseSpan::Tier0Probe, tier0_cycles, probes);
-        }
-        if pairs > 0 {
-            p.record(PhaseSpan::EdgeProbe, edge_cycles, pairs as u64);
-            p.record(PhaseSpan::Verdict, verdict_cycles, credited as u64);
-        }
-    }
     FastPathResult {
         verdict,
         pairs_checked: pairs,
@@ -360,7 +337,6 @@ pub fn check_windowed(
             tier0_hits,
             tier0_misses,
             edge_check_cycles,
-            scratch.spans.as_deref(),
         );
     }
 
@@ -423,7 +399,6 @@ pub fn check_windowed(
                     tier0_hits,
                     tier0_misses,
                     edge_check_cycles,
-                    scratch.spans.as_deref(),
                 );
             }
         }
@@ -435,7 +410,6 @@ pub fn check_windowed(
                 tier0_hits,
                 tier0_misses,
                 edge_check_cycles,
-                scratch.spans.as_deref(),
             );
         }
         let Some(e) = scratch.edge(itc, from, to) else {
@@ -446,7 +420,6 @@ pub fn check_windowed(
                 tier0_hits,
                 tier0_misses,
                 edge_check_cycles,
-                scratch.spans.as_deref(),
             );
         };
         let cached = cfg.cache_slow_path_results && cache.contains(e);
@@ -477,8 +450,7 @@ pub fn check_windowed(
     } else {
         FastVerdict::Suspicious { uncredited }
     };
-    let spans = scratch.spans.as_deref();
-    finish(verdict, pairs, credited, tier0_hits, tier0_misses, edge_check_cycles, spans)
+    finish(verdict, pairs, credited, tier0_hits, tier0_misses, edge_check_cycles)
 }
 
 #[cfg(test)]
@@ -757,17 +729,11 @@ mod tests {
         let s = trained_setup();
         let bits = EntryBitset::from_itc(&s.image, &s.itc);
         let mut scratch = CheckScratch::new(&s.image);
-        let prof = Arc::new(SpanProfiler::new(true));
-        scratch.set_profiler(Arc::clone(&prof));
         let r = endpoint_check(&s, &mut scratch, &s.scan, Some(&bits));
         assert_eq!(r.verdict, FastVerdict::Clean);
         let sum = r.tier0_cycles + r.edge_cycles + r.verdict_cycles;
         assert!((sum - r.check_cycles).abs() < 1e-9, "phase split must partition check_cycles");
         assert!(r.tier0_cycles > 0.0 && r.edge_cycles > 0.0 && r.verdict_cycles > 0.0);
-        assert!((prof.phase_cycles(PhaseSpan::Tier0Probe) - r.tier0_cycles).abs() < 1e-9);
-        assert!((prof.phase_cycles(PhaseSpan::EdgeProbe) - r.edge_cycles).abs() < 1e-9);
-        assert!((prof.phase_cycles(PhaseSpan::Verdict) - r.verdict_cycles).abs() < 1e-9);
-        assert_eq!(prof.phase_spans(PhaseSpan::Verdict), 1, "one verdict span per check");
     }
 
     #[test]

@@ -316,9 +316,9 @@ impl FleetSupervisor {
     /// The merged fleet-wide check-latency histogram (live; fixed bucket
     /// boundaries make the per-process histograms addable).
     pub fn merged_check_latency(&self) -> Histogram {
-        let merged = Histogram::new();
+        let mut merged = Histogram::new();
         for m in &self.members {
-            merged.merge_from(m.stats().check_latency_hist());
+            m.stats().merge_check_latency_into(&mut merged);
         }
         merged
     }

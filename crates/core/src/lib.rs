@@ -25,9 +25,9 @@
 //! * [`deploy`] — the end-to-end pipeline (Figure 1's steps ①–⑤);
 //! * [`baselines`] — kBouncer-style (LBR) and CFIMon-style (BTS) baseline
 //!   detectors from the related-work lineage (§8.2);
-//! * [`telemetry`] — lock-free runtime telemetry (sharded counters, latency
-//!   histograms, a per-check event ring), the per-phase span profiler, the
-//!   health watchdog, and the violation flight recorder.
+//! * [`telemetry`] — runtime telemetry as plain data behind one lock
+//!   (counters, latency histograms, a per-check event ring), the per-phase
+//!   span profiler, the health watchdog, and the violation flight recorder.
 //!
 //! # Examples
 //!
@@ -59,7 +59,7 @@ pub mod shadow;
 pub mod slowpath;
 pub mod telemetry;
 
-pub use baselines::{BaselineStats, BaselineTelemetry, CfimonLike, KBouncerLike};
+pub use baselines::{CfimonLike, KBouncerLike};
 pub use config::{ConfigError, FlowGuardConfig};
 pub use deploy::{ArtifactError, Deployment, ProtectedProcess, DEFAULT_CR3};
 pub use engine::{EngineStats, FlowGuardEngine, ViolationRecord};

@@ -37,8 +37,6 @@ use fg_ipt::flow::{BranchEvent, FlowError, FlowMachine};
 use fg_ipt::shard::{decode_shard, shard_spans, ShardDecode, StitchOutcome, Stitcher};
 use fg_isa::image::Image;
 use fg_isa::insn::CofiKind;
-use fg_trace::{PhaseSpan, SpanProfiler};
-use std::sync::Arc;
 
 /// Why the slow path flagged the flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,29 +122,12 @@ pub struct SlowScratch {
     pub checkpoint_hits: u64,
     /// Checks that had to decode their window cold.
     pub checkpoint_misses: u64,
-    /// Optional span profiler: when set, every check records slow-decode
-    /// and shard-stitch phase spans.
-    spans: Option<Arc<SpanProfiler>>,
 }
 
 impl SlowScratch {
     /// Fresh scratch (first check is necessarily cold).
     pub fn new() -> SlowScratch {
         SlowScratch::default()
-    }
-
-    /// Attaches a span profiler: subsequent checks through this scratch
-    /// record slow-decode and shard-stitch phase spans.
-    pub fn set_profiler(&mut self, spans: Arc<SpanProfiler>) {
-        self.spans = Some(spans);
-    }
-
-    /// Records this check's decode/stitch spans (no-op without a profiler).
-    fn record_spans(&self, r: &SlowPathResult) {
-        if let Some(p) = &self.spans {
-            p.record(PhaseSpan::SlowDecode, r.decode_cycles, r.insns_decoded);
-            p.record(PhaseSpan::ShardStitch, r.stitch_cycles, r.shards);
-        }
     }
 
     /// Drops the checkpoint so the next check decodes cold, keeping the
@@ -473,7 +454,7 @@ pub fn check_incremental(
         // reports no counters for a failed reconstruction, and the scratch
         // state no longer mirrors a serial decode — poison the checkpoint.
         scratch.reset();
-        let r = SlowPathResult {
+        return SlowPathResult {
             verdict: SlowVerdict::Attack(SlowViolation::Reconstruction),
             insns_walked: 0,
             insns_decoded: decoded.insns_decoded,
@@ -483,8 +464,6 @@ pub fn check_incremental(
             checkpoint_hit,
             rets_matched: scratch.shadow.matched,
         };
-        scratch.record_spans(&r);
-        return r;
     }
 
     // --- validation phase (sequential stitch/replay) --------------------
@@ -535,7 +514,7 @@ pub fn check_incremental(
         // The process dies here; the partially replayed state no longer
         // matches any serial decode, so the checkpoint dies with it.
         scratch.reset();
-        let r = SlowPathResult {
+        return SlowPathResult {
             verdict: SlowVerdict::Attack(v),
             insns_walked,
             insns_decoded: decoded.insns_decoded,
@@ -545,8 +524,6 @@ pub fn check_incremental(
             checkpoint_hit,
             rets_matched,
         };
-        scratch.record_spans(&r);
-        return r;
     }
 
     // Park the checkpoint: consumed through the window's end, hashes pin
@@ -559,7 +536,7 @@ pub fn check_incremental(
     });
     scratch.machine.compact();
 
-    let r = SlowPathResult {
+    SlowPathResult {
         verdict: SlowVerdict::Clean { validated_pairs: scratch.validated.clone() },
         insns_walked,
         insns_decoded: decoded.insns_decoded,
@@ -568,9 +545,7 @@ pub fn check_incremental(
         shards: decoded.shards,
         checkpoint_hit,
         rets_matched,
-    };
-    scratch.record_spans(&r);
-    r
+    }
 }
 
 #[cfg(test)]

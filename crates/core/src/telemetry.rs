@@ -1,25 +1,27 @@
-//! Engine telemetry: the lock-free replacement for `Mutex<EngineStats>`.
+//! Engine telemetry: every runtime statistic the engine emits, as plain
+//! data behind one lock.
 //!
-//! [`EngineTelemetry`] aggregates every runtime statistic the engine emits —
-//! sharded counters for verdict tallies, log-linear histograms for latency
-//! distributions, a bounded event ring with one [`CheckEvent`] per endpoint
-//! check, a bounded violation log, and the violation flight recorder. The
-//! hot path records through one `enabled` branch; with telemetry disabled
-//! every per-check record is a single predictable-not-taken branch. The old
-//! [`EngineStats`](crate::engine::EngineStats) aggregate survives as a
-//! snapshot assembled on demand ([`EngineTelemetry::snapshot`]).
+//! [`EngineTelemetry`] aggregates counters for verdict tallies, log-linear
+//! histograms for latency distributions, a bounded event ring with one
+//! [`CheckEvent`] per endpoint check, the span profiler, the health
+//! watchdog, a bounded violation log, and the violation flight recorder.
+//! The engine is the only writer and records each check (event, spans and
+//! cache samples together) in one call; readers (the CLI, fleet rollups,
+//! benchmarks) take snapshots between calls through the shared handle, so
+//! the lock is never contended. With telemetry disabled a check records
+//! nothing and takes no lock. The [`EngineStats`] aggregate is the
+//! snapshot form ([`EngineTelemetry::snapshot`]).
 
 use crate::engine::{EngineStats, ViolationRecord};
-use fg_trace::ring::{EventRing, PodEvent, EVENT_WORDS};
+use fg_ipt::DrainStats;
 use fg_trace::{
-    CycleCounter, FlightRecord, FlightRecorder, Gauge, HealthReport, HealthSample, Histogram,
-    HistogramSnapshot, PhaseSpan, PromText, ShardedU64, SpanProfiler, SpanSnapshot, Watchdog,
-    WatchdogConfig,
+    EventRing, FlightRecord, FlightRecorder, HealthReport, HealthSample, Histogram,
+    HistogramSnapshot, PhaseSpan, PromText, SpanProfiler, SpanSnapshot, Watchdog, WatchdogConfig,
+    PHASE_COUNT,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Sysno value recorded for PMI-triggered (non-syscall) checks.
 pub const PMI_SYSNO: u64 = u64::MAX;
@@ -52,26 +54,6 @@ pub enum CheckVerdict {
 }
 
 impl CheckVerdict {
-    fn to_u64(self) -> u64 {
-        match self {
-            CheckVerdict::Insufficient => 0,
-            CheckVerdict::FastClean => 1,
-            CheckVerdict::FastMalicious => 2,
-            CheckVerdict::SlowClean => 3,
-            CheckVerdict::SlowAttack => 4,
-        }
-    }
-
-    fn from_u64(v: u64) -> CheckVerdict {
-        match v {
-            1 => CheckVerdict::FastClean,
-            2 => CheckVerdict::FastMalicious,
-            3 => CheckVerdict::SlowClean,
-            4 => CheckVerdict::SlowAttack,
-            _ => CheckVerdict::Insufficient,
-        }
-    }
-
     /// Short label for event listings.
     pub fn label(self) -> &'static str {
         match self {
@@ -86,11 +68,10 @@ impl CheckVerdict {
 
 /// One structured record per endpoint check — the event-ring payload.
 ///
-/// The event has grown across releases (12 words → 16 words with the
-/// slow-path rework → 18 words with streaming); every field carries a
-/// serde default so JSON captured by any older release keeps
-/// deserialising. A back-compat test in `fg-bench` pins fixtures of each
-/// historical shape.
+/// The event has grown across releases (the slow-path rework and streaming
+/// each added fields); every field carries a serde default so JSON captured
+/// by any older release keeps deserialising. A back-compat test in
+/// `fg-bench` pins fixtures of each historical shape.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CheckEvent {
     /// The intercepted syscall number ([`PMI_SYSNO`] for PMI checks).
@@ -209,63 +190,6 @@ impl CheckEvent {
     }
 }
 
-impl PodEvent for CheckEvent {
-    fn encode(&self) -> [u64; EVENT_WORDS] {
-        [
-            self.sysno,
-            self.verdict.to_u64()
-                | u64::from(self.cold_restart) << 8
-                | u64::from(self.checkpoint_hit) << 9
-                | u64::from(self.streaming) << 10,
-            self.delta_bytes,
-            self.pairs_checked,
-            self.credited_pairs,
-            self.uncredited,
-            self.edge_cache_hits,
-            self.edge_cache_misses,
-            self.scan_cycles.to_bits(),
-            self.check_cycles.to_bits(),
-            self.slow_cycles.to_bits(),
-            self.other_cycles.to_bits(),
-            self.slow_shards,
-            self.slow_insns_decoded,
-            self.stitch_cycles.to_bits(),
-            // Per-check probe counts are bounded by the window's pair count,
-            // so 32 bits each is ample.
-            (self.tier0_hits & 0xffff_ffff) | (self.tier0_misses << 32),
-            self.frontier_lag,
-            self.drained_bytes,
-        ]
-    }
-
-    fn decode(w: &[u64; EVENT_WORDS]) -> CheckEvent {
-        CheckEvent {
-            sysno: w[0],
-            verdict: CheckVerdict::from_u64(w[1] & 0xff),
-            cold_restart: w[1] & 0x100 != 0,
-            checkpoint_hit: w[1] & 0x200 != 0,
-            streaming: w[1] & 0x400 != 0,
-            delta_bytes: w[2],
-            pairs_checked: w[3],
-            credited_pairs: w[4],
-            uncredited: w[5],
-            edge_cache_hits: w[6],
-            edge_cache_misses: w[7],
-            scan_cycles: f64::from_bits(w[8]),
-            check_cycles: f64::from_bits(w[9]),
-            slow_cycles: f64::from_bits(w[10]),
-            other_cycles: f64::from_bits(w[11]),
-            slow_shards: w[12],
-            slow_insns_decoded: w[13],
-            stitch_cycles: f64::from_bits(w[14]),
-            tier0_hits: w[15] & 0xffff_ffff,
-            tier0_misses: w[15] >> 32,
-            frontier_lag: w[16],
-            drained_bytes: w[17],
-        }
-    }
-}
-
 /// Bounded violation log: first [`VIOLATION_KEEP`] + last [`VIOLATION_KEEP`]
 /// records verbatim, everything between counted.
 #[derive(Debug, Default)]
@@ -297,40 +221,39 @@ impl ViolationLog {
     }
 }
 
-/// All engine telemetry, shared between the engine (moved into the kernel)
-/// and observers holding the handle from
-/// [`FlowGuardEngine::stats_handle`](crate::FlowGuardEngine::stats_handle).
+/// One check's spans: the modeled cycles of each phase the check recorded
+/// a span for, in [`PhaseSpan::ALL`] order (`None`: no span). A check
+/// records at most one span per phase.
+pub type CheckSpans = [Option<f64>; PHASE_COUNT];
+
+/// What one endpoint check hands its telemetry, recorded in one call
+/// ([`EngineTelemetry::record_check`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CheckRecord {
+    /// The check's event.
+    pub event: CheckEvent,
+    /// The check's spans.
+    pub spans: CheckSpans,
+    /// The streaming consumer's cumulative counters, when the check samples
+    /// their copy figures (a streaming check whose drain succeeded).
+    pub drain_stats: Option<DrainStats>,
+    /// Slow-path result cache entries after the check.
+    pub cache_size: usize,
+}
+
+/// Everything [`EngineTelemetry`] keeps, as plain data behind its lock.
 #[derive(Debug)]
-pub struct EngineTelemetry {
-    enabled: bool,
-    checks: ShardedU64,
-    fast_clean: ShardedU64,
-    fast_malicious: ShardedU64,
-    slow_invocations: ShardedU64,
-    slow_attacks: ShardedU64,
-    insufficient: ShardedU64,
-    pairs_checked: ShardedU64,
-    credited_pairs: ShardedU64,
-    bytes_scanned: ShardedU64,
-    cold_restarts: ShardedU64,
-    slow_checkpoint_hits: ShardedU64,
-    slow_checkpoint_misses: ShardedU64,
-    tier0_hits: ShardedU64,
-    tier0_misses: ShardedU64,
-    stream_drains: ShardedU64,
-    stream_drained_bytes: ShardedU64,
+struct Recorders {
+    /// Counters and cycle totals in their snapshot form; `violations` and
+    /// `violations_dropped` stay empty here (the log below holds them).
+    stats: EngineStats,
+    slow_checkpoint_hits: u64,
+    slow_checkpoint_misses: u64,
     /// Cumulative bytes the streaming consumer copied (seam carries plus
-    /// wrap-recovery linearizations) — sampled from
-    /// [`fg_ipt::DrainStats`]-style cumulative counters, last-write-wins.
-    stream_copied_bytes: Gauge,
+    /// wrap-recovery linearizations), sampled from [`DrainStats`].
+    stream_copied_bytes: u64,
     /// Cumulative region-seam packet carries, sampled the same way.
-    stream_seam_carries: Gauge,
-    cache_size: Gauge,
-    edge_cache_hits: Gauge,
-    edge_cache_misses: Gauge,
-    decode_cycles: CycleCounter,
-    check_cycles: CycleCounter,
-    other_cycles: CycleCounter,
+    stream_seam_carries: u64,
     /// Cycles per endpoint check, all phases.
     check_latency: Histogram,
     /// Fast-path packet-scan cycles per check.
@@ -347,24 +270,54 @@ pub struct EngineTelemetry {
     frontier_lag: Histogram,
     /// The streaming frontier lag observed by the most recent check
     /// (feeds the watchdog's lag-growth rule).
-    last_frontier_lag: Gauge,
-    /// 1 once a streaming-served check has been recorded (watchdog input).
-    streaming_mode: Gauge,
-    /// Per-phase cycle-attribution profiler (shared with the fast/slow
-    /// path scratch state and the streaming consumer).
-    spans: Arc<SpanProfiler>,
+    last_frontier_lag: u64,
+    /// Set once a streaming-served check has been recorded (watchdog input).
+    streaming: bool,
+    /// Per-phase cycle attribution.
+    spans: SpanProfiler,
     /// Rolling-window health evaluation over the counters above.
-    watchdog: Mutex<Watchdog>,
+    watchdog: Watchdog,
     events: EventRing<CheckEvent>,
-    violations: Mutex<ViolationLog>,
+    violations: ViolationLog,
     flight: FlightRecorder,
 }
 
+impl Recorders {
+    fn health_sample(&self) -> HealthSample {
+        let s = &self.stats;
+        HealthSample {
+            checks: s.checks,
+            slow_invocations: s.slow_invocations,
+            edge_cache_hits: s.edge_cache_hits,
+            edge_cache_misses: s.edge_cache_misses,
+            checkpoint_hits: self.slow_checkpoint_hits,
+            checkpoint_misses: self.slow_checkpoint_misses,
+            stream_drains: s.stream_drains,
+            frontier_lag: self.last_frontier_lag,
+            streaming: self.streaming,
+        }
+    }
+
+    fn sample_stream_copies(&mut self, ds: &DrainStats) {
+        self.stream_copied_bytes = ds.copied_bytes;
+        self.stream_seam_carries = ds.seam_carries;
+    }
+}
+
+/// All engine telemetry, shared between the engine (moved into the kernel)
+/// and observers holding the handle from
+/// [`FlowGuardEngine::stats_handle`](crate::FlowGuardEngine::stats_handle).
+#[derive(Debug)]
+pub struct EngineTelemetry {
+    enabled: bool,
+    inner: Mutex<Recorders>,
+}
+
 impl EngineTelemetry {
-    /// Creates telemetry; with `enabled` false every hot-path record is a
-    /// single branch and the rings/histograms stay empty (violations and
-    /// flight records are still captured — they are rare and
-    /// security-critical). Span profiling follows `enabled`.
+    /// Creates telemetry; with `enabled` false checks and drains record
+    /// nothing and take no lock (violations and flight records are still
+    /// captured — they are rare and security-critical). Span profiling
+    /// follows `enabled`.
     pub fn new(enabled: bool) -> EngineTelemetry {
         EngineTelemetry::with_spans(enabled, enabled)
     }
@@ -375,44 +328,27 @@ impl EngineTelemetry {
     pub fn with_spans(enabled: bool, profile_spans: bool) -> EngineTelemetry {
         EngineTelemetry {
             enabled,
-            checks: ShardedU64::new(),
-            fast_clean: ShardedU64::new(),
-            fast_malicious: ShardedU64::new(),
-            slow_invocations: ShardedU64::new(),
-            slow_attacks: ShardedU64::new(),
-            insufficient: ShardedU64::new(),
-            pairs_checked: ShardedU64::new(),
-            credited_pairs: ShardedU64::new(),
-            bytes_scanned: ShardedU64::new(),
-            cold_restarts: ShardedU64::new(),
-            slow_checkpoint_hits: ShardedU64::new(),
-            slow_checkpoint_misses: ShardedU64::new(),
-            tier0_hits: ShardedU64::new(),
-            tier0_misses: ShardedU64::new(),
-            stream_drains: ShardedU64::new(),
-            stream_drained_bytes: ShardedU64::new(),
-            stream_copied_bytes: Gauge::new(),
-            stream_seam_carries: Gauge::new(),
-            cache_size: Gauge::new(),
-            edge_cache_hits: Gauge::new(),
-            edge_cache_misses: Gauge::new(),
-            decode_cycles: CycleCounter::new(),
-            check_cycles: CycleCounter::new(),
-            other_cycles: CycleCounter::new(),
-            check_latency: Histogram::new(),
-            fastpath_scan_cycles: Histogram::new(),
-            slowpath_decode_cycles: Histogram::new(),
-            slowpath_stitch_cycles: Histogram::new(),
-            slowpath_shards: Histogram::new(),
-            bytes_per_check: Histogram::new(),
-            frontier_lag: Histogram::new(),
-            last_frontier_lag: Gauge::new(),
-            streaming_mode: Gauge::new(),
-            spans: Arc::new(SpanProfiler::new(enabled && profile_spans)),
-            watchdog: Mutex::new(Watchdog::default()),
-            events: EventRing::new(EVENT_RING_CAPACITY),
-            violations: Mutex::new(ViolationLog::default()),
-            flight: FlightRecorder::new(FLIGHT_CAPACITY, FLIGHT_WINDOW_BYTES),
+            inner: Mutex::new(Recorders {
+                stats: EngineStats::default(),
+                slow_checkpoint_hits: 0,
+                slow_checkpoint_misses: 0,
+                stream_copied_bytes: 0,
+                stream_seam_carries: 0,
+                check_latency: Histogram::new(),
+                fastpath_scan_cycles: Histogram::new(),
+                slowpath_decode_cycles: Histogram::new(),
+                slowpath_stitch_cycles: Histogram::new(),
+                slowpath_shards: Histogram::new(),
+                bytes_per_check: Histogram::new(),
+                frontier_lag: Histogram::new(),
+                last_frontier_lag: 0,
+                streaming: false,
+                spans: SpanProfiler::new(enabled && profile_spans),
+                watchdog: Watchdog::default(),
+                events: EventRing::new(EVENT_RING_CAPACITY),
+                violations: ViolationLog::default(),
+                flight: FlightRecorder::new(FLIGHT_CAPACITY, FLIGHT_WINDOW_BYTES),
+            }),
         }
     }
 
@@ -421,145 +357,123 @@ impl EngineTelemetry {
         self.enabled
     }
 
-    /// Records one completed endpoint check: counters, histograms, and the
-    /// event ring, in a single call so the disabled mode costs one branch.
-    #[inline]
-    pub fn record_check(&self, ev: &CheckEvent) {
+    /// Records one completed endpoint check — counters, histograms, the
+    /// event ring, its spans and the cache samples — under one lock.
+    pub fn record_check(&self, rec: &CheckRecord) {
         if !self.enabled {
             return;
         }
-        self.checks.incr();
+        let ev = &rec.event;
+        let mut r = self.inner.lock();
+        let r = &mut *r;
+        for (phase, cycles) in PhaseSpan::ALL.into_iter().zip(rec.spans) {
+            if let Some(cycles) = cycles {
+                r.spans.record(phase, cycles);
+            }
+        }
+        if let Some(ds) = &rec.drain_stats {
+            r.sample_stream_copies(ds);
+        }
+        let s = &mut r.stats;
+        s.cache_size = rec.cache_size;
+        s.edge_cache_hits += ev.edge_cache_hits;
+        s.edge_cache_misses += ev.edge_cache_misses;
+        s.checks += 1;
         match ev.verdict {
-            CheckVerdict::Insufficient => self.insufficient.incr(),
-            CheckVerdict::FastClean => self.fast_clean.incr(),
-            CheckVerdict::FastMalicious => self.fast_malicious.incr(),
-            CheckVerdict::SlowClean => self.slow_invocations.incr(),
+            CheckVerdict::Insufficient => s.insufficient += 1,
+            CheckVerdict::FastClean => s.fast_clean += 1,
+            CheckVerdict::FastMalicious => s.fast_malicious += 1,
+            CheckVerdict::SlowClean => s.slow_invocations += 1,
             CheckVerdict::SlowAttack => {
-                self.slow_invocations.incr();
-                self.slow_attacks.incr();
+                s.slow_invocations += 1;
+                s.slow_attacks += 1;
             }
         }
-        self.pairs_checked.add(ev.pairs_checked);
-        self.credited_pairs.add(ev.credited_pairs);
-        self.tier0_hits.add(ev.tier0_hits);
-        self.tier0_misses.add(ev.tier0_misses);
-        self.bytes_scanned.add(ev.delta_bytes);
+        s.pairs_checked += ev.pairs_checked;
+        s.credited_pairs += ev.credited_pairs;
+        s.tier0_hits += ev.tier0_hits;
+        s.tier0_misses += ev.tier0_misses;
+        s.bytes_scanned += ev.delta_bytes;
         if ev.cold_restart {
-            self.cold_restarts.incr();
+            s.cold_restarts += 1;
         }
-        self.decode_cycles.add(ev.scan_cycles + ev.slow_cycles);
-        self.check_cycles.add(ev.check_cycles);
-        self.other_cycles.add(ev.other_cycles);
-        self.check_latency.record_f64(ev.total_cycles());
-        self.fastpath_scan_cycles.record_f64(ev.scan_cycles);
+        s.decode_cycles += ev.scan_cycles + ev.slow_cycles;
+        s.check_cycles += ev.check_cycles;
+        s.other_cycles += ev.other_cycles;
+        r.check_latency.record_f64(ev.total_cycles());
+        r.fastpath_scan_cycles.record_f64(ev.scan_cycles);
         if matches!(ev.verdict, CheckVerdict::SlowClean | CheckVerdict::SlowAttack) {
-            self.slowpath_decode_cycles.record_f64(ev.slow_cycles);
-            self.slowpath_stitch_cycles.record_f64(ev.stitch_cycles);
-            self.slowpath_shards.record(ev.slow_shards);
+            r.slowpath_decode_cycles.record_f64(ev.slow_cycles);
+            r.slowpath_stitch_cycles.record_f64(ev.stitch_cycles);
+            r.slowpath_shards.record(ev.slow_shards);
             if ev.checkpoint_hit {
-                self.slow_checkpoint_hits.incr();
+                r.slow_checkpoint_hits += 1;
             } else {
-                self.slow_checkpoint_misses.incr();
+                r.slow_checkpoint_misses += 1;
             }
         }
-        self.bytes_per_check.record(ev.delta_bytes);
+        r.bytes_per_check.record(ev.delta_bytes);
         if ev.streaming {
-            self.frontier_lag.record(ev.frontier_lag);
-            self.last_frontier_lag.set(ev.frontier_lag);
-            self.streaming_mode.set(1);
+            r.frontier_lag.record(ev.frontier_lag);
+            r.last_frontier_lag = ev.frontier_lag;
+            r.streaming = true;
         }
-        self.events.push(ev);
+        r.events.push(ev);
     }
 
     /// Records one background drain by the streaming consumer (trace-poll
     /// slots and region-fill PMIs — not check-time residue scans, which are
-    /// accounted as `delta_bytes` on their [`CheckEvent`]).
-    #[inline]
-    pub fn record_stream_drain(&self, bytes: u64) {
+    /// accounted as `delta_bytes` on their [`CheckEvent`]): its span of
+    /// `span_cycles`, the bytes it drained when it counts as a drain (it
+    /// consumed bytes or cold-restarted), and the consumer's cumulative copy
+    /// counters.
+    pub fn record_stream_drain(&self, drained: Option<u64>, span_cycles: f64, ds: &DrainStats) {
         if !self.enabled {
             return;
         }
-        self.stream_drains.incr();
-        self.stream_drained_bytes.add(bytes);
-    }
-
-    /// Samples the streaming consumer's cumulative copy counters (bytes it
-    /// had to copy — seam carries plus wrap recoveries — and the carry
-    /// count). Last-write-wins, like the cache gauges.
-    #[inline]
-    pub fn sample_stream_copies(&self, copied_bytes: u64, seam_carries: u64) {
-        if !self.enabled {
-            return;
+        let mut r = self.inner.lock();
+        r.spans.record(PhaseSpan::StreamDrain, span_cycles);
+        if let Some(bytes) = drained {
+            r.stats.stream_drains += 1;
+            r.stats.stream_drained_bytes += bytes;
         }
-        self.stream_copied_bytes.set(copied_bytes);
-        self.stream_seam_carries.set(seam_carries);
+        r.sample_stream_copies(ds);
     }
 
-    /// The per-check total-cycles histogram — exposed so fleet rollups can
-    /// bucket-merge it across processes via [`Histogram::merge_from`].
-    pub fn check_latency_hist(&self) -> &Histogram {
-        &self.check_latency
-    }
-
-    /// Samples the caches' current sizes (gauges, last-write-wins).
-    #[inline]
-    pub fn sample_caches(&self, cache_size: u64, edge_hits: u64, edge_misses: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.cache_size.set(cache_size);
-        self.edge_cache_hits.set(edge_hits);
-        self.edge_cache_misses.set(edge_misses);
-    }
-
-    /// The span profiler (per-phase cycle attribution).
-    pub fn spans(&self) -> &SpanProfiler {
-        &self.spans
-    }
-
-    /// A shareable handle to the span profiler, for wiring into the
-    /// fast/slow-path scratch state and the streaming consumer.
-    pub fn spans_handle(&self) -> Arc<SpanProfiler> {
-        Arc::clone(&self.spans)
+    /// Adds the per-check total-cycles histogram into `into` — the fleet
+    /// rollup's bucket merge across processes.
+    pub fn merge_check_latency_into(&self, into: &mut Histogram) {
+        into.merge_from(&self.inner.lock().check_latency);
     }
 
     /// Replaces the watchdog's thresholds (the sample window is kept).
     pub fn configure_watchdog(&self, cfg: WatchdogConfig) {
-        self.watchdog.lock().set_config(cfg);
+        self.inner.lock().watchdog.set_config(cfg);
     }
 
     /// The current vital signs as a cumulative [`HealthSample`].
     pub fn health_sample(&self) -> HealthSample {
-        HealthSample {
-            checks: self.checks.get(),
-            slow_invocations: self.slow_invocations.get(),
-            edge_cache_hits: self.edge_cache_hits.get(),
-            edge_cache_misses: self.edge_cache_misses.get(),
-            checkpoint_hits: self.slow_checkpoint_hits.get(),
-            checkpoint_misses: self.slow_checkpoint_misses.get(),
-            stream_drains: self.stream_drains.get(),
-            frontier_lag: self.last_frontier_lag.get(),
-            streaming: self.streaming_mode.get() != 0,
-        }
+        self.inner.lock().health_sample()
     }
 
     /// Pushes the current vital signs into the watchdog's rolling window.
     /// Call once per observation interval (the protected-process runner
     /// ticks at the end of every run slice).
     pub fn health_tick(&self) {
-        let sample = self.health_sample();
-        self.watchdog.lock().push(sample);
+        let mut r = self.inner.lock();
+        let sample = r.health_sample();
+        r.watchdog.push(sample);
     }
 
     /// Evaluates the watchdog rules over the ticks accumulated so far.
     pub fn health_report(&self) -> HealthReport {
-        self.watchdog.lock().report()
+        self.inner.lock().watchdog.report()
     }
 
     /// Appends to the bounded violation log (recorded even when disabled:
     /// violations are rare and security-critical).
     pub fn record_violation(&self, rec: ViolationRecord) {
-        self.violations.lock().push(rec);
+        self.inner.lock().violations.push(rec);
     }
 
     /// Captures a flight record for a violation (see [`FlightRecorder`]).
@@ -572,62 +486,42 @@ impl EngineTelemetry {
         topa_window: &[u8],
         packets: Vec<String>,
     ) -> u64 {
-        self.flight.capture(endpoint, detail, fast_path, edge, topa_window, packets)
+        self.inner.lock().flight.capture(endpoint, detail, fast_path, edge, topa_window, packets)
     }
 
     /// The retained flight records.
     pub fn flight_records(&self) -> Vec<FlightRecord> {
-        self.flight.records()
+        self.inner.lock().flight.records().to_vec()
     }
 
     /// The most recent `n` check events, oldest first, with absolute
     /// indices.
     pub fn recent_events(&self, n: usize) -> Vec<(u64, CheckEvent)> {
-        self.events.last(n)
+        self.inner.lock().events.last(n)
     }
 
     /// Total endpoint checks recorded.
     pub fn checks(&self) -> u64 {
-        self.checks.get()
+        self.inner.lock().stats.checks
     }
 
     /// Total events pushed into the ring (including overwritten ones).
     pub fn events_recorded(&self) -> u64 {
-        self.events.pushed()
+        self.inner.lock().events.pushed()
     }
 
     /// Total violations recorded (including dropped log entries).
     pub fn violations_total(&self) -> u64 {
-        self.violations.lock().total()
+        self.inner.lock().violations.total()
     }
 
-    /// Assembles the compatibility [`EngineStats`] aggregate from the
-    /// shards.
+    /// The [`EngineStats`] aggregate.
     pub fn snapshot(&self) -> EngineStats {
-        let v = self.violations.lock();
+        let r = self.inner.lock();
         EngineStats {
-            checks: self.checks.get(),
-            fast_clean: self.fast_clean.get(),
-            fast_malicious: self.fast_malicious.get(),
-            slow_invocations: self.slow_invocations.get(),
-            slow_attacks: self.slow_attacks.get(),
-            insufficient: self.insufficient.get(),
-            pairs_checked: self.pairs_checked.get(),
-            credited_pairs: self.credited_pairs.get(),
-            cache_size: self.cache_size.get() as usize,
-            bytes_scanned: self.bytes_scanned.get(),
-            cold_restarts: self.cold_restarts.get(),
-            edge_cache_hits: self.edge_cache_hits.get(),
-            edge_cache_misses: self.edge_cache_misses.get(),
-            tier0_hits: self.tier0_hits.get(),
-            tier0_misses: self.tier0_misses.get(),
-            stream_drains: self.stream_drains.get(),
-            stream_drained_bytes: self.stream_drained_bytes.get(),
-            decode_cycles: self.decode_cycles.get(),
-            check_cycles: self.check_cycles.get(),
-            other_cycles: self.other_cycles.get(),
-            violations_dropped: v.dropped,
-            violations: v.retained(),
+            violations_dropped: r.violations.dropped,
+            violations: r.violations.retained(),
+            ..r.stats.clone()
         }
     }
 
@@ -635,56 +529,58 @@ impl EngineTelemetry {
     /// recent events, violations, flight records) — the JSON the CLI's
     /// `stats` subcommand and fg-bench's distribution columns consume.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let v = self.violations.lock();
+        let r = self.inner.lock();
+        let s = &r.stats;
         TelemetrySnapshot {
             enabled: self.enabled,
-            checks: self.checks.get(),
-            fast_clean: self.fast_clean.get(),
-            fast_malicious: self.fast_malicious.get(),
-            slow_invocations: self.slow_invocations.get(),
-            slow_attacks: self.slow_attacks.get(),
-            insufficient: self.insufficient.get(),
-            pairs_checked: self.pairs_checked.get(),
-            credited_pairs: self.credited_pairs.get(),
-            cache_size: self.cache_size.get(),
-            bytes_scanned: self.bytes_scanned.get(),
-            cold_restarts: self.cold_restarts.get(),
-            slow_checkpoint_hits: self.slow_checkpoint_hits.get(),
-            slow_checkpoint_misses: self.slow_checkpoint_misses.get(),
-            tier0_hits: self.tier0_hits.get(),
-            tier0_misses: self.tier0_misses.get(),
-            stream_drains: self.stream_drains.get(),
-            stream_drained_bytes: self.stream_drained_bytes.get(),
-            stream_copied_bytes: self.stream_copied_bytes.get(),
-            stream_seam_carries: self.stream_seam_carries.get(),
-            edge_cache_hits: self.edge_cache_hits.get(),
-            edge_cache_misses: self.edge_cache_misses.get(),
-            decode_cycles: self.decode_cycles.get(),
-            check_cycles: self.check_cycles.get(),
-            other_cycles: self.other_cycles.get(),
-            check_latency: self.check_latency.snapshot(),
-            fastpath_scan_cycles: self.fastpath_scan_cycles.snapshot(),
-            slowpath_decode_cycles: self.slowpath_decode_cycles.snapshot(),
-            slowpath_stitch_cycles: self.slowpath_stitch_cycles.snapshot(),
-            slowpath_shards: self.slowpath_shards.snapshot(),
-            bytes_per_check: self.bytes_per_check.snapshot(),
-            frontier_lag: self.frontier_lag.snapshot(),
-            last_frontier_lag: self.last_frontier_lag.get(),
-            spans: self.spans.snapshot(),
-            health: self.health_report(),
-            events_recorded: self.events.pushed(),
-            violations_total: v.total(),
-            violations_dropped: v.dropped,
-            violations: v
+            checks: s.checks,
+            fast_clean: s.fast_clean,
+            fast_malicious: s.fast_malicious,
+            slow_invocations: s.slow_invocations,
+            slow_attacks: s.slow_attacks,
+            insufficient: s.insufficient,
+            pairs_checked: s.pairs_checked,
+            credited_pairs: s.credited_pairs,
+            cache_size: s.cache_size as u64,
+            bytes_scanned: s.bytes_scanned,
+            cold_restarts: s.cold_restarts,
+            slow_checkpoint_hits: r.slow_checkpoint_hits,
+            slow_checkpoint_misses: r.slow_checkpoint_misses,
+            tier0_hits: s.tier0_hits,
+            tier0_misses: s.tier0_misses,
+            stream_drains: s.stream_drains,
+            stream_drained_bytes: s.stream_drained_bytes,
+            stream_copied_bytes: r.stream_copied_bytes,
+            stream_seam_carries: r.stream_seam_carries,
+            edge_cache_hits: s.edge_cache_hits,
+            edge_cache_misses: s.edge_cache_misses,
+            decode_cycles: s.decode_cycles,
+            check_cycles: s.check_cycles,
+            other_cycles: s.other_cycles,
+            check_latency: r.check_latency.snapshot(),
+            fastpath_scan_cycles: r.fastpath_scan_cycles.snapshot(),
+            slowpath_decode_cycles: r.slowpath_decode_cycles.snapshot(),
+            slowpath_stitch_cycles: r.slowpath_stitch_cycles.snapshot(),
+            slowpath_shards: r.slowpath_shards.snapshot(),
+            bytes_per_check: r.bytes_per_check.snapshot(),
+            frontier_lag: r.frontier_lag.snapshot(),
+            last_frontier_lag: r.last_frontier_lag,
+            spans: r.spans.snapshot(),
+            health: r.watchdog.report(),
+            events_recorded: r.events.pushed(),
+            violations_total: r.violations.total(),
+            violations_dropped: r.violations.dropped,
+            violations: r
+                .violations
                 .retained()
                 .into_iter()
-                .map(|r| ViolationSummary {
-                    endpoint: r.endpoint.to_string(),
-                    detail: r.detail,
-                    fast_path: r.fast_path,
+                .map(|v| ViolationSummary {
+                    endpoint: v.endpoint.to_string(),
+                    detail: v.detail,
+                    fast_path: v.fast_path,
                 })
                 .collect(),
-            flight_records: self.flight.records(),
+            flight_records: r.flight.records().to_vec(),
         }
     }
 
@@ -699,107 +595,83 @@ impl EngineTelemetry {
     /// quantile `summary` families (which cannot be aggregated across
     /// processes) instead of cumulative histogram buckets.
     pub fn prometheus_text_opts(&self, legacy_summaries: bool) -> String {
+        let r = self.inner.lock();
+        let s = &r.stats;
         let mut p = PromText::new();
-        p.counter("fg_checks_total", "Endpoint checks performed", self.checks.get())
-            .counter("fg_fast_clean_total", "Fast-path clean outcomes", self.fast_clean.get())
-            .counter(
-                "fg_fast_malicious_total",
-                "Fast-path malicious detections",
-                self.fast_malicious.get(),
-            )
+        p.counter("fg_checks_total", "Endpoint checks performed", s.checks)
+            .counter("fg_fast_clean_total", "Fast-path clean outcomes", s.fast_clean)
+            .counter("fg_fast_malicious_total", "Fast-path malicious detections", s.fast_malicious)
             .counter(
                 "fg_slow_invocations_total",
                 "Windows escalated to the slow path",
-                self.slow_invocations.get(),
+                s.slow_invocations,
             )
-            .counter(
-                "fg_slow_attacks_total",
-                "Slow-path attack detections",
-                self.slow_attacks.get(),
-            )
-            .counter(
-                "fg_insufficient_total",
-                "Checks skipped for lack of trace",
-                self.insufficient.get(),
-            )
-            .counter("fg_pairs_checked_total", "TIP pairs checked", self.pairs_checked.get())
-            .counter("fg_credited_pairs_total", "High-credit pairs", self.credited_pairs.get())
-            .counter("fg_bytes_scanned_total", "Trace bytes scanned", self.bytes_scanned.get())
-            .counter("fg_cold_restarts_total", "Cold PSB re-syncs", self.cold_restarts.get())
+            .counter("fg_slow_attacks_total", "Slow-path attack detections", s.slow_attacks)
+            .counter("fg_insufficient_total", "Checks skipped for lack of trace", s.insufficient)
+            .counter("fg_pairs_checked_total", "TIP pairs checked", s.pairs_checked)
+            .counter("fg_credited_pairs_total", "High-credit pairs", s.credited_pairs)
+            .counter("fg_bytes_scanned_total", "Trace bytes scanned", s.bytes_scanned)
+            .counter("fg_cold_restarts_total", "Cold PSB re-syncs", s.cold_restarts)
             .counter(
                 "fg_slow_checkpoint_hits_total",
                 "Slow-path checks resumed from the decode checkpoint",
-                self.slow_checkpoint_hits.get(),
+                r.slow_checkpoint_hits,
             )
             .counter(
                 "fg_slow_checkpoint_misses_total",
                 "Slow-path checks decoded cold",
-                self.slow_checkpoint_misses.get(),
+                r.slow_checkpoint_misses,
             )
-            .counter(
-                "fg_tier0_hits_total",
-                "Tier-0 bitset probes that passed",
-                self.tier0_hits.get(),
-            )
+            .counter("fg_tier0_hits_total", "Tier-0 bitset probes that passed", s.tier0_hits)
             .counter(
                 "fg_tier0_misses_total",
                 "Tier-0 bitset probes that failed (pre-edge violations)",
-                self.tier0_misses.get(),
+                s.tier0_misses,
             )
             .counter(
                 "fg_stream_drains_total",
                 "Background drains by the streaming consumer",
-                self.stream_drains.get(),
+                s.stream_drains,
             )
             .counter(
                 "fg_stream_drained_bytes_total",
                 "Trace bytes drained in the background by the streaming consumer",
-                self.stream_drained_bytes.get(),
+                s.stream_drained_bytes,
             )
             .counter(
                 "fg_stream_copied_bytes_total",
                 "Bytes the streaming consumer copied (seam carries + wrap recoveries)",
-                self.stream_copied_bytes.get(),
+                r.stream_copied_bytes,
             )
             .counter(
                 "fg_stream_seam_carries_total",
                 "Packet fragments carried across ToPA region seams",
-                self.stream_seam_carries.get(),
+                r.stream_seam_carries,
             )
-            .counter(
-                "fg_edge_cache_hits_total",
-                "Fast-path edge-cache hits",
-                self.edge_cache_hits.get(),
-            )
+            .counter("fg_edge_cache_hits_total", "Fast-path edge-cache hits", s.edge_cache_hits)
             .counter(
                 "fg_edge_cache_misses_total",
                 "Fast-path edge-cache misses",
-                self.edge_cache_misses.get(),
+                s.edge_cache_misses,
             )
-            .counter("fg_violations_total", "CFI violations", self.violations_total())
+            .counter("fg_violations_total", "CFI violations", r.violations.total())
             .counter(
                 "fg_span_records_total",
                 "Spans recorded by the cycle-attribution profiler",
-                self.spans.records(),
+                r.spans.records(),
             )
-            .gauge(
-                "fg_cache_entries",
-                "Slow-path result cache entries",
-                self.cache_size.get() as f64,
-            )
-            .gauge("fg_decode_cycles", "Cycles spent decoding", self.decode_cycles.get())
-            .gauge("fg_check_cycles", "Cycles spent matching", self.check_cycles.get())
-            .gauge("fg_other_cycles", "Interception-overhead cycles", self.other_cycles.get());
+            .gauge("fg_cache_entries", "Slow-path result cache entries", s.cache_size as f64)
+            .gauge("fg_decode_cycles", "Cycles spent decoding", s.decode_cycles)
+            .gauge("fg_check_cycles", "Cycles spent matching", s.check_cycles)
+            .gauge("fg_other_cycles", "Interception-overhead cycles", s.other_cycles);
 
         // Per-phase cycle attribution: one counter family labelled by
         // pipeline phase, the foundation for fleet rollups.
-        let span_snap = self.spans.snapshot();
+        let overhead = r.spans.overhead();
         let cycle_series: Vec<(&str, f64)> =
-            PhaseSpan::ALL.iter().map(|&ph| (ph.label(), self.spans.phase_cycles(ph))).collect();
-        let span_series: Vec<(&str, f64)> = PhaseSpan::ALL
-            .iter()
-            .map(|&ph| (ph.label(), self.spans.phase_spans(ph) as f64))
-            .collect();
+            PhaseSpan::ALL.iter().map(|&ph| (ph.label(), r.spans.phase_cycles(ph))).collect();
+        let span_series: Vec<(&str, f64)> =
+            PhaseSpan::ALL.iter().map(|&ph| (ph.label(), r.spans.phase_spans(ph) as f64)).collect();
         p.labeled_counter(
             "fg_phase_cycles_total",
             "Modeled cycles attributed to each check-pipeline phase",
@@ -815,38 +687,38 @@ impl EngineTelemetry {
         .gauge(
             "fg_span_overhead_mean_ns",
             "Measured profiler self-overhead per record (sampled mean)",
-            span_snap.overhead.mean_ns_per_record,
+            overhead.mean_ns_per_record,
         )
         .gauge(
             "fg_span_overhead_estimated_ns",
             "Profiler self-overhead extrapolated over all records",
-            span_snap.overhead.estimated_total_ns,
+            overhead.estimated_total_ns,
         )
         .gauge(
             "fg_health_status",
             "Watchdog verdict: 0 healthy, 1 degraded, 2 critical",
-            self.health_report().status.to_u64() as f64,
+            r.watchdog.report().status.to_u64() as f64,
         );
 
         let hists: [(&str, &str, &Histogram); 7] = [
-            ("fg_check_latency_cycles", "Per-check total cycles", &self.check_latency),
-            ("fg_fastpath_scan_cycles", "Per-check packet-scan cycles", &self.fastpath_scan_cycles),
+            ("fg_check_latency_cycles", "Per-check total cycles", &r.check_latency),
+            ("fg_fastpath_scan_cycles", "Per-check packet-scan cycles", &r.fastpath_scan_cycles),
             (
                 "fg_slowpath_decode_cycles",
                 "Per-escalation slow-path cycles",
-                &self.slowpath_decode_cycles,
+                &r.slowpath_decode_cycles,
             ),
             (
                 "fg_slowpath_stitch_cycles",
                 "Per-escalation sequential stitch/replay cycles",
-                &self.slowpath_stitch_cycles,
+                &r.slowpath_stitch_cycles,
             ),
-            ("fg_slowpath_shards", "PSB shards per slow-path decode", &self.slowpath_shards),
-            ("fg_check_bytes", "Trace bytes consumed per check", &self.bytes_per_check),
+            ("fg_slowpath_shards", "PSB shards per slow-path decode", &r.slowpath_shards),
+            ("fg_check_bytes", "Trace bytes consumed per check", &r.bytes_per_check),
             (
                 "fg_frontier_lag_bytes",
                 "Residue bytes not yet drained at check entry (streaming)",
-                &self.frontier_lag,
+                &r.frontier_lag,
             ),
         ];
         for (name, help, h) in hists {
@@ -1011,40 +883,19 @@ pub fn render_packets(window: &[u8], max: usize) -> Vec<String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn check_event_pod_roundtrip() {
-        let ev = CheckEvent {
-            sysno: 2,
-            verdict: CheckVerdict::SlowAttack,
-            cold_restart: true,
-            delta_bytes: 321,
-            pairs_checked: 30,
-            credited_pairs: 29,
-            uncredited: 1,
-            edge_cache_hits: 25,
-            edge_cache_misses: 5,
-            scan_cycles: 123.5,
-            check_cycles: 60.25,
-            slow_cycles: 900.0,
-            other_cycles: 200.0,
-            checkpoint_hit: true,
-            slow_shards: 5,
-            slow_insns_decoded: 777,
-            stitch_cycles: 44.0,
-            tier0_hits: 29,
-            tier0_misses: 1,
-            streaming: true,
-            frontier_lag: 17,
-            drained_bytes: 4096,
-        };
-        assert_eq!(CheckEvent::decode(&ev.encode()), ev);
+    /// A check record carrying only `event`.
+    fn check(event: CheckEvent) -> CheckRecord {
+        CheckRecord { event, ..Default::default() }
     }
 
     #[test]
     fn disabled_mode_records_nothing_hot_but_keeps_violations() {
         let t = EngineTelemetry::new(false);
-        t.record_check(&CheckEvent { sysno: 2, ..Default::default() });
-        t.sample_caches(10, 5, 5);
+        t.record_check(&CheckRecord {
+            event: CheckEvent { sysno: 2, ..Default::default() },
+            cache_size: 10,
+            ..Default::default()
+        });
         assert_eq!(t.checks(), 0);
         assert_eq!(t.recent_events(10).len(), 0);
         let s = t.snapshot();
@@ -1061,7 +912,7 @@ mod tests {
     #[test]
     fn snapshot_matches_recorded_checks() {
         let t = EngineTelemetry::new(true);
-        t.record_check(&CheckEvent {
+        t.record_check(&check(CheckEvent {
             sysno: 2,
             verdict: CheckVerdict::FastClean,
             delta_bytes: 100,
@@ -1071,8 +922,8 @@ mod tests {
             check_cycles: 20.0,
             other_cycles: 200.0,
             ..Default::default()
-        });
-        t.record_check(&CheckEvent {
+        }));
+        t.record_check(&check(CheckEvent {
             sysno: 2,
             verdict: CheckVerdict::SlowClean,
             delta_bytes: 60,
@@ -1084,7 +935,7 @@ mod tests {
             slow_cycles: 1000.0,
             other_cycles: 200.0,
             ..Default::default()
-        });
+        }));
         let s = t.snapshot();
         assert_eq!(s.checks, 2);
         assert_eq!(s.fast_clean, 1);
@@ -1123,12 +974,12 @@ mod tests {
     #[test]
     fn prometheus_dump_contains_required_series() {
         let t = EngineTelemetry::new(true);
-        t.record_check(&CheckEvent {
+        t.record_check(&check(CheckEvent {
             sysno: 2,
             verdict: CheckVerdict::FastClean,
             scan_cycles: 100.0,
             ..Default::default()
-        });
+        }));
         let text = t.prometheus_text();
         for series in [
             "fg_checks_total",
@@ -1156,11 +1007,11 @@ mod tests {
     #[test]
     fn prometheus_legacy_summaries_flag_restores_quantiles() {
         let t = EngineTelemetry::new(true);
-        t.record_check(&CheckEvent {
+        t.record_check(&check(CheckEvent {
             sysno: 2,
             verdict: CheckVerdict::FastClean,
             ..Default::default()
-        });
+        }));
         let text = t.prometheus_text_opts(true);
         assert!(text.contains("fg_check_latency_cycles{quantile=\"0.99\"}"));
         assert!(text.contains("# TYPE fg_check_latency_cycles summary"));
@@ -1172,7 +1023,7 @@ mod tests {
     #[test]
     fn telemetry_snapshot_round_trips_json() {
         let t = EngineTelemetry::new(true);
-        t.record_check(&CheckEvent { sysno: 2, ..Default::default() });
+        t.record_check(&check(CheckEvent { sysno: 2, ..Default::default() }));
         let json = serde_json::to_string(&t.telemetry_snapshot()).unwrap();
         let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.checks, 1);
@@ -1219,11 +1070,11 @@ mod tests {
         let t = EngineTelemetry::new(true);
         t.health_tick();
         for _ in 0..100 {
-            t.record_check(&CheckEvent {
+            t.record_check(&check(CheckEvent {
                 sysno: 2,
                 verdict: CheckVerdict::SlowClean,
                 ..Default::default()
-            });
+            }));
         }
         t.health_tick();
         let report = t.health_report();
@@ -1235,18 +1086,22 @@ mod tests {
 
     #[test]
     fn spans_record_through_the_telemetry_handle() {
+        let mut rec = check(CheckEvent { sysno: 2, ..Default::default() });
+        rec.spans[PhaseSpan::Intercept.index()] = Some(30.0);
+        rec.spans[PhaseSpan::EdgeProbe.index()] = Some(12.0);
         let t = EngineTelemetry::new(true);
-        t.spans().record(PhaseSpan::Intercept, 30.0, 0);
-        {
-            let mut g = t.spans().enter(PhaseSpan::EdgeProbe);
-            g.add_cycles(12.0);
-        }
+        t.record_check(&rec);
+        t.record_stream_drain(Some(64), 500.0, &DrainStats::default());
         let snap = t.telemetry_snapshot();
-        assert_eq!(snap.spans.records, 2);
+        assert_eq!(snap.spans.records, 3);
         assert!((snap.spans.check_cycles - 42.0).abs() < 1e-9);
-        // Disabled telemetry wires a disabled profiler.
+        assert!((snap.spans.phase_cycles(PhaseSpan::StreamDrain) - 500.0).abs() < 1e-9);
+        let spans: Vec<u64> = snap.spans.phases.iter().map(|p| p.spans).collect();
+        assert_eq!(spans, [1, 0, 1, 0, 1, 0, 0, 0, 0]);
+        assert_eq!(snap.stream_drained_bytes, 64);
+        // Disabled telemetry records no spans.
         let off = EngineTelemetry::new(false);
-        off.spans().record(PhaseSpan::Intercept, 30.0, 0);
-        assert_eq!(off.spans().records(), 0);
+        off.record_check(&rec);
+        assert_eq!(off.telemetry_snapshot().spans.records, 0);
     }
 }

@@ -11,10 +11,8 @@ use crate::mutate;
 use fg_cpu::coverage::VirginMap;
 use fg_cpu::machine::Machine;
 use fg_isa::image::Image;
-use fg_trace::{Histogram, ShardedU64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// A corpus entry.
 #[derive(Debug, Clone)]
@@ -36,21 +34,6 @@ pub struct Snapshot {
     pub paths: usize,
     /// Crashing inputs found.
     pub crashes: usize,
-}
-
-/// Training-phase telemetry: lock-free counters and an input-length
-/// distribution over the campaign, shareable (via
-/// [`Fuzzer::telemetry`]) with an observer thread while the campaign runs.
-#[derive(Debug, Default)]
-pub struct FuzzTelemetry {
-    /// Target executions performed.
-    pub execs: ShardedU64,
-    /// Coverage-increasing inputs admitted to the queue.
-    pub new_paths: ShardedU64,
-    /// Crashing inputs found.
-    pub crashes: ShardedU64,
-    /// Distribution of executed input lengths (bytes).
-    pub input_len: Histogram,
 }
 
 /// Fuzzer configuration.
@@ -86,7 +69,6 @@ pub struct Fuzzer<'a> {
     pub execs: u64,
     /// Snapshots taken after every queue cycle.
     pub history: Vec<Snapshot>,
-    telemetry: Arc<FuzzTelemetry>,
 }
 
 impl<'a> Fuzzer<'a> {
@@ -101,7 +83,6 @@ impl<'a> Fuzzer<'a> {
             crashes: Vec::new(),
             execs: 0,
             history: Vec::new(),
-            telemetry: Arc::new(FuzzTelemetry::default()),
         };
         for s in seeds {
             f.try_input(&s);
@@ -109,29 +90,20 @@ impl<'a> Fuzzer<'a> {
         f
     }
 
-    /// A shared handle to the campaign's telemetry.
-    pub fn telemetry(&self) -> Arc<FuzzTelemetry> {
-        Arc::clone(&self.telemetry)
-    }
-
     /// Executes one input in the emulator, returning whether it produced
     /// new coverage; queue and crash lists are updated.
     fn try_input(&mut self, input: &[u8]) -> bool {
         self.execs += 1;
-        self.telemetry.execs.incr();
-        self.telemetry.input_len.record(input.len() as u64);
         let mut m = Machine::new(self.image, 0xf000);
         m.enable_coverage();
         let mut kernel = fg_kernel::Kernel::with_input(input);
         let stop = m.run(&mut kernel, self.cfg.insn_budget);
         if stop.is_crash() {
             self.crashes.push(input.to_vec());
-            self.telemetry.crashes.incr();
         }
         let cov = m.coverage.as_ref().expect("coverage enabled");
         let new = cov.merge_into(&mut self.virgin);
         if new {
-            self.telemetry.new_paths.incr();
             self.queue.push(QueueEntry {
                 input: input.to_vec(),
                 det_done: false,
@@ -267,19 +239,6 @@ mod tests {
             "AFL-style campaign should crash the implanted overflow (paths={})",
             f.queue.len()
         );
-    }
-
-    #[test]
-    fn telemetry_mirrors_campaign_counters() {
-        let w = nginx_like();
-        let seed = fg_workloads::request(0, b"hi");
-        let mut f = Fuzzer::new(&w.image, vec![seed], FuzzConfig::default());
-        let t = f.telemetry();
-        f.run(300);
-        assert_eq!(t.execs.get(), f.execs);
-        assert_eq!(t.new_paths.get(), f.queue.len() as u64);
-        assert_eq!(t.crashes.get(), f.crashes.len() as u64);
-        assert_eq!(t.input_len.snapshot().count, f.execs);
     }
 
     #[test]

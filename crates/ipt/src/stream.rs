@@ -19,8 +19,6 @@ use crate::decode::PacketError;
 use crate::fast::{FastScan, IP_PAYLOAD_LEN};
 use crate::incremental::{AppendInfo, IncrementalScanner};
 use crate::packet::wire;
-use fg_trace::{PhaseSpan, SpanProfiler};
-use std::sync::Arc;
 
 /// What the header bytes at the front of `buf` say about the packet there.
 pub(crate) enum PacketNeed {
@@ -138,9 +136,6 @@ pub struct StreamConsumer {
     /// counted in [`DrainStats::copied_bytes`].
     window: Vec<u8>,
     stats: DrainStats,
-    /// Cycle-attribution profiler plus the modeled per-byte scan cost;
-    /// wired by the engine so drains show up as spans.
-    profiler: Option<(Arc<SpanProfiler>, f64)>,
 }
 
 impl StreamConsumer {
@@ -251,29 +246,6 @@ impl StreamConsumer {
         self.drain_bounded(segs, total_written, budget, true)
     }
 
-    /// [`StreamConsumer::drain_window`] plus span attribution: the drained
-    /// bytes are recorded as one `phase` span, charged at the wired
-    /// profiler's per-byte cost. A failed drain still records its (empty)
-    /// span. Without a wired profiler this is exactly `drain_window`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StreamConsumer::drain_window`]'s [`PacketError`].
-    pub fn drain_window_profiled<'s>(
-        &mut self,
-        segs: impl Iterator<Item = &'s [u8]> + Clone,
-        total_written: u64,
-        budget: usize,
-        phase: PhaseSpan,
-    ) -> Result<AppendInfo, PacketError> {
-        let res = self.drain_window(segs, total_written, budget);
-        if let Some((prof, cycles_per_byte)) = &self.profiler {
-            let bytes = res.as_ref().map_or(0, |info| info.new_bytes);
-            prof.record(phase, bytes as f64 * cycles_per_byte, bytes);
-        }
-        res
-    }
-
     fn drain_bounded<'s>(
         &mut self,
         segs: impl Iterator<Item = &'s [u8]> + Clone,
@@ -382,14 +354,6 @@ impl StreamConsumer {
             self.stats.seam_carries += 1;
         }
         Ok(())
-    }
-
-    /// Wires the cycle-attribution profiler: subsequent
-    /// [`StreamConsumer::drain_window_profiled`] calls record their work as
-    /// spans, charging `cycles_per_byte` (the cost model's per-byte scan
-    /// cost) for every drained byte.
-    pub fn set_profiler(&mut self, profiler: Arc<SpanProfiler>, cycles_per_byte: f64) {
-        self.profiler = Some((profiler, cycles_per_byte));
     }
 
     fn record(&mut self, info: &AppendInfo) {
@@ -539,50 +503,6 @@ mod tests {
         }
         let cold = fast::scan(&stream).unwrap();
         assert_eq!(c.scan().tip_events(), cold.tip_events());
-    }
-
-    #[test]
-    fn profiled_drains_attribute_spans_by_phase() {
-        let stream = sample_stream();
-        let mut c = StreamConsumer::new();
-        let prof = Arc::new(SpanProfiler::new(true));
-        c.set_profiler(Arc::clone(&prof), 2.0);
-        // Window drains end at packet boundaries, as the producer writes.
-        let half = crate::decode::decode_all(&stream).unwrap()[4].offset;
-        let whole = usize::MAX;
-        // A background (poll/PMI) drain lands in StreamDrain…
-        let one = |end: usize| std::iter::once(&stream[..end]);
-        c.drain_window_profiled(one(half), half as u64, whole, PhaseSpan::StreamDrain).unwrap();
-        // …and a check-time residue drain in ResidueScan.
-        c.drain_window_profiled(
-            one(stream.len()),
-            stream.len() as u64,
-            whole,
-            PhaseSpan::ResidueScan,
-        )
-        .unwrap();
-        assert_eq!(prof.phase_spans(PhaseSpan::StreamDrain), 1);
-        assert_eq!(prof.phase_spans(PhaseSpan::ResidueScan), 1);
-        let total =
-            prof.phase_cycles(PhaseSpan::StreamDrain) + prof.phase_cycles(PhaseSpan::ResidueScan);
-        assert!(
-            (total - stream.len() as f64 * 2.0).abs() < 1e-9,
-            "every drained byte is charged at cycles_per_byte"
-        );
-        // The profiled result is bit-identical to a plain drain.
-        let mut plain = StreamConsumer::new();
-        plain.drain(&stream, stream.len() as u64).unwrap();
-        assert_eq!(c.scan().tip_events(), plain.scan().tip_events());
-        // An unwired consumer drains all the same and records nothing.
-        let mut bare = StreamConsumer::new();
-        bare.drain_window_profiled(
-            one(stream.len()),
-            stream.len() as u64,
-            whole,
-            PhaseSpan::FastScan,
-        )
-        .unwrap();
-        assert_eq!(bare.stats().drained_bytes, stream.len() as u64);
     }
 
     /// A long benign stream: a PSB+ every ~64 bytes, TIPs and TNT between.

@@ -10,10 +10,7 @@
 
 use crate::syscalls::{SensitiveSet, Sysno};
 use fg_cpu::machine::{SysOutcome, SyscallCtx, SyscallHandler};
-use fg_trace::Histogram;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// SIGKILL, delivered on CFI violation.
 pub const SIGKILL: u32 = 9;
@@ -79,9 +76,6 @@ pub struct Kernel {
     next_mmap: u64,
     /// The installed FlowGuard kernel module, if any.
     interceptor: Option<Box<dyn SyscallInterceptor>>,
-    /// Wall-clock latency probe over interceptor invocations (nanoseconds
-    /// per check), when telemetry is attached.
-    intercept_probe: Option<Arc<Histogram>>,
     /// Violations reported (endpoint syscall names).
     pub violations: Vec<&'static str>,
 }
@@ -117,7 +111,6 @@ impl Kernel {
             execve_log: Vec::new(),
             next_mmap: 0x5000_0000,
             interceptor: None,
-            intercept_probe: None,
             violations: Vec::new(),
         }
     }
@@ -140,29 +133,6 @@ impl Kernel {
         self.interceptor.take()
     }
 
-    /// Attaches a latency probe: the wall-clock nanoseconds each
-    /// interceptor invocation takes (syscall endpoints and PMIs alike) are
-    /// recorded into `hist`. Unset, the dispatch path takes no timestamps.
-    pub fn set_intercept_probe(&mut self, hist: Arc<Histogram>) {
-        self.intercept_probe = Some(hist);
-    }
-
-    /// Runs one interceptor invocation under the optional latency probe.
-    fn timed_check(
-        probe: &Option<Arc<Histogram>>,
-        invoke: impl FnOnce() -> InterceptVerdict,
-    ) -> InterceptVerdict {
-        match probe {
-            Some(p) => {
-                let t0 = Instant::now();
-                let verdict = invoke();
-                p.record(t0.elapsed().as_nanos() as u64);
-                verdict
-            }
-            None => invoke(),
-        }
-    }
-
     /// Whether any CFI violation was reported.
     pub fn violated(&self) -> bool {
         !self.violations.is_empty()
@@ -182,11 +152,8 @@ impl SyscallHandler for Kernel {
             u.topa_mut().take_pmi();
         }
         if let Some(mut module) = self.interceptor.take() {
-            let verdict = if module.protects(ctx.cr3) {
-                Kernel::timed_check(&self.intercept_probe, || module.on_pmi(ctx))
-            } else {
-                InterceptVerdict::Allow
-            };
+            let verdict =
+                if module.protects(ctx.cr3) { module.on_pmi(ctx) } else { InterceptVerdict::Allow };
             self.interceptor = Some(module);
             if let InterceptVerdict::Kill(sig) = verdict {
                 self.violations.push("pmi");
@@ -197,9 +164,8 @@ impl SyscallHandler for Kernel {
     }
 
     fn trace_poll(&mut self, ctx: &mut SyscallCtx<'_>) {
-        // Not a check: no verdict, no violation accounting, and (unlike
-        // syscall endpoints) no latency probe — this models the background
-        // consumer's slice of CPU, not interception work.
+        // Not a check: no verdict and no violation accounting — this models
+        // the background consumer's slice of CPU, not interception work.
         if let Some(mut module) = self.interceptor.take() {
             if module.protects(ctx.cr3) {
                 module.on_trace_poll(ctx);
@@ -218,7 +184,7 @@ impl SyscallHandler for Kernel {
         // --- FlowGuard interception (§5.2) ---------------------------------
         if let Some(mut module) = self.interceptor.take() {
             let verdict = if module.protects(ctx.cr3) && module.is_sensitive(nr) {
-                Kernel::timed_check(&self.intercept_probe, || module.check(nr, ctx))
+                module.check(nr, ctx)
             } else {
                 InterceptVerdict::Allow
             };
@@ -497,36 +463,6 @@ mod tests {
         assert_eq!(m.run(&mut k, 100), StopReason::Killed(SIGKILL));
         assert!(k.violated());
         assert_eq!(k.violations, vec!["mprotect"]);
-    }
-
-    #[test]
-    fn intercept_probe_records_check_latency() {
-        let img = build(|a| {
-            a.movi(R0, Sysno::Write as i32);
-            a.syscall();
-            a.movi(R0, Sysno::Gettimeofday as i32); // not sensitive: no sample
-            a.syscall();
-            a.halt();
-        });
-        let mut m = Machine::new(&img, 0x7000);
-        let mut k = Kernel::new();
-        struct AllowAll(u64);
-        impl SyscallInterceptor for AllowAll {
-            fn protects(&self, cr3: u64) -> bool {
-                cr3 == self.0
-            }
-            fn is_sensitive(&self, nr: Sysno) -> bool {
-                SensitiveSet::patharmor_default().contains(nr)
-            }
-            fn check(&mut self, _nr: Sysno, _ctx: &mut SyscallCtx<'_>) -> InterceptVerdict {
-                InterceptVerdict::Allow
-            }
-        }
-        k.install_interceptor(Box::new(AllowAll(0x7000)));
-        let probe = Arc::new(Histogram::new());
-        k.set_intercept_probe(Arc::clone(&probe));
-        assert_eq!(m.run(&mut k, 1000), StopReason::Halted);
-        assert_eq!(probe.count(), 1, "exactly the sensitive syscall was timed");
     }
 
     #[test]

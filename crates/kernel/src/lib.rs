@@ -14,6 +14,8 @@
 //! reproduction's equivalent of the paper's preeny/`desock` trick for
 //! fuzzing network servers (§7).
 
+#![deny(unsafe_code)]
+
 pub mod kernel;
 pub mod syscalls;
 

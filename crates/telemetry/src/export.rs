@@ -261,7 +261,7 @@ mod tests {
 
     #[test]
     fn renders_mergeable_cumulative_histograms() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in [5u64, 5, 80, 3000] {
             h.record(v);
         }

@@ -6,10 +6,8 @@
 //! — into a [`FlightRecord`]. Records are serialisable so an attack report
 //! can round-trip through JSON (the paper's §6 attack analysis, made
 //! machine-readable). Violations are rare by construction, so the recorder
-//! itself is a bounded mutex-guarded vector: the cost lives entirely off the
-//! hot path.
+//! is a bounded vector: the cost lives entirely off the hot path.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// One captured violation, with enough context to re-derive the verdict
@@ -37,33 +35,25 @@ pub struct FlightRecord {
 /// A bounded store of [`FlightRecord`]s; keeps the first `capacity` captures
 /// and counts any overflow rather than growing without bound.
 pub struct FlightRecorder {
-    inner: Mutex<Inner>,
+    records: Vec<FlightRecord>,
+    captured: u64,
     capacity: usize,
     /// Max ToPA window bytes retained per record.
     window_budget: usize,
-}
-
-struct Inner {
-    records: Vec<FlightRecord>,
-    captured: u64,
 }
 
 impl FlightRecorder {
     /// A recorder retaining up to `capacity` records, each with at most
     /// `window_budget` bytes of ToPA window.
     pub fn new(capacity: usize, window_budget: usize) -> FlightRecorder {
-        FlightRecorder {
-            inner: Mutex::new(Inner { records: Vec::new(), captured: 0 }),
-            capacity,
-            window_budget,
-        }
+        FlightRecorder { records: Vec::new(), captured: 0, capacity, window_budget }
     }
 
     /// Captures a record, assigning its sequence number. Returns the
     /// sequence number; the record body is dropped (but still counted) once
     /// the recorder is full.
     pub fn capture(
-        &self,
+        &mut self,
         endpoint: impl Into<String>,
         detail: impl Into<String>,
         fast_path: bool,
@@ -71,12 +61,11 @@ impl FlightRecorder {
         topa_window: &[u8],
         packets: Vec<String>,
     ) -> u64 {
-        let mut g = self.inner.lock();
-        let seq = g.captured;
-        g.captured += 1;
-        if g.records.len() < self.capacity {
+        let seq = self.captured;
+        self.captured += 1;
+        if self.records.len() < self.capacity {
             let keep = topa_window.len().min(self.window_budget);
-            g.records.push(FlightRecord {
+            self.records.push(FlightRecord {
                 seq,
                 endpoint: endpoint.into(),
                 detail: detail.into(),
@@ -91,19 +80,18 @@ impl FlightRecorder {
 
     /// Total violations seen (including ones whose bodies were dropped).
     pub fn captured(&self) -> u64 {
-        self.inner.lock().captured
+        self.captured
     }
 
-    /// Clones out the retained records.
-    pub fn records(&self) -> Vec<FlightRecord> {
-        self.inner.lock().records.clone()
+    /// The retained records.
+    pub fn records(&self) -> &[FlightRecord] {
+        &self.records
     }
 }
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let g = self.inner.lock();
-        write!(f, "FlightRecorder(retained={}, captured={})", g.records.len(), g.captured)
+        write!(f, "FlightRecorder(retained={}, captured={})", self.records.len(), self.captured)
     }
 }
 
@@ -113,7 +101,7 @@ mod tests {
 
     #[test]
     fn capture_retains_window_and_packets() {
-        let r = FlightRecorder::new(4, 8);
+        let mut r = FlightRecorder::new(4, 8);
         let seq = r.capture(
             "sysno 59",
             "edge 0x401000 -> 0xdead not in ITC-CFG",
@@ -132,7 +120,7 @@ mod tests {
 
     #[test]
     fn recorder_is_bounded_but_keeps_counting() {
-        let r = FlightRecorder::new(2, 16);
+        let mut r = FlightRecorder::new(2, 16);
         for i in 0..5 {
             r.capture("pmi", format!("v{i}"), false, None, &[], vec![]);
         }

@@ -5,11 +5,10 @@
 //! `1/SUB_BUCKETS` (≈6.25%) at every magnitude, the memory footprint is a
 //! fixed ~8 KiB regardless of the value range, and two histograms merge by
 //! adding bucket counts — exactly the shape the paper's Figure 5 latency
-//! distributions need. Recording is one relaxed atomic increment: histograms
-//! are shared by reference between recorders and scrapers with no lock.
+//! distributions need. Recording is one bucket increment plus the exact
+//! count, sum and maximum.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per power of two (2^4): bounds the relative error of
 /// any reported quantile at 1/16.
@@ -47,12 +46,12 @@ fn bucket_upper(i: usize) -> u64 {
     base.wrapping_add((sub + 1).wrapping_mul(width)).wrapping_sub(1)
 }
 
-/// A mergeable, lock-free, fixed-size log-linear histogram.
+/// A mergeable, fixed-size log-linear histogram.
 pub struct Histogram {
-    buckets: Box<[AtomicU64; BUCKETS]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
+    buckets: Box<[u64; BUCKETS]>,
+    count: u64,
+    sum: u64,
+    max: u64,
 }
 
 impl Default for Histogram {
@@ -64,46 +63,37 @@ impl Default for Histogram {
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Histogram {
-        // `AtomicU64` is not Copy; build the boxed array through a Vec.
-        let v: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
-        let buckets: Box<[AtomicU64; BUCKETS]> =
-            v.into_boxed_slice().try_into().unwrap_or_else(|_| unreachable!());
-        Histogram {
-            buckets,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
+        Histogram { buckets: Box::new([0; BUCKETS]), count: 0, sum: 0, max: 0 }
     }
 
     /// Records one value.
     #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
     }
 
     /// Records an `f64` sample (cycle accounting), saturating at zero.
     #[inline]
-    pub fn record_f64(&self, v: f64) {
+    pub fn record_f64(&mut self, v: f64) {
         self.record(if v <= 0.0 { 0 } else { v as u64 });
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count
     }
 
     /// Sum of all samples (exact, not re-derived from buckets).
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.sum
     }
 
     /// The maximum sample (exact).
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
+        self.max
     }
 
     /// Mean of all samples.
@@ -127,8 +117,8 @@ impl Histogram {
         }
         let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
         let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
+        for (i, &b) in self.buckets.iter().enumerate() {
+            seen += b;
             if seen >= rank {
                 // The exact max never overstates the top bucket's bound.
                 return bucket_upper(i).min(self.max());
@@ -140,13 +130,13 @@ impl Histogram {
     /// Adds every bucket of `other` into `self` (the merge used by
     /// per-worker histograms; `merge(a, b)` is bucket-exactly equal to
     /// recording the union of samples).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
-            a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
+    pub fn merge_from(&mut self, other: &Histogram) {
+        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *a += b;
         }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        self.max.fetch_max(other.max(), Ordering::Relaxed);
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.max = self.max.max(other.max);
     }
 
     /// A serialisable point-in-time summary.
@@ -163,7 +153,7 @@ impl Histogram {
 
     /// The raw bucket counts (for exact merge-equality tests).
     pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+        self.buckets.to_vec()
     }
 
     /// Cumulative `(upper_bound, count ≤ upper_bound)` pairs over the
@@ -174,8 +164,7 @@ impl Histogram {
     pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cum = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
+        for (i, &c) in self.buckets.iter().enumerate() {
             if c != 0 {
                 cum += c;
                 out.push((bucket_upper(i), cum));
@@ -216,7 +205,7 @@ mod tests {
 
     #[test]
     fn small_values_are_exact() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in [0u64, 1, 2, 3, 15] {
             h.record(v);
         }
@@ -237,13 +226,9 @@ mod tests {
         }
     }
 
-    // Miri skip-list: 10k samples make this minutes-long under the
-    // interpreter; the histogram is atomics-only and the remaining unit
-    // tests cover the same code paths at small scale.
-    #[cfg_attr(miri, ignore)]
     #[test]
     fn quantile_error_is_bounded() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         let mut vals: Vec<u64> = (0..10_000).map(|i| (i * i) % 1_000_003 + 1).collect();
         for &v in &vals {
             h.record(v);
@@ -260,9 +245,9 @@ mod tests {
 
     #[test]
     fn merge_equals_union() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let u = Histogram::new();
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
+        let mut u = Histogram::new();
         for i in 0..500u64 {
             a.record(i * 7 % 10_000);
             u.record(i * 7 % 10_000);
@@ -281,7 +266,7 @@ mod tests {
 
     #[test]
     fn cumulative_buckets_are_monotone_and_complete() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in [3u64, 3, 17, 900, 900, 900, 1 << 30] {
             h.record(v);
         }
@@ -300,7 +285,7 @@ mod tests {
 
     #[test]
     fn snapshot_serialises() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         h.record(100);
         h.record(200);
         let s = h.snapshot();

@@ -1,29 +1,28 @@
 //! `fg-trace` — structured runtime telemetry for the FlowGuard suite.
 //!
-//! The runtime's hot path (one endpoint check per intercepted syscall) used
-//! to funnel every statistic through a single `Mutex<EngineStats>`; this
-//! crate replaces that with lock-free primitives sized for the check loop:
+//! Every recorder here is plain data written through `&mut self`: the
+//! engine that owns them is the only writer, so a record is a few field
+//! updates. A shared owner provides its own synchronisation (`fg-core`'s
+//! `EngineTelemetry` keeps them behind one lock).
 //!
-//! * [`ShardedU64`] / [`CycleCounter`] / [`Gauge`] — cache-line-sharded
-//!   counters ([`counters`]).
 //! * [`Histogram`] — fixed-size log-linear latency histograms with bounded
 //!   quantile error and exact bucket-wise merge ([`hist`]).
-//! * [`EventRing`] — a bounded lock-free ring of [`PodEvent`]s with
-//!   overwrite-oldest semantics ([`ring`]).
+//! * [`EventRing`] — a bounded ring with overwrite-oldest semantics that
+//!   allocates its capacity up front ([`ring`]).
 //! * [`FlightRecorder`] — serialisable forensic capture of CFI violations
 //!   ([`flight`]).
 //! * [`PromText`] — linted Prometheus/OpenMetrics text rendering with
 //!   mergeable cumulative-bucket histograms ([`export`]).
-//! * [`SpanProfiler`] — lock-free per-phase cycle attribution over the
-//!   check pipeline, with measured self-overhead ([`span`]).
+//! * [`SpanProfiler`] — per-phase cycle attribution over the check
+//!   pipeline, with measured self-overhead ([`span`]).
 //! * [`Watchdog`] — rolling-window health evaluation of the runtime's
 //!   vital signs into structured [`HealthReport`]s ([`watchdog`]).
 //!
 //! The crate is deliberately engine-agnostic: `fg-core` defines what an
-//! event *is* and assembles snapshots; `fg-trace` defines how recording
-//! stays off the hot path.
+//! event *is* and assembles snapshots; `fg-trace` defines how it is kept.
 
-pub mod counters;
+#![deny(unsafe_code)]
+
 pub mod export;
 pub mod flight;
 pub mod hist;
@@ -31,14 +30,11 @@ pub mod ring;
 pub mod span;
 pub mod watchdog;
 
-pub use counters::{CycleCounter, Gauge, ShardedU64, SHARDS};
 pub use export::PromText;
 pub use flight::{FlightRecord, FlightRecorder};
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS, SUB_BUCKETS};
-pub use ring::{EventRing, PodEvent, EVENT_WORDS};
-pub use span::{
-    PhaseSpan, ProfilerOverhead, SpanEvent, SpanGuard, SpanProfiler, SpanSnapshot, PHASE_COUNT,
-};
+pub use ring::EventRing;
+pub use span::{PhaseSpan, ProfilerOverhead, SpanProfiler, SpanSnapshot, PHASE_COUNT};
 pub use watchdog::{
     HealthFinding, HealthReport, HealthSample, HealthStatus, Watchdog, WatchdogConfig,
 };

@@ -1,65 +1,24 @@
-//! A bounded lock-free event ring with overwrite-oldest semantics.
+//! A bounded event ring with overwrite-oldest semantics.
 //!
 //! One structured event is pushed per endpoint check; when the ring is full
 //! the oldest event is overwritten, so the ring always holds the most recent
 //! window of history (the same discipline the ToPA buffer itself uses). The
-//! implementation is a safe seqlock: every slot is a per-slot sequence
-//! number plus [`EVENT_WORDS`] atomic words, events encode themselves into
-//! words ([`PodEvent`]), and a reader that races a writer detects the torn
-//! slot via the sequence number and drops it instead of blocking. No locks,
-//! no `unsafe`.
+//! ring allocates its whole capacity up front, so a push never allocates.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Fixed word budget per event. Generous enough for the engine's check
-/// events (including the streaming-pipeline words); encoders must zero-fill
-/// unused words.
-pub const EVENT_WORDS: usize = 18;
-
-/// An event storable in the ring: a plain-old-data encoding into
-/// [`EVENT_WORDS`] `u64` words.
-pub trait PodEvent: Sized {
-    /// Encodes the event (unused words must be zero).
-    fn encode(&self) -> [u64; EVENT_WORDS];
-    /// Decodes an event previously produced by [`PodEvent::encode`].
-    fn decode(words: &[u64; EVENT_WORDS]) -> Self;
-}
-
-struct Slot {
-    /// `2*i + 2` once the event with absolute index `i` is fully written;
-    /// `2*i + 1` while it is being written.
-    seq: AtomicU64,
-    words: [AtomicU64; EVENT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot { seq: AtomicU64::new(0), words: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-}
-
-/// The bounded ring. Writers claim slots atomically, so concurrent
-/// producers (the check loop plus worker-pool drain threads) each get a
-/// distinct slot; any number of snapshot readers.
+/// The bounded ring.
 pub struct EventRing<T> {
-    slots: Box<[Slot]>,
+    slots: Vec<T>,
     /// Absolute number of events ever pushed.
-    head: AtomicU64,
+    head: u64,
     mask: usize,
-    _marker: std::marker::PhantomData<fn(T) -> T>,
 }
 
-impl<T: PodEvent> EventRing<T> {
+impl<T: Copy> EventRing<T> {
     /// Creates a ring holding `capacity` events (rounded up to a power of
     /// two, minimum 8).
     pub fn new(capacity: usize) -> EventRing<T> {
         let cap = capacity.max(8).next_power_of_two();
-        EventRing {
-            slots: (0..cap).map(|_| Slot::new()).collect(),
-            head: AtomicU64::new(0),
-            mask: cap - 1,
-            _marker: std::marker::PhantomData,
-        }
+        EventRing { slots: Vec::with_capacity(cap), head: 0, mask: cap - 1 }
     }
 
     /// The ring's capacity.
@@ -69,47 +28,24 @@ impl<T: PodEvent> EventRing<T> {
 
     /// Total events ever pushed (including overwritten ones).
     pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.head
     }
 
     /// Pushes an event, overwriting the oldest if full.
-    ///
-    /// The slot is claimed with an atomic `fetch_add`, so concurrent
-    /// producers write distinct slots; a reader that observes a claimed but
-    /// not-yet-complete slot sees a stale sequence number and skips it.
-    pub fn push(&self, ev: &T) {
-        let i = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(i as usize) & self.mask];
-        slot.seq.store(2 * i + 1, Ordering::Release);
-        let words = ev.encode();
-        for (w, v) in slot.words.iter().zip(words) {
-            w.store(v, Ordering::Relaxed);
+    pub fn push(&mut self, ev: &T) {
+        if self.slots.len() < self.capacity() {
+            self.slots.push(*ev);
+        } else {
+            self.slots[(self.head as usize) & self.mask] = *ev;
         }
-        slot.seq.store(2 * i + 2, Ordering::Release);
+        self.head += 1;
     }
 
     /// The most recent `n` events, oldest first, paired with their absolute
-    /// indices. Slots torn by a concurrent writer are skipped.
+    /// indices.
     pub fn last(&self, n: usize) -> Vec<(u64, T)> {
-        let head = self.pushed();
-        let avail = head.min(self.capacity() as u64).min(n as u64);
-        let mut out = Vec::with_capacity(avail as usize);
-        for i in head - avail..head {
-            let slot = &self.slots[(i as usize) & self.mask];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 != 2 * i + 2 {
-                continue; // overwritten or mid-write
-            }
-            let mut words = [0u64; EVENT_WORDS];
-            for (d, w) in words.iter_mut().zip(slot.words.iter()) {
-                *d = w.load(Ordering::Relaxed);
-            }
-            if slot.seq.load(Ordering::Acquire) != s1 {
-                continue; // torn during the copy
-            }
-            out.push((i, T::decode(&words)));
-        }
-        out
+        let avail = n.min(self.slots.len()) as u64;
+        (self.head - avail..self.head).map(|i| (i, self.slots[(i as usize) & self.mask])).collect()
     }
 
     /// Every retained event, oldest first.
@@ -120,7 +56,7 @@ impl<T: PodEvent> EventRing<T> {
 
 impl<T> std::fmt::Debug for EventRing<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "EventRing(cap={}, pushed={})", self.mask + 1, self.head.load(Ordering::Relaxed))
+        write!(f, "EventRing(cap={}, pushed={})", self.mask + 1, self.head)
     }
 }
 
@@ -128,25 +64,11 @@ impl<T> std::fmt::Debug for EventRing<T> {
 mod tests {
     use super::*;
 
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct Num(u64);
-
-    impl PodEvent for Num {
-        fn encode(&self) -> [u64; EVENT_WORDS] {
-            let mut w = [0; EVENT_WORDS];
-            w[0] = self.0;
-            w
-        }
-        fn decode(words: &[u64; EVENT_WORDS]) -> Num {
-            Num(words[0])
-        }
-    }
-
     #[test]
     fn wraparound_preserves_order_and_counts() {
-        let ring: EventRing<Num> = EventRing::new(16);
+        let mut ring: EventRing<u64> = EventRing::new(16);
         for i in 0..50u64 {
-            ring.push(&Num(i));
+            ring.push(&i);
         }
         assert_eq!(ring.pushed(), 50);
         let snap = ring.snapshot();
@@ -155,34 +77,34 @@ mod tests {
         // absolute indices matching payloads.
         for (k, (idx, ev)) in snap.iter().enumerate() {
             assert_eq!(*idx, 34 + k as u64);
-            assert_eq!(ev.0, 34 + k as u64);
+            assert_eq!(*ev, 34 + k as u64);
         }
     }
 
     #[test]
     fn last_n_returns_suffix() {
-        let ring: EventRing<Num> = EventRing::new(8);
+        let mut ring: EventRing<u64> = EventRing::new(8);
         for i in 0..5u64 {
-            ring.push(&Num(i * 10));
+            ring.push(&(i * 10));
         }
         let last2 = ring.last(2);
         assert_eq!(last2.len(), 2);
-        assert_eq!(last2[0].1, Num(30));
-        assert_eq!(last2[1].1, Num(40));
+        assert_eq!(last2[0].1, 30);
+        assert_eq!(last2[1].1, 40);
     }
 
     #[test]
     fn empty_ring_snapshots_empty() {
-        let ring: EventRing<Num> = EventRing::new(8);
+        let ring: EventRing<u64> = EventRing::new(8);
         assert!(ring.snapshot().is_empty());
         assert_eq!(ring.pushed(), 0);
     }
 
     #[test]
     fn capacity_rounds_up() {
-        let ring: EventRing<Num> = EventRing::new(9);
+        let ring: EventRing<u64> = EventRing::new(9);
         assert_eq!(ring.capacity(), 16);
-        let ring: EventRing<Num> = EventRing::new(0);
+        let ring: EventRing<u64> = EventRing::new(0);
         assert_eq!(ring.capacity(), 8);
     }
 }

@@ -1,12 +1,10 @@
 //! Cycle-attribution span profiler — *where* did a check's cycles go?
 //!
 //! The engine's aggregate counters say *that* a check was fast; the span
-//! profiler says *why*: every stage of the check pipeline ([`PhaseSpan`])
-//! records its modeled cycle cost through a scoped [`SpanGuard`], and the
-//! profiler accumulates per-phase totals in sharded counters plus a
-//! bounded ring of the most recent individual spans. Recording is
-//! lock-free (the same [`CycleCounter`]/[`ShardedU64`]/[`EventRing`]
-//! primitives the rest of the telemetry plane uses) and collapses to one
+//! profiler says *why*: the engine records every stage of the check
+//! pipeline ([`PhaseSpan`]) with its modeled cycle cost, and the profiler
+//! keeps per-phase cycle totals and span counts. It is plain data, written
+//! through `&mut self` by its one owner, and a record collapses to one
 //! predictable branch when disabled.
 //!
 //! The profiler also measures **itself**: every
@@ -16,18 +14,10 @@
 //! number the observability bench gates — the profiler must never cost a
 //! meaningful fraction of the checks it attributes.
 
-use crate::counters::{CycleCounter, ShardedU64};
-use crate::ring::{EventRing, PodEvent, EVENT_WORDS};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of pipeline phases — the length of [`PhaseSpan::ALL`].
 pub const PHASE_COUNT: usize = 9;
-
-/// Span-ring capacity: the most recent spans kept for inspection. Each
-/// check records a handful of spans, so this covers roughly the same
-/// window as the engine's check-event ring.
-pub const SPAN_RING_CAPACITY: usize = 1024;
 
 /// Every `OVERHEAD_SAMPLE_PERIOD`th record is wall-clock timed to estimate
 /// the profiler's own cost. A power of two keeps the sampling decision a
@@ -115,40 +105,6 @@ impl PhaseSpan {
     }
 }
 
-/// One recorded span: a phase, its cycle cost, and a phase-specific detail
-/// word (bytes scanned, instructions decoded, shards stitched, …).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SpanEvent {
-    /// Global record sequence number (monotone across all phases).
-    pub seq: u64,
-    /// The pipeline phase.
-    pub phase: PhaseSpan,
-    /// Modeled cycles attributed to the span.
-    pub cycles: f64,
-    /// Phase-specific magnitude (bytes, instructions, shards, pairs).
-    pub detail: u64,
-}
-
-impl PodEvent for SpanEvent {
-    fn encode(&self) -> [u64; EVENT_WORDS] {
-        let mut w = [0u64; EVENT_WORDS];
-        w[0] = self.seq;
-        w[1] = self.phase.index() as u64;
-        w[2] = self.cycles.to_bits();
-        w[3] = self.detail;
-        w
-    }
-
-    fn decode(words: &[u64; EVENT_WORDS]) -> SpanEvent {
-        SpanEvent {
-            seq: words[0],
-            phase: PhaseSpan::from_index(words[1] as usize).unwrap_or(PhaseSpan::Intercept),
-            cycles: f64::from_bits(words[2]),
-            detail: words[3],
-        }
-    }
-}
-
 /// Per-phase aggregate in a [`SpanSnapshot`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseStat {
@@ -195,17 +151,16 @@ impl SpanSnapshot {
     }
 }
 
-/// The lock-free span profiler. Shared via `Arc` between the engine, the
-/// fast/slow-path scratch state, and the streaming consumer; recording
-/// costs one branch when disabled.
+/// The span profiler: per-phase totals, a record count and the sampled
+/// self-overhead. Recording costs one branch when disabled.
+#[derive(Debug)]
 pub struct SpanProfiler {
     enabled: bool,
-    cycles: [CycleCounter; PHASE_COUNT],
-    counts: [ShardedU64; PHASE_COUNT],
-    ring: EventRing<SpanEvent>,
-    seq: AtomicU64,
-    overhead_ns: ShardedU64,
-    overhead_samples: ShardedU64,
+    cycles: [f64; PHASE_COUNT],
+    counts: [u64; PHASE_COUNT],
+    records: u64,
+    overhead_ns: u64,
+    overhead_samples: u64,
 }
 
 impl SpanProfiler {
@@ -213,12 +168,11 @@ impl SpanProfiler {
     pub fn new(enabled: bool) -> SpanProfiler {
         SpanProfiler {
             enabled,
-            cycles: std::array::from_fn(|_| CycleCounter::new()),
-            counts: std::array::from_fn(|_| ShardedU64::new()),
-            ring: EventRing::new(SPAN_RING_CAPACITY),
-            seq: AtomicU64::new(0),
-            overhead_ns: ShardedU64::new(),
-            overhead_samples: ShardedU64::new(),
+            cycles: [0.0; PHASE_COUNT],
+            counts: [0; PHASE_COUNT],
+            records: 0,
+            overhead_ns: 0,
+            overhead_samples: 0,
         }
     }
 
@@ -230,62 +184,46 @@ impl SpanProfiler {
     /// Records one span. Every [`OVERHEAD_SAMPLE_PERIOD`]th record is
     /// wall-clock timed so the profiler's own cost stays observable.
     #[inline]
-    pub fn record(&self, phase: PhaseSpan, cycles: f64, detail: u64) {
+    pub fn record(&mut self, phase: PhaseSpan, cycles: f64) {
         if !self.enabled {
             return;
         }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        // Miri's virtual clock makes Instant sampling meaningless (and
-        // needlessly slow); the attribution math is identical either way.
-        if !cfg!(miri) && seq.is_multiple_of(OVERHEAD_SAMPLE_PERIOD) {
+        if self.records.is_multiple_of(OVERHEAD_SAMPLE_PERIOD) {
             let t0 = std::time::Instant::now();
-            self.record_inner(seq, phase, cycles, detail);
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.overhead_ns.add(ns);
-            self.overhead_samples.incr();
+            self.add(phase, cycles);
+            self.overhead_ns += t0.elapsed().as_nanos() as u64;
+            self.overhead_samples += 1;
         } else {
-            self.record_inner(seq, phase, cycles, detail);
+            self.add(phase, cycles);
         }
     }
 
-    fn record_inner(&self, seq: u64, phase: PhaseSpan, cycles: f64, detail: u64) {
+    fn add(&mut self, phase: PhaseSpan, cycles: f64) {
         let i = phase.index();
-        self.cycles[i].add(cycles);
-        self.counts[i].incr();
-        self.ring.push(&SpanEvent { seq, phase, cycles, detail });
-    }
-
-    /// Opens a scoped span; the guard records on drop, so early returns
-    /// inside the phase still attribute whatever was added to the guard.
-    #[inline]
-    pub fn enter(&self, phase: PhaseSpan) -> SpanGuard<'_> {
-        SpanGuard { prof: self, phase, cycles: 0.0, detail: 0 }
+        self.cycles[i] += cycles;
+        self.counts[i] += 1;
+        self.records += 1;
     }
 
     /// Total cycles attributed to `phase` so far.
     pub fn phase_cycles(&self, phase: PhaseSpan) -> f64 {
-        self.cycles[phase.index()].get()
+        self.cycles[phase.index()]
     }
 
     /// Spans recorded for `phase` so far.
     pub fn phase_spans(&self, phase: PhaseSpan) -> u64 {
-        self.counts[phase.index()].get()
+        self.counts[phase.index()]
     }
 
     /// Total spans ever recorded.
     pub fn records(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
-    /// The most recent `n` spans, oldest first, with absolute ring indices.
-    pub fn recent(&self, n: usize) -> Vec<(u64, SpanEvent)> {
-        self.ring.last(n)
+        self.records
     }
 
     /// The measured self-overhead so far.
     pub fn overhead(&self) -> ProfilerOverhead {
-        let sampled_records = self.overhead_samples.get();
-        let sampled_ns = self.overhead_ns.get();
+        let sampled_records = self.overhead_samples;
+        let sampled_ns = self.overhead_ns;
         let mean =
             if sampled_records == 0 { 0.0 } else { sampled_ns as f64 / sampled_records as f64 };
         ProfilerOverhead {
@@ -323,48 +261,6 @@ impl SpanProfiler {
     }
 }
 
-impl std::fmt::Debug for SpanProfiler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SpanProfiler(enabled={}, records={}, cycles={})",
-            self.enabled,
-            self.records(),
-            PhaseSpan::ALL.iter().map(|&p| self.phase_cycles(p)).sum::<f64>()
-        )
-    }
-}
-
-/// A scoped span: accumulate cycles and a detail word while the phase
-/// runs, record once on drop.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    prof: &'a SpanProfiler,
-    phase: PhaseSpan,
-    cycles: f64,
-    detail: u64,
-}
-
-impl SpanGuard<'_> {
-    /// Adds modeled cycles to the span.
-    #[inline]
-    pub fn add_cycles(&mut self, cycles: f64) {
-        self.cycles += cycles;
-    }
-
-    /// Sets the phase-specific detail word.
-    #[inline]
-    pub fn set_detail(&mut self, detail: u64) {
-        self.detail = detail;
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.prof.record(self.phase, self.cycles, self.detail);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,49 +277,10 @@ mod tests {
     }
 
     #[test]
-    fn span_event_pod_roundtrip() {
-        let ev = SpanEvent { seq: 42, phase: PhaseSpan::SlowDecode, cycles: 1234.5, detail: 77 };
-        let back = SpanEvent::decode(&ev.encode());
-        assert_eq!(back, ev);
-    }
-
-    #[test]
-    fn guards_record_on_drop_including_early_exit_paths() {
-        let prof = SpanProfiler::new(true);
-        {
-            let mut g = prof.enter(PhaseSpan::FastScan);
-            g.add_cycles(100.0);
-            g.set_detail(64);
-        }
-        let run = |fail: bool| -> Result<(), ()> {
-            let mut g = prof.enter(PhaseSpan::EdgeProbe);
-            g.add_cycles(7.0);
-            if fail {
-                return Err(()); // guard still records on unwind of scope
-            }
-            g.add_cycles(3.0);
-            Ok(())
-        };
-        run(true).unwrap_err();
-        run(false).unwrap();
-        assert_eq!(prof.phase_spans(PhaseSpan::FastScan), 1);
-        assert_eq!(prof.phase_spans(PhaseSpan::EdgeProbe), 2);
-        assert!((prof.phase_cycles(PhaseSpan::FastScan) - 100.0).abs() < 1e-9);
-        assert!((prof.phase_cycles(PhaseSpan::EdgeProbe) - 17.0).abs() < 1e-9);
-        assert_eq!(prof.records(), 3);
-        let recent = prof.recent(8);
-        assert_eq!(recent.len(), 3);
-        assert_eq!(recent[0].1.phase, PhaseSpan::FastScan);
-        assert_eq!(recent[0].1.detail, 64);
-    }
-
-    #[test]
     fn disabled_profiler_records_nothing() {
-        let prof = SpanProfiler::new(false);
-        prof.record(PhaseSpan::Intercept, 50.0, 0);
-        drop(prof.enter(PhaseSpan::Verdict));
+        let mut prof = SpanProfiler::new(false);
+        prof.record(PhaseSpan::Intercept, 50.0);
         assert_eq!(prof.records(), 0);
-        assert!(prof.recent(4).is_empty());
         let snap = prof.snapshot();
         assert_eq!(snap.total_cycles, 0.0);
         assert_eq!(snap.overhead.sampled_records, 0);
@@ -431,10 +288,10 @@ mod tests {
 
     #[test]
     fn snapshot_partitions_check_and_background_cycles() {
-        let prof = SpanProfiler::new(true);
-        prof.record(PhaseSpan::Intercept, 30.0, 0);
-        prof.record(PhaseSpan::StreamDrain, 500.0, 4096);
-        prof.record(PhaseSpan::Verdict, 12.0, 0);
+        let mut prof = SpanProfiler::new(true);
+        prof.record(PhaseSpan::Intercept, 30.0);
+        prof.record(PhaseSpan::StreamDrain, 500.0);
+        prof.record(PhaseSpan::Verdict, 12.0);
         let snap = prof.snapshot();
         assert!((snap.total_cycles - 542.0).abs() < 1e-9);
         assert!((snap.check_cycles - 42.0).abs() < 1e-9);
@@ -448,15 +305,11 @@ mod tests {
 
     #[test]
     fn overhead_sampling_reports_mean_and_extrapolation() {
-        let prof = SpanProfiler::new(true);
-        for i in 0..(OVERHEAD_SAMPLE_PERIOD * 3) {
-            prof.record(PhaseSpan::EdgeProbe, 1.0, i);
+        let mut prof = SpanProfiler::new(true);
+        for _ in 0..(OVERHEAD_SAMPLE_PERIOD * 3) {
+            prof.record(PhaseSpan::EdgeProbe, 1.0);
         }
         let oh = prof.overhead();
-        if cfg!(miri) {
-            assert_eq!(oh.sampled_records, 0, "sampling is disabled under miri");
-            return;
-        }
         assert_eq!(oh.sampled_records, 3, "one sample per period");
         assert!(oh.mean_ns_per_record >= 0.0);
         assert!(oh.estimated_total_ns >= oh.sampled_ns as f64 - 1e-9 || oh.sampled_ns == 0);

@@ -8,7 +8,10 @@
 //! Each run serves seeded requests and pins what the rest of the system
 //! reads of its checks: an FNV-1a hash of every `CheckEvent` (floats by
 //! their bits), the `EngineStats` counters and cycles, and the span
-//! profiler's record count and nine phase totals.
+//! profiler's record count, nine phase totals and nine per-phase span
+//! counts. The span counts were recorded later, from the engine as it stood
+//! before it recorded every span itself (the fast path, the slow path and
+//! the trace consumer each recorded their own).
 
 use fg_cpu::StopReason;
 use flowguard::{
@@ -105,6 +108,8 @@ struct Pin {
     span_records: u64,
     /// Modeled cycles per phase, in `PhaseSpan::ALL` order, as bit patterns.
     phase_cycles: [u64; 9],
+    /// Spans recorded per phase, in `PhaseSpan::ALL` order.
+    phase_spans: [u64; 9],
 }
 
 fn pin(mut p: ProtectedProcess) -> Pin {
@@ -140,6 +145,7 @@ fn pin(mut p: ProtectedProcess) -> Pin {
         cycles: [s.decode_cycles, s.check_cycles, s.other_cycles].map(f64::to_bits),
         span_records: spans.records,
         phase_cycles: PhaseSpan::ALL.map(|ph| spans.phase_cycles(ph).to_bits()),
+        phase_spans: PhaseSpan::ALL.map(|ph| spans.phases[ph.index()].spans),
     }
 }
 
@@ -172,6 +178,7 @@ fn endpoint_checks_match_golden_outcome() {
             4_685_044_059_843_067_904,
             4_661_999_670_514_417_664,
         ],
+        phase_spans: [48, 48, 48, 48, 0, 0, 1, 1, 48],
     };
     assert_eq!(trained_run(FlowGuardConfig::default()), want);
 }
@@ -197,6 +204,7 @@ fn streaming_checks_match_golden_outcome() {
             4_685_044_059_843_067_904,
             4_661_999_670_514_417_664,
         ],
+        phase_spans: [48, 48, 48, 0, 92_707, 48, 1, 1, 48],
     };
     assert_eq!(trained_run(FlowGuardConfig { streaming: true, ..Default::default() }), want);
 }
@@ -224,6 +232,7 @@ fn pmi_checks_match_golden_outcome() {
             4_685_202_114_639_560_704,
             4_666_063_465_490_677_760,
         ],
+        phase_spans: [88, 88, 88, 88, 0, 0, 1, 1, 88],
     };
     assert_eq!(trained_run(FlowGuardConfig { pmi_endpoints: true, ..Default::default() }), want);
 }
@@ -251,6 +260,7 @@ fn untrained_checks_fill_the_cache_and_match_golden_outcome() {
             4_690_430_361_149_112_320,
             4_661_999_670_514_417_664,
         ],
+        phase_spans: [48, 48, 48, 48, 0, 0, 6, 6, 48],
     };
     let w = fg_workloads::nginx();
     let d = Deployment::analyze(&w.image);
