@@ -170,6 +170,12 @@ impl FlowGuardEngine {
             panic!("invalid FlowGuardConfig: {e}");
         }
         let cost = CostModel::calibrated();
+        // Presized for its steady state, so a fresh process's first checks
+        // grow neither the scan nor the restart window.
+        let stream = StreamConsumer::with_capacity(
+            keep_tips(&cfg).min(PRESIZED_TIPS),
+            window_budget(&cfg).min(cfg.topa_region_bytes.saturating_mul(2)),
+        );
         let stats = Arc::new(EngineTelemetry::with_spans(
             cfg.telemetry,
             cfg.telemetry && cfg.profile_spans,
@@ -184,7 +190,7 @@ impl FlowGuardEngine {
             cost,
             cr3,
             cache: SlowPathCache::default(),
-            stream: StreamConsumer::new(),
+            stream,
             drained_at_last_check: 0,
             slow_scratch: slowpath::SlowScratch::new(),
             tier0: None,
@@ -223,6 +229,22 @@ impl FlowGuardEngine {
         self.stats.capture_flight(endpoint, &detail, fast_path, edge, window, packets);
         self.stats.record_violation(ViolationRecord { endpoint, detail, fast_path });
     }
+}
+
+/// The most TIPs a fresh engine presizes its scan for (a `pkt_count` of up
+/// to 512); a wider window's scan grows while it warms up.
+const PRESIZED_TIPS: usize = 4096;
+
+/// The TIPs the accumulated scan keeps after each check: comfortably more
+/// than the widest window the checker reaches back (`pkt_count * 4`).
+fn keep_tips(cfg: &FlowGuardConfig) -> usize {
+    cfg.pkt_count.saturating_mul(8).max(256)
+}
+
+/// The most trace bytes an endpoint check drains: a residue beyond it is
+/// skipped and the drain restarts inside the newest `window_budget` bytes.
+fn window_budget(cfg: &FlowGuardConfig) -> usize {
+    (cfg.pkt_count * 24).max(512)
 }
 
 /// The violating `(from, to)` edge of a fast-path verdict, when one was
@@ -368,11 +390,8 @@ impl FlowGuardEngine {
         // With streaming on, background drains have already decoded
         // (almost) everything: the check is a frontier compare plus a scan
         // of the residue written since the last poll slot.
-        let budget = if full_buffer {
-            topa.retained_len().max(1)
-        } else {
-            (self.cfg.pkt_count * 24).max(512)
-        };
+        let budget =
+            if full_buffer { topa.retained_len().max(1) } else { window_budget(&self.cfg) };
         let streaming = self.cfg.streaming;
         let residue = self.stream.residue(total_written);
         if streaming {
@@ -432,9 +451,7 @@ impl FlowGuardEngine {
             self.stream.first_tip_truncated(),
             self.tier0.as_ref(),
         );
-        // Bound the accumulated scan: keep comfortably more than the widest
-        // window the checker reaches back (pkt_count * 4).
-        self.stream.compact(self.cfg.pkt_count.saturating_mul(8).max(256));
+        self.stream.compact(keep_tips(&self.cfg));
         ev.pairs_checked = fast.pairs_checked as u64;
         ev.credited_pairs = fast.credited_pairs as u64;
         ev.tier0_hits = fast.tier0_hits;

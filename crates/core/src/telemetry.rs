@@ -16,8 +16,7 @@ use crate::engine::{EngineStats, ViolationRecord};
 use fg_ipt::DrainStats;
 use fg_trace::{
     EventRing, FlightRecord, FlightRecorder, HealthReport, HealthSample, Histogram,
-    HistogramSnapshot, PhaseSpan, PromText, SpanProfiler, SpanSnapshot, Watchdog, WatchdogConfig,
-    PHASE_COUNT,
+    HistogramSnapshot, PhaseSpan, PromText, SpanProfiler, SpanSnapshot, Watchdog, PHASE_COUNT,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -352,11 +351,6 @@ impl EngineTelemetry {
         }
     }
 
-    /// Whether hot-path recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one completed endpoint check — counters, histograms, the
     /// event ring, its spans and the cache samples — under one lock.
     pub fn record_check(&self, rec: &CheckRecord) {
@@ -444,16 +438,6 @@ impl EngineTelemetry {
     /// rollup's bucket merge across processes.
     pub fn merge_check_latency_into(&self, into: &mut Histogram) {
         into.merge_from(&self.inner.lock().check_latency);
-    }
-
-    /// Replaces the watchdog's thresholds (the sample window is kept).
-    pub fn configure_watchdog(&self, cfg: WatchdogConfig) {
-        self.inner.lock().watchdog.set_config(cfg);
-    }
-
-    /// The current vital signs as a cumulative [`HealthSample`].
-    pub fn health_sample(&self) -> HealthSample {
-        self.inner.lock().health_sample()
     }
 
     /// Pushes the current vital signs into the watchdog's rolling window.

@@ -200,6 +200,10 @@ impl Machine {
     /// Creates a machine for a linked image with a fresh address space.
     /// The initial stack pointer leaves 4 KiB of argv/env headroom below
     /// the stack top.
+    ///
+    /// A launch copies and predecodes the image's segments and nothing
+    /// more: the stack and the heap are materialised page by page as the
+    /// process first writes them (see [`AddressSpace`]).
     pub fn new(image: &Image, cr3: u64) -> Machine {
         let mem = AddressSpace::from_image(image);
         let cpu = Cpu::new(image.entry(), crate::mem::STACK_TOP - 4096);

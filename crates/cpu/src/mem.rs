@@ -10,6 +10,12 @@
 //! code is mapped read-only, [`AddressSpace::map_anon`] maps only data, and
 //! `mprotect` changes nothing), so a predecoded instruction, and the
 //! straight-line run table derived from it, never go stale.
+//!
+//! The stack, the heap and anonymous mappings are zero pages on first
+//! touch: such a segment maps its whole extent but materialises only a
+//! window of it, grown with zeros when a write lands outside. Every byte
+//! outside the window reads zero, so a process pays for the memory it
+//! writes, not for the memory it maps.
 
 use fg_isa::image::Image;
 use fg_isa::insn::{DecodeInsnError, Insn, INSN_SIZE};
@@ -18,12 +24,18 @@ use std::fmt;
 
 /// Default stack top (grows downward).
 pub const STACK_TOP: u64 = 0x7e10_0000;
-/// Default stack size in bytes.
+/// Default stack size in bytes: the logical extent. Stack pages are
+/// materialised on first write.
 pub const STACK_SIZE: u64 = 0x10_0000;
 /// Default heap base.
 pub const HEAP_BASE: u64 = 0x6000_0000;
-/// Default heap size in bytes.
+/// Default heap size in bytes: the logical extent. Heap pages are
+/// materialised on first write.
 pub const HEAP_SIZE: u64 = 0x40_0000;
+
+/// The granularity of a lazy segment's window: it starts at one aligned
+/// page and grows by whole pages.
+const PAGE: u64 = 0x1000;
 
 /// A memory access fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +91,14 @@ impl std::error::Error for MapError {}
 
 #[derive(Debug, Clone)]
 struct Segment {
+    /// Start of the logical extent `[va, end)`: the addresses the segment
+    /// maps, whatever is materialised.
     va: u64,
+    end: u64,
+    /// Start of the materialised window `[base, base + bytes.len())`, which
+    /// lies inside the extent. Every byte of the extent outside the window
+    /// reads zero.
+    base: u64,
     bytes: Vec<u8>,
     writable: bool,
     executable: bool,
@@ -92,6 +111,7 @@ struct Segment {
 }
 
 impl Segment {
+    /// A segment materialised whole at map time.
     fn new(va: u64, bytes: Vec<u8>, writable: bool, executable: bool) -> Segment {
         let code: Vec<Option<Insn>> = if executable {
             bytes
@@ -108,11 +128,96 @@ impl Segment {
             len = if insn.as_ref().is_some_and(|i| !i.is_terminator()) { len + 1 } else { 0 };
             *run = len;
         }
-        Segment { va, bytes, writable, executable, code, runs }
+        let end = va + bytes.len() as u64;
+        Segment { va, end, base: va, bytes, writable, executable, code, runs }
     }
 
-    fn end(&self) -> u64 {
-        self.va + self.bytes.len() as u64
+    /// A writable, non-executable, zeroed segment of extent `[va, end)`
+    /// with nothing materialised.
+    fn zeroed(va: u64, end: u64) -> Segment {
+        Segment {
+            va,
+            end,
+            base: va,
+            bytes: Vec::new(),
+            writable: true,
+            executable: false,
+            code: Vec::new(),
+            runs: Vec::new(),
+        }
+    }
+
+    /// The materialised bytes `[va, va + n)`, when the window holds them
+    /// all. An address below the window wraps to a huge offset and misses.
+    #[inline]
+    fn window(&self, va: u64, n: usize) -> Option<&[u8]> {
+        let off = va.wrapping_sub(self.base) as usize;
+        self.bytes.get(off..off.wrapping_add(n))
+    }
+
+    /// [`Segment::window`] for writing, materialising the access first
+    /// when the window misses it.
+    #[inline]
+    fn window_mut(&mut self, va: u64, n: usize) -> Result<&mut [u8], MemFault> {
+        let off = va.wrapping_sub(self.base) as usize;
+        let end = off.wrapping_add(n);
+        if off <= end && end <= self.bytes.len() {
+            return Ok(&mut self.bytes[off..end]);
+        }
+        self.materialise(va, n)
+    }
+
+    /// Whether `[va, va + n)` lies inside the extent, given that `va` does.
+    fn covers(&self, va: u64, n: usize) -> bool {
+        n as u64 <= self.end - va
+    }
+
+    /// Reads `[va, va + out.len())` where the window misses it: materialised
+    /// bytes where there are any, zeros elsewhere. Materialises nothing.
+    #[cold]
+    fn read_outside(&self, va: u64, out: &mut [u8]) -> Result<(), MemFault> {
+        if !self.covers(va, out.len()) {
+            return Err(MemFault::Unmapped { va });
+        }
+        for (i, b) in out.iter_mut().enumerate() {
+            *b = self.window(va + i as u64, 1).map_or(0, |w| w[0]);
+        }
+        Ok(())
+    }
+
+    /// Grows the window with zeros to cover `[va, va + n)` and returns that
+    /// range. The window at least doubles, toward the access, in whole
+    /// pages, clamped to the extent.
+    #[cold]
+    fn materialise(&mut self, va: u64, n: usize) -> Result<&mut [u8], MemFault> {
+        if !self.covers(va, n) {
+            return Err(MemFault::Unmapped { va });
+        }
+        if n == 0 {
+            return Ok(&mut []);
+        }
+        let (lo, hi) = (va, va + n as u64);
+        let (base, top) = (self.base, self.base + self.bytes.len() as u64);
+        let (mut new_lo, mut new_hi) =
+            if self.bytes.is_empty() { (lo, hi) } else { (lo.min(base), hi.max(top)) };
+        new_lo &= !(PAGE - 1);
+        new_hi = new_hi.checked_next_multiple_of(PAGE).unwrap_or(u64::MAX);
+        let doubled = 2 * (top - base);
+        if lo < base {
+            new_lo = new_lo.min(new_hi.saturating_sub(doubled));
+        } else {
+            new_hi = new_hi.max(new_lo.saturating_add(doubled));
+        }
+        let (new_lo, new_hi) = (new_lo.max(self.va), new_hi.min(self.end));
+        let mut bytes = vec![0; (new_hi - new_lo) as usize];
+        if !self.bytes.is_empty() {
+            let at = (base - new_lo) as usize;
+            bytes[at..at + self.bytes.len()].copy_from_slice(&self.bytes);
+        }
+        self.base = new_lo;
+        self.bytes = bytes;
+        let off = (va - new_lo) as usize;
+        Ok(&mut self.bytes[off..off + n])
     }
 }
 
@@ -121,7 +226,12 @@ impl Segment {
 /// Segments never overlap (the linker keeps modules clear of the stack and
 /// heap, and [`AddressSpace::map_anon`] refuses overlaps), so at most one
 /// holds a given address. Lookups try the segment the previous fetch (or
-/// data access) hit, then scan a compact `(start, end)` index.
+/// data access) hit, then scan a compact `(start, end)` index of logical
+/// extents.
+///
+/// Image segments are materialised when mapped. The stack, the heap and
+/// anonymous mappings are materialised on first write: a read of memory
+/// never written returns 0, and faults depend on the extent alone.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     segs: Vec<Segment>,
@@ -133,20 +243,23 @@ pub struct AddressSpace {
 
 impl AddressSpace {
     /// Builds an address space from a linked image, adding a stack segment
-    /// at [`STACK_TOP`] and a heap at [`HEAP_BASE`].
+    /// below [`STACK_TOP`] and a heap at [`HEAP_BASE`]. Neither has a byte
+    /// materialised until it is written.
     pub fn from_image(image: &Image) -> AddressSpace {
         let mut segs: Vec<Segment> = image
             .segments()
             .iter()
             .map(|s| Segment::new(s.va, s.bytes.to_vec(), s.writable, !s.writable))
             .collect();
-        segs.push(Segment::new(STACK_TOP - STACK_SIZE, vec![0; STACK_SIZE as usize], true, false));
-        segs.push(Segment::new(HEAP_BASE, vec![0; HEAP_SIZE as usize], true, false));
-        let index = segs.iter().map(|s| (s.va, s.end())).collect();
+        segs.push(Segment::zeroed(STACK_TOP - STACK_SIZE, STACK_TOP));
+        segs.push(Segment::zeroed(HEAP_BASE, HEAP_BASE + HEAP_SIZE));
+        let index = segs.iter().map(|s| (s.va, s.end)).collect();
         AddressSpace { segs, index, fetch_hint: Cell::new(0), data_hint: Cell::new(0) }
     }
 
-    /// Maps an additional writable, non-executable, zeroed segment.
+    /// Maps an additional writable, non-executable, zeroed segment. Like
+    /// the stack and the heap, it costs nothing until written: its pages
+    /// are materialised on first write.
     ///
     /// # Errors
     ///
@@ -158,7 +271,7 @@ impl AddressSpace {
         if self.index.iter().any(|&(s, e)| va < e && end > s) {
             return Err(err);
         }
-        self.segs.push(Segment::new(va, vec![0; len], true, false));
+        self.segs.push(Segment::zeroed(va, end));
         self.index.push((va, end));
         Ok(())
     }
@@ -199,7 +312,7 @@ impl AddressSpace {
     /// Returns [`MemFault::Unmapped`] for unmapped addresses.
     pub fn read_u8(&self, va: u64) -> Result<u8, MemFault> {
         let s = self.seg(va)?;
-        Ok(s.bytes[(va - s.va) as usize])
+        Ok(s.bytes.get(va.wrapping_sub(s.base) as usize).copied().unwrap_or(0))
     }
 
     /// Reads a little-endian 64-bit word (may not straddle segments).
@@ -209,9 +322,12 @@ impl AddressSpace {
     /// Returns [`MemFault::Unmapped`] if any byte is unmapped.
     pub fn read_u64(&self, va: u64) -> Result<u64, MemFault> {
         let s = self.seg(va)?;
-        let off = (va - s.va) as usize;
-        let slice = s.bytes.get(off..off + 8).ok_or(MemFault::Unmapped { va })?;
-        Ok(u64::from_le_bytes(slice.try_into().expect("8-byte slice")))
+        let mut word = [0; 8];
+        match s.window(va, 8) {
+            Some(w) => word = w.try_into().expect("8-byte slice"),
+            None => s.read_outside(va, &mut word)?,
+        }
+        Ok(u64::from_le_bytes(word))
     }
 
     /// Writes one byte.
@@ -225,8 +341,7 @@ impl AddressSpace {
         if !s.writable {
             return Err(MemFault::ReadOnly { va });
         }
-        let off = (va - s.va) as usize;
-        s.bytes[off] = v;
+        s.window_mut(va, 1)?[0] = v;
         Ok(())
     }
 
@@ -240,9 +355,7 @@ impl AddressSpace {
         if !s.writable {
             return Err(MemFault::ReadOnly { va });
         }
-        let off = (va - s.va) as usize;
-        let slice = s.bytes.get_mut(off..off + 8).ok_or(MemFault::Unmapped { va })?;
-        slice.copy_from_slice(&v.to_le_bytes());
+        s.window_mut(va, 8)?.copy_from_slice(&v.to_le_bytes());
         Ok(())
     }
 
@@ -254,8 +367,15 @@ impl AddressSpace {
     /// segment.
     pub fn read_bytes(&self, va: u64, len: usize) -> Result<Vec<u8>, MemFault> {
         let s = self.seg(va)?;
-        let off = (va - s.va) as usize;
-        s.bytes.get(off..off + len).map(<[u8]>::to_vec).ok_or(MemFault::Unmapped { va })
+        if let Some(w) = s.window(va, len) {
+            return Ok(w.to_vec());
+        }
+        if !s.covers(va, len) {
+            return Err(MemFault::Unmapped { va });
+        }
+        let mut out = vec![0; len];
+        s.read_outside(va, &mut out)?;
+        Ok(out)
     }
 
     /// Copies bytes into memory.
@@ -268,9 +388,7 @@ impl AddressSpace {
         if !s.writable {
             return Err(MemFault::ReadOnly { va });
         }
-        let off = (va - s.va) as usize;
-        let slice = s.bytes.get_mut(off..off + bytes.len()).ok_or(MemFault::Unmapped { va })?;
-        slice.copy_from_slice(bytes);
+        s.window_mut(va, bytes.len())?.copy_from_slice(bytes);
         Ok(())
     }
 
@@ -288,9 +406,9 @@ impl AddressSpace {
         if !s.executable {
             return Err(MemFault::NotExecutable { va: pc });
         }
-        let off = (pc - s.va) as usize;
-        let slice = s.bytes.get(off..off + 8).ok_or(MemFault::Unmapped { va: pc })?;
-        Ok(slice.try_into().expect("8-byte slice"))
+        // Executable segments are materialised whole: a miss is unmapped.
+        let word = s.window(pc, 8).ok_or(MemFault::Unmapped { va: pc })?;
+        Ok(word.try_into().expect("8-byte slice"))
     }
 
     /// The instruction at `pc`: what [`AddressSpace::fetch`] then
@@ -328,8 +446,14 @@ impl AddressSpace {
         self.segs[seg].code.get(slot).copied().flatten()
     }
 
-    /// Total mapped bytes.
+    /// Total mapped bytes: the segments' logical extents.
     pub fn mapped_bytes(&self) -> usize {
+        self.segs.iter().map(|s| (s.end - s.va) as usize).sum()
+    }
+
+    /// Total materialised bytes: every image segment, plus the windows of
+    /// the stack, the heap and anonymous mappings that writes have grown.
+    pub fn materialised_bytes(&self) -> usize {
         self.segs.iter().map(|s| s.bytes.len()).sum()
     }
 }
@@ -357,6 +481,18 @@ mod tests {
         assert_eq!(m.read_u64(STACK_TOP - 8).unwrap(), 0xdead);
         m.write_u8(HEAP_BASE, 7).unwrap();
         assert_eq!(m.read_u8(HEAP_BASE).unwrap(), 7);
+    }
+
+    #[test]
+    fn a_fresh_space_materialises_no_stack_or_heap() {
+        let mut m = space();
+        let image_bytes = m.mapped_bytes() - (STACK_SIZE + HEAP_SIZE) as usize;
+        assert_eq!(m.materialised_bytes(), image_bytes);
+        assert_eq!(m.read_u64(STACK_TOP - 8), Ok(0));
+        assert_eq!(m.read_bytes(HEAP_BASE, 64), Ok(vec![0; 64]));
+        assert_eq!(m.materialised_bytes(), image_bytes, "reads materialise nothing");
+        m.write_u64(STACK_TOP - 4104, 1).unwrap();
+        assert_eq!(m.materialised_bytes(), image_bytes + PAGE as usize, "a write, one page");
     }
 
     #[test]
@@ -450,7 +586,7 @@ mod tests {
         m.segs[i] = Segment::new(s.va, bytes, false, true);
         for (i, s) in m.segs.iter().enumerate().filter(|(_, s)| s.executable) {
             let straight = |pc: u64| {
-                pc + INSN_SIZE <= s.end()
+                pc + INSN_SIZE <= s.end
                     && m.fetch(pc)
                         .is_ok_and(|w| Insn::decode(w, pc).is_ok_and(|i| !i.is_terminator()))
             };

@@ -426,13 +426,14 @@ impl FastScan {
         self.head = 0;
     }
 
-    /// Reserves room for the dead prefix (which compaction keeps shorter
-    /// than the live part) plus as many TIPs again as are live — with as
-    /// many boundaries, and 64 TNT bits per TIP — before the scan
-    /// reallocates. A no-op once the capacity is there, so a scan truncated
-    /// to a fixed size reserves only while it warms up.
-    pub(crate) fn reserve_headroom(&mut self) {
-        let room = 3 * self.tip_count();
+    /// Reserves room for `live` TIPs, a dead prefix (which compaction keeps
+    /// shorter than the live part) and as many TIPs again — with as many
+    /// boundaries, and 64 TNT bits per TIP — before the scan reallocates.
+    /// A no-op once the capacity is there, so a scan truncated to a fixed
+    /// size reserves only while it warms up, or not at all when it was
+    /// presized.
+    pub(crate) fn reserve_headroom(&mut self, live: usize) {
+        let room = live.saturating_mul(3);
         self.tip_ips.reserve(room.saturating_sub(self.tip_ips.len()));
         self.tnt_ranges.reserve(room.saturating_sub(self.tnt_ranges.len()));
         self.boundaries.reserve(room.saturating_sub(self.boundaries.len()));

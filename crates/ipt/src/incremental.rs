@@ -95,6 +95,15 @@ impl IncrementalScanner {
         IncrementalScanner::default()
     }
 
+    /// A fresh scanner whose scan already holds the capacity that
+    /// [`Self::compact`] to `keep_tips` reaches in steady state, so its
+    /// first advances do not grow it by reallocation.
+    pub(crate) fn with_capacity(keep_tips: usize) -> IncrementalScanner {
+        let mut s = IncrementalScanner::default();
+        s.acc.reserve_headroom(keep_tips);
+        s
+    }
+
     /// The accumulated scan (everything consumed so far, minus compaction).
     pub fn scan(&self) -> &FastScan {
         &self.acc
@@ -149,7 +158,7 @@ impl IncrementalScanner {
         let n = self.acc.tip_count();
         if n > keep_tips {
             self.acc.truncate_front(n - keep_tips);
-            self.acc.reserve_headroom();
+            self.acc.reserve_headroom(keep_tips);
             self.core.run_start = self.acc.trailing_start();
             self.first_tip_truncated = false;
         }

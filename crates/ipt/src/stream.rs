@@ -141,10 +141,21 @@ pub struct StreamConsumer {
 impl StreamConsumer {
     /// A fresh consumer with an empty accumulated scan.
     pub fn new() -> StreamConsumer {
-        let mut c = StreamConsumer::default();
+        StreamConsumer::with_capacity(0, 0)
+    }
+
+    /// A fresh consumer presized for its steady state: a scan
+    /// [`compact`](Self::compact)ed to `keep_tips` TIPs, and restarts in
+    /// windows of up to `window` bytes.
+    pub fn with_capacity(keep_tips: usize, window: usize) -> StreamConsumer {
+        let mut c = StreamConsumer {
+            scanner: IncrementalScanner::with_capacity(keep_tips),
+            ..StreamConsumer::default()
+        };
         // One max-sized packet (the 16-byte PSB) bounds every carry: sizing
         // the buffer up front makes steady-state drains allocation-free.
         c.pending.reserve(wire::PSB_LEN);
+        c.window.reserve(window);
         c
     }
 

@@ -411,6 +411,61 @@ mod tests {
     }
 
     #[test]
+    fn a_large_mmap_materialises_nothing_until_written() {
+        // 16 MiB: the mapping itself costs nothing; a store into its last
+        // word materialises one page and reads back, and the untouched
+        // middle reads zero.
+        let img = build(|a| {
+            a.movi(R0, Sysno::Mmap as i32);
+            a.movi(R1, 0);
+            a.movi(R2, 0x100_0000);
+            a.syscall();
+            a.mov(R9, R0);
+            a.movi(R5, 77);
+            a.st(R5, R9, 0xff_fff8);
+            a.ld(R6, R9, 0xff_fff8);
+            a.ld(R7, R9, 0x80_0000);
+            a.halt();
+        });
+        let mut m = Machine::new(&img, 0x1000);
+        let mut k = Kernel::new();
+        let (mapped, materialised) = (m.mem.mapped_bytes(), m.mem.materialised_bytes());
+        assert_eq!(m.run(&mut k, 5), StopReason::InsnLimit);
+        assert_eq!(m.cpu.regs[9], 0x5000_0000);
+        assert_eq!(m.mem.mapped_bytes(), mapped + 0x100_0000);
+        assert_eq!(m.mem.materialised_bytes(), materialised);
+        assert_eq!(m.run(&mut k, 1000), StopReason::Halted);
+        assert_eq!((m.cpu.regs[6], m.cpu.regs[7]), (77, 0));
+        assert_eq!(m.mem.materialised_bytes(), materialised + 0x1000);
+    }
+
+    #[test]
+    fn a_length_past_the_end_of_the_address_space_faults() {
+        // write(1, heap + 16, -1) and open(heap + 16, -1): the guest's
+        // length runs past 2^64. Both fail cleanly, under either build
+        // profile.
+        let img = build(|a| {
+            a.movi(R0, Sysno::Write as i32);
+            a.movi(R1, 1);
+            a.movi(R2, HEAP_BASE as i32 + 16);
+            a.movi(R3, -1);
+            a.syscall();
+            a.mov(R9, R0);
+            a.movi(R0, Sysno::Open as i32);
+            a.movi(R1, HEAP_BASE as i32 + 16);
+            a.movi(R2, -1);
+            a.syscall();
+            a.mov(R10, R0);
+            a.halt();
+        });
+        let mut m = Machine::new(&img, 0x1000);
+        let mut k = Kernel::new();
+        assert_eq!(m.run(&mut k, 1000), StopReason::Halted);
+        assert_eq!((m.cpu.regs[9], m.cpu.regs[10]), (u64::MAX, u64::MAX));
+        assert!(k.output.is_empty());
+    }
+
+    #[test]
     fn sigreturn_restores_forged_frame() {
         // Push a frame redirecting pc to `target` with r5 = 0x42.
         let img = build(|a| {

@@ -176,11 +176,6 @@ impl SpanProfiler {
         }
     }
 
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one span. Every [`OVERHEAD_SAMPLE_PERIOD`]th record is
     /// wall-clock timed so the profiler's own cost stays observable.
     #[inline]

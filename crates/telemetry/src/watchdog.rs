@@ -260,19 +260,6 @@ impl Watchdog {
         Watchdog { cfg, window: VecDeque::with_capacity(cfg.window.max(2)) }
     }
 
-    /// The active thresholds.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.cfg
-    }
-
-    /// Replaces the thresholds (the window is kept).
-    pub fn set_config(&mut self, cfg: WatchdogConfig) {
-        self.cfg = cfg;
-        while self.window.len() > self.cfg.window.max(2) {
-            self.window.pop_front();
-        }
-    }
-
     /// Appends a sample, evicting the oldest once the window is full.
     pub fn push(&mut self, sample: HealthSample) {
         if self.window.len() >= self.cfg.window.max(2) {

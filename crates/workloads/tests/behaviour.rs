@@ -49,6 +49,21 @@ fn server_banner_handler_writes_banner() {
 }
 
 #[test]
+fn servers_materialise_only_the_memory_they_touch() {
+    // The stack and the heap are materialised on first write: 64 requests
+    // leave at most 64 KiB of them, of the 5 MiB they map.
+    let input = fg_workloads::load_input(64, 7);
+    for w in [fg_workloads::nginx(), fg_workloads::vsftpd(), fg_workloads::openssh()] {
+        let mut m = Machine::new(&w.image, 0x1000);
+        let image_bytes = m.mem.materialised_bytes();
+        let mut k = Kernel::with_input(&input);
+        assert_eq!(m.run(&mut k, 1_000_000_000), StopReason::Exited(0), "{}", w.name);
+        let touched = m.mem.materialised_bytes() - image_bytes;
+        assert!(touched <= 64 << 10, "{}: {touched} bytes materialised", w.name);
+    }
+}
+
+#[test]
 fn vulnerable_and_patched_differ_only_under_overflow() {
     let benign = fg_workloads::request(1, &[b'a'; 20]);
     for (w, name) in [(fg_workloads::nginx(), "vuln"), (fg_workloads::nginx_patched(), "patched")] {

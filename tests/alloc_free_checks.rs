@@ -1,7 +1,8 @@
-//! A fast-clean endpoint check allocates nothing: once the engine's reused
-//! buffers have warmed up, draining the trace, scanning it and matching the
-//! window against the ITC-CFG run entirely in place — in endpoint mode and
-//! with streaming on.
+//! A fast-clean endpoint check allocates nothing, from a fresh process's
+//! first one on: the engine is built with its buffers at their steady-state
+//! capacity, so draining the trace, scanning it and matching the window
+//! against the ITC-CFG run entirely in place — in endpoint mode and with
+//! streaming on.
 //!
 //! A counting global allocator tallies the allocations made on the checking
 //! thread while the wrapped engine's `check` runs.
@@ -58,9 +59,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Checks after this many are past warm-up and must not allocate.
-const WARMUP_CHECKS: usize = 32;
 
 /// What the wrapper saw: per check, the allocations made inside it and
 /// whether the engine rendered it fast-clean.
@@ -133,16 +131,15 @@ fn tally_checks(cfg: FlowGuardConfig) -> Tally {
 
 fn assert_alloc_free(mode: &str, cfg: FlowGuardConfig) {
     let tally = tally_checks(cfg);
-    let late: Vec<(usize, u64)> = tally
+    let clean: Vec<(usize, u64)> = tally
         .checks
         .iter()
         .enumerate()
-        .skip(WARMUP_CHECKS)
         .filter(|(_, &(_, clean))| clean)
         .map(|(i, &(allocs, _))| (i, allocs))
         .collect();
-    assert!(late.len() >= 16, "{mode}: too few fast-clean checks after warm-up: {}", late.len());
-    let allocating: Vec<_> = late.iter().filter(|&&(_, allocs)| allocs > 0).collect();
+    assert!(clean.len() >= 16, "{mode}: too few fast-clean checks: {}", clean.len());
+    let allocating: Vec<_> = clean.iter().filter(|&&(_, allocs)| allocs > 0).collect();
     assert!(
         allocating.is_empty(),
         "{mode}: fast-clean checks allocated (check index, allocations): {allocating:?}"
@@ -152,7 +149,7 @@ fn assert_alloc_free(mode: &str, cfg: FlowGuardConfig) {
 #[test]
 fn fast_clean_checks_do_not_allocate() {
     // One test, both modes in turn: the counter is per thread, and this
-    // keeps the two runs' warm-ups apart.
+    // keeps the two runs apart.
     assert_alloc_free("endpoint", FlowGuardConfig::default());
     assert_alloc_free("streaming", FlowGuardConfig { streaming: true, ..Default::default() });
 }
