@@ -93,7 +93,6 @@ fn bench_check(c: &mut Criterion) {
                 cfg.pkt_count,
                 cfg.require_module_stride,
                 cost.edge_check_cycles,
-                false,
                 None,
             )
         });

@@ -172,7 +172,6 @@ pub fn timed(b: &mut FastpathBench) {
             cfg.pkt_count,
             cfg.require_module_stride,
             cost.edge_check_cycles,
-            false,
             None,
         );
         pairs_checked = r.pairs_checked;

@@ -23,13 +23,6 @@ pub struct FlowGuardConfig {
     /// Cache negative slow-path results as fast-path high credits (§7.1.1:
     /// "makes the performance better and better").
     pub cache_slow_path_results: bool,
-    /// Checkpoint the slow path's flow decode between escalations: when the
-    /// next slow window extends the previous one, only the appended bytes
-    /// are decoded (the flow machine and shadow stack park between checks,
-    /// guarded by state hashes). Off, every escalation decodes its window
-    /// cold — the reference mode the checkpoint is validated against.
-    #[serde(default = "default_slow_checkpoint")]
-    pub slow_checkpoint: bool,
     /// Stream-consume the ToPA concurrently with execution: besides the
     /// drain every check performs, the [`fg_ipt::StreamConsumer`] also
     /// drains the buffer at the machine's periodic trace-poll slots and at
@@ -69,10 +62,6 @@ pub struct FlowGuardConfig {
     pub topa_region_bytes: usize,
 }
 
-fn default_slow_checkpoint() -> bool {
-    true
-}
-
 fn default_streaming() -> bool {
     false
 }
@@ -92,7 +81,6 @@ impl Default for FlowGuardConfig {
             cred_ratio: 1.0,
             require_module_stride: true,
             cache_slow_path_results: true,
-            slow_checkpoint: true,
             streaming: false,
             pmi_endpoints: false,
             path_matching: false,
@@ -170,7 +158,6 @@ mod tests {
         assert_eq!(c.cred_ratio, 1.0);
         assert!(c.require_module_stride);
         assert!(c.cache_slow_path_results);
-        assert!(c.slow_checkpoint);
         assert!(!c.streaming, "streaming is opt-in; the paper's checks consume at endpoints");
         assert!(c.telemetry);
         assert!(c.profile_spans, "span attribution rides on telemetry by default");

@@ -448,7 +448,6 @@ impl FlowGuardEngine {
             pkt_count,
             require_module_stride,
             self.cost.edge_check_cycles,
-            self.stream.first_tip_truncated(),
             self.tier0.as_ref(),
         );
         self.stream.compact(keep_tips(&self.cfg));
@@ -505,9 +504,7 @@ impl FlowGuardEngine {
         // the most recent `bytes.len()` of `total_written` stream bytes.
         let buf_start = total_written.saturating_sub(bytes.len() as u64);
         let mut window_start = buf_start + win_off as u64;
-        if !self.cfg.slow_checkpoint {
-            self.slow_scratch.invalidate();
-        } else if let Some((start, consumed)) = self.slow_scratch.lineage() {
+        if let Some((start, consumed)) = self.slow_scratch.lineage() {
             // Extend the parked lineage instead of sliding the window: a
             // slid start cannot resume warm (the shadow stack's windowed
             // context would change), so as long as the lineage's first byte

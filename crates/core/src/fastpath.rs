@@ -9,7 +9,7 @@
 
 use crate::config::FlowGuardConfig;
 use fg_cfg::{Credit, EdgeIdx, EntryBitset, ItcCfg};
-use fg_ipt::fast::{Boundary, FastScan};
+use fg_ipt::fast::FastScan;
 use fg_isa::image::{Image, ModuleKind};
 
 /// Direct-mapped cache slots for `(from, to) → edge` resolutions. Credited
@@ -292,15 +292,18 @@ pub fn check(
         cfg.pkt_count,
         cfg.require_module_stride,
         edge_check_cycles,
-        false,
         None,
     )
 }
 
-/// [`check`] with reusable scratch state, over a scan that may have started
-/// at a mid-trace sync point: when `first_tnt_truncated` is set, the TNT
-/// run preceding the scan's very first TIP is truncated at the window edge
-/// and must not be compared against trained signatures.
+/// [`check`] with reusable scratch state.
+///
+/// Every [`Boundary`](fg_ipt::fast::Boundary) of the scan is a seam (an
+/// OVF or a resync): the two TIPs around it are not one transfer, so that
+/// pair is skipped. A pair's TNT run is the run before its second TIP, so
+/// every checked run lies wholly inside the scan, even when the scan began
+/// at a mid-trace sync point: only the run before the scan's first TIP can
+/// be cut, and it belongs to no pair.
 ///
 /// The window is `pkt_count` TIPs, widened for the module stride when
 /// `require_module_stride` is set — passed as values so a PMI check can
@@ -323,7 +326,6 @@ pub fn check_windowed(
     pkt_count: usize,
     require_module_stride: bool,
     edge_check_cycles: f64,
-    first_tnt_truncated: bool,
     tier0: Option<&EntryBitset>,
 ) -> FastPathResult {
     let mut tier0_hits = 0u64;
@@ -357,16 +359,11 @@ pub fn check_windowed(
     }
 
     // --- pair checking ----------------------------------------------------
-    // TIP indices whose predecessor is *not* consecutive (buffer seams,
-    // packet loss): pairs crossing them are unjudgeable and skipped. The
-    // boundary list is sorted by TIP index, so membership is a cursor walk
-    // that starts at the window's first pair.
+    // Pairs crossing a seam are unjudgeable and skipped. The boundary list
+    // is sorted by TIP index, so membership is a cursor walk that starts at
+    // the window's first pair.
     let in_window = scan.boundaries.partition_point(|&(i, _)| i <= start);
-    let mut breaks = scan.boundaries[in_window..]
-        .iter()
-        .filter(|(_, b)| matches!(b, Boundary::Overflow | Boundary::Resync))
-        .map(|&(i, _)| i)
-        .peekable();
+    let mut breaks = scan.boundaries[in_window..].iter().map(|&(i, _)| i).peekable();
 
     let mut uncredited = Vec::new();
     let mut credited = 0usize;
@@ -382,9 +379,6 @@ pub fn check_windowed(
             continue; // non-consecutive TIPs across a seam
         }
         pairs += 1;
-        // Is this pair's second TIP the scan's second TIP overall (i.e. its
-        // TNT run may begin before the window)?
-        let tnt_truncated = first_tnt_truncated && start + wi == 0;
         // Tier-0 probe: one bit read settles "could this target ever be
         // valid?" before the node binary search and edge resolution.
         if let Some(bits) = tier0 {
@@ -426,10 +420,9 @@ pub fn check_windowed(
         let high = itc.credit(e) == Credit::High || cached;
         // TNT association (§4.3): trained edges must match a recorded
         // signature; a mismatch means a direct-fork path never seen in
-        // training — AIA-derogation territory — so escalate. A truncated
-        // first run cannot be compared meaningfully. The comparison happens
-        // on the packed `(bits, len)` word — no per-pair allocation.
-        let tnt_ok = cached || tnt_truncated || itc.tnt(e).admits_raw(scan.tnt_raw(start + wi + 1));
+        // training — AIA-derogation territory — so escalate. The comparison
+        // happens on the packed `(bits, len)` word — no per-pair allocation.
+        let tnt_ok = cached || itc.tnt(e).admits_raw(scan.tnt_raw(start + wi + 1));
         // Path matching (§7.1.2 future work): the consecutive edge pair must
         // be a trained high-credit path gram.
         let gram_ok =
@@ -458,6 +451,7 @@ mod tests {
     use super::*;
     use fg_cfg::OCfg;
     use fg_cpu::{IptUnit, Machine, StopReason, TraceUnit};
+    use fg_ipt::fast::Boundary;
     use fg_ipt::topa::Topa;
 
     struct Setup {
@@ -508,7 +502,6 @@ mod tests {
             cfg.pkt_count,
             cfg.require_module_stride,
             18.0,
-            false,
             tier0,
         )
     }

@@ -130,12 +130,6 @@ impl SlowScratch {
         SlowScratch::default()
     }
 
-    /// Drops the checkpoint so the next check decodes cold, keeping the
-    /// allocations (and the hit/miss counters).
-    pub fn invalidate(&mut self) {
-        self.key = None;
-    }
-
     /// The parked lineage `(window_start, consumed_end)` in absolute stream
     /// offsets, if a checkpoint is held. The engine uses it to extend the
     /// previous window instead of sliding (a slid start cannot resume: the

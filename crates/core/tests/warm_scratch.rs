@@ -14,7 +14,7 @@
 
 use fg_cfg::{Credit, EntryBitset, ItcCfg};
 use fg_cpu::{IptUnit, Machine, StopReason, TraceUnit};
-use fg_ipt::fast::{self, Boundary, FastScan};
+use fg_ipt::fast::{self, FastScan};
 use fg_ipt::topa::Topa;
 use fg_isa::image::{Image, ModuleKind};
 use flowguard::{
@@ -78,7 +78,6 @@ fn reference_check(
     cfg: &FlowGuardConfig,
     pkt_count: usize,
     stride: bool,
-    first_truncated: bool,
     tier0: Option<&EntryBitset>,
 ) -> Decision {
     let mut d = Decision {
@@ -108,12 +107,7 @@ fn reference_check(
             start = start.saturating_sub(8).max(floor);
         }
     }
-    let breaks: Vec<usize> = scan
-        .boundaries
-        .iter()
-        .filter(|(_, b)| matches!(b, Boundary::Overflow | Boundary::Resync))
-        .map(|&(i, _)| i)
-        .collect();
+    let breaks: Vec<usize> = scan.boundaries.iter().map(|&(i, _)| i).collect();
     let mut uncredited = Vec::new();
     let mut prev = None;
     for j in start + 1..tips.len() {
@@ -142,8 +136,7 @@ fn reference_check(
         };
         let cached = cfg.cache_slow_path_results && cache.contains(e);
         let high = itc.credit(e) == Credit::High || cached;
-        let tnt_ok =
-            cached || (first_truncated && j == 1) || itc.tnt(e).admits_raw(scan.tnt_raw(j));
+        let tnt_ok = cached || itc.tnt(e).admits_raw(scan.tnt_raw(j));
         let gram_ok = !cfg.path_matching || cached || prev.is_none_or(|p| itc.has_path_gram(p, e));
         prev = Some(e);
         if high && tnt_ok && gram_ok {
@@ -218,7 +211,6 @@ proptest! {
             }
             let pkt_count = 2 + rng.below(60) as usize;
             let stride = rng.below(2) == 0;
-            let first_truncated = rng.below(2) == 0;
 
             let check = |scratch: &mut CheckScratch| {
                 let (hits, misses) = (scratch.edge_cache_hits, scratch.edge_cache_misses);
@@ -231,7 +223,6 @@ proptest! {
                     pkt_count,
                     stride,
                     18.0,
-                    first_truncated,
                     tier0,
                 );
                 let lookups = scratch.edge_cache_hits - hits + scratch.edge_cache_misses - misses;
@@ -242,7 +233,7 @@ proptest! {
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(warm_lookups, fresh_lookups);
             let rule = reference_check(
-                f, itc, &cache, &scan, &cfg, pkt_count, stride, first_truncated, tier0,
+                f, itc, &cache, &scan, &cfg, pkt_count, stride, tier0,
             );
             let decided = Decision {
                 verdict: got.verdict.clone(),

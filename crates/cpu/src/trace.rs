@@ -722,13 +722,15 @@ mod tests {
         cofi(&mut t, &cost, CofiKind::FarTransfer, 0x40_0010, 0, false, 0x1000);
         resume(&mut t, &cost, 0x40_0018, 0x1000);
         let bytes = t.as_ipt().unwrap().trace_bytes();
-        let scan = fast::scan(&bytes).unwrap();
-        use fg_ipt::fast::Boundary;
-        assert!(scan.boundaries.iter().any(|(_, b)| matches!(b, Boundary::Fup { ip: 0x40_0010 })));
-        assert!(scan
-            .boundaries
-            .iter()
-            .any(|(_, b)| matches!(b, Boundary::PauseEnd { ip: 0x40_0018 })));
+        use fg_ipt::packet::Packet;
+        let packets: Vec<Packet> =
+            fg_ipt::decode::decode_all(&bytes).unwrap().into_iter().map(|p| p.packet).collect();
+        let group = [
+            Packet::Fup { ip: 0x40_0010 },
+            Packet::TipPgd { ip: None },
+            Packet::TipPge { ip: 0x40_0018 },
+        ];
+        assert!(packets.windows(3).any(|w| w == group), "no syscall group in {packets:?}");
     }
 
     #[test]

@@ -103,13 +103,10 @@ fn sigreturn_style_pc_rewrite_reflected_in_pge() {
     assert_eq!(m.cpu.regs[9], 0x77);
     m.trace.as_ipt_mut().unwrap().flush();
     let bytes = m.trace.as_ipt().unwrap().trace_bytes();
-    let scan = fg_ipt::fast::scan(&bytes).unwrap();
-    use fg_ipt::fast::Boundary;
+    let packets: Vec<fg_ipt::Packet> =
+        fg_ipt::decode::decode_all(&bytes).unwrap().into_iter().map(|p| p.packet).collect();
     assert!(
-        scan.boundaries
-            .iter()
-            .any(|(_, b)| matches!(b, Boundary::PauseEnd { ip } if *ip == landing)),
-        "PGE must carry the redirected pc: {:?}",
-        scan.boundaries
+        packets.contains(&fg_ipt::Packet::TipPge { ip: landing }),
+        "PGE must carry the redirected pc: {packets:?}"
     );
 }

@@ -13,13 +13,13 @@
 //! performs no per-event heap allocation, and a TNT run is compared against
 //! trained signatures as a `(u64, u8)` word instead of a `Vec<bool>`.
 
-use crate::decode::{find_psb, PacketError, PacketErrorKind, PacketParser};
+use crate::decode::{PacketError, PacketErrorKind, PacketParser};
 use crate::encode::sext48;
+use crate::incremental::IncrementalScanner;
 use crate::packet::{wire, Packet, LONG_TNT_MAX};
-use serde::{Deserialize, Serialize};
 
 /// A packed bit vector backing the TNT runs of a [`FastScan`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitVec {
     words: Vec<u64>,
     len: usize,
@@ -148,7 +148,7 @@ impl BitVec {
 
 /// One indirect-branch target extracted from the trace, materialised from
 /// the packed representation (a view, not the storage format).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TipEvent {
     /// The target address from the TIP packet.
     pub ip: u64,
@@ -156,16 +156,12 @@ pub struct TipEvent {
     pub tnt_before: Vec<bool>,
 }
 
-/// A tracing-pause boundary (syscall entry/exit), needed to know which
-/// module/flow segment a TIP window spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// A seam in the TIP stream: the TIPs on either side of it are not
+/// consecutive, so the pair across it cannot be judged. Syscall packets
+/// (FUP, TIP.PGD, TIP.PGE) are not seams — the TIPs around a syscall stay
+/// consecutive — and record no boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Boundary {
-    /// `FUP` — source of an asynchronous event (syscall, halt).
-    Fup { ip: u64 },
-    /// `TIP.PGD` — tracing disabled.
-    PauseBegin { ip: Option<u64> },
-    /// `TIP.PGE` — tracing re-enabled.
-    PauseEnd { ip: u64 },
     /// Packet loss; everything before it is unreliable.
     Overflow,
     /// The scanner re-synchronised over damaged bytes (a circular-buffer
@@ -178,9 +174,9 @@ pub enum Boundary {
 /// [`FastScan::truncate_front`] drops the oldest TIPs by advancing a
 /// logical head: the dropped TIPs stay in the arrays until the dead prefix
 /// is at least as long as the live part, and only then are the arrays
-/// compacted in place. Every accessor, equality and the serialised form see
-/// the live part alone — exactly the scan an eager truncation would leave.
-#[derive(Debug, Clone, Default, Deserialize)]
+/// compacted in place. Every accessor and equality see the live part alone
+/// — exactly the scan an eager truncation would leave.
+#[derive(Debug, Clone, Default)]
 pub struct FastScan {
     /// Extracted indirect-branch target addresses in execution order (the
     /// live ones from `head` on).
@@ -192,47 +188,12 @@ pub struct FastScan {
     bits: BitVec,
     /// `(offset, len)` slice of `bits` trailing after the last TIP.
     trailing: (u32, u32),
-    /// Trace boundaries in stream order, each tagged with the index into
-    /// the TIP stream at which it occurred (so sorted by that index).
+    /// Seam boundaries in stream order, each tagged with the index into the
+    /// TIP stream at which it occurred (so sorted by that index).
     pub boundaries: Vec<(usize, Boundary)>,
-    /// Number of bytes scanned (the fast-decode cost driver).
-    pub bytes_scanned: u64,
-    /// Offset of the PSB the scan synchronised on, if resync was needed.
-    pub sync_offset: Option<usize>,
-    /// The scan ended inside damaged bytes with no further sync point: a
-    /// scan of the bytes that follow must re-synchronise and record a
-    /// [`Boundary::Resync`].
-    #[serde(default)]
-    pub(crate) truncated: bool,
-    /// The damage was at the very head of the buffer, before any packet
-    /// parsed (a wrapped ToPA seam): a continuation synchronises *silently*,
-    /// exactly like the cold scanner's head probe — no [`Boundary::Resync`].
-    #[serde(default)]
-    pub(crate) damage_at_head: bool,
     /// Index of the first live TIP: the ones before it were truncated and
     /// wait for the next compaction.
-    #[serde(skip)]
     head: usize,
-}
-
-/// The serialised form is the live scan as an eager truncation would have
-/// left it: the dead prefix is compacted out of a copy first.
-impl Serialize for FastScan {
-    fn to_value(&self) -> serde::Value {
-        let mut s = self.clone();
-        s.compact();
-        serde::Value::Object(vec![
-            ("tip_ips".into(), s.tip_ips.to_value()),
-            ("tnt_ranges".into(), s.tnt_ranges.to_value()),
-            ("bits".into(), s.bits.to_value()),
-            ("trailing".into(), s.trailing.to_value()),
-            ("boundaries".into(), s.boundaries.to_value()),
-            ("bytes_scanned".into(), s.bytes_scanned.to_value()),
-            ("sync_offset".into(), s.sync_offset.to_value()),
-            ("truncated".into(), s.truncated.to_value()),
-            ("damage_at_head".into(), s.damage_at_head.to_value()),
-        ])
-    }
 }
 
 /// Two scans are equal when they describe the same TIP/TNT/boundary stream;
@@ -243,10 +204,6 @@ impl PartialEq for FastScan {
     fn eq(&self, other: &FastScan) -> bool {
         self.tip_ips() == other.tip_ips()
             && self.boundaries == other.boundaries
-            && self.bytes_scanned == other.bytes_scanned
-            && self.sync_offset == other.sync_offset
-            && self.truncated == other.truncated
-            && self.damage_at_head == other.damage_at_head
             && self.trailing_tnt() == other.trailing_tnt()
             && (0..self.tip_count()).all(|i| {
                 self.tnt_len(i) == other.tnt_len(i)
@@ -272,12 +229,6 @@ impl FastScan {
     /// The `i`-th TIP target address.
     pub fn tip_ip(&self, i: usize) -> u64 {
         self.tip_ips()[i]
-    }
-
-    /// The last `n` TIP target addresses (or all of them if fewer).
-    pub fn last_tips(&self, n: usize) -> &[u64] {
-        let tips = self.tip_ips();
-        &tips[tips.len().saturating_sub(n)..]
     }
 
     /// The `(offset, len)` bit slice of the `i`-th TIP's TNT run.
@@ -382,11 +333,12 @@ impl FastScan {
         self.bits.len()
     }
 
-    /// Drops the oldest `drop_tips` TIP events, rebasing boundaries — the
-    /// step bounding the memory of a long-lived incremental scan.
-    /// Amortised O(1) per dropped TIP: it advances the live head, and
-    /// compacts the arrays in place once the dead prefix is at least as
-    /// long as the live part. Allocation-free.
+    /// Drops the oldest `drop_tips` TIP events, rebasing the seam
+    /// boundaries (benign traces rarely have any) — the step bounding the
+    /// memory of a long-lived incremental scan. Amortised O(1) per dropped
+    /// TIP: it advances the live head, and compacts the arrays in place
+    /// once the dead prefix is at least as long as the live part.
+    /// Allocation-free.
     pub fn truncate_front(&mut self, drop_tips: usize) {
         let drop_tips = drop_tips.min(self.tip_count());
         if drop_tips == 0 {
@@ -441,9 +393,10 @@ impl FastScan {
     }
 }
 
-/// The per-packet dispatch shared by the cold scanner and the incremental
-/// scanner: everything except error recovery, which differs between the two.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// The scalar scanner's per-packet dispatch: everything except error
+/// recovery. Its pending-run and PSB+ state is also the state the
+/// vectorized loop carries between calls.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ScanCore {
     /// Bit offset where the pending TNT run starts.
     pub run_start: usize,
@@ -463,17 +416,6 @@ impl ScanCore {
                 out.push_tip_with_run(*ip, self.run_start);
                 self.run_start = out.bits.len();
             }
-            Packet::Fup { ip } => {
-                if !self.in_psb_plus {
-                    out.boundaries.push((out.tip_count(), Boundary::Fup { ip: *ip }));
-                }
-            }
-            Packet::TipPgd { ip } => {
-                out.boundaries.push((out.tip_count(), Boundary::PauseBegin { ip: *ip }));
-            }
-            Packet::TipPge { ip } => {
-                out.boundaries.push((out.tip_count(), Boundary::PauseEnd { ip: *ip }));
-            }
             Packet::Ovf => {
                 // Everything before an overflow is untrustworthy for
                 // history-based checking.
@@ -482,7 +424,15 @@ impl ScanCore {
             }
             Packet::Psb => self.in_psb_plus = true,
             Packet::Psbend => self.in_psb_plus = false,
-            Packet::Pad | Packet::Cbr { .. } | Packet::ModeExec | Packet::Pip { .. } => {}
+            // Syscall packets (FUP, TIP.PGD, TIP.PGE) only move the parser's
+            // last-IP register; none of these records anything.
+            Packet::Fup { .. }
+            | Packet::TipPgd { .. }
+            | Packet::TipPge { .. }
+            | Packet::Pad
+            | Packet::Cbr { .. }
+            | Packet::ModeExec
+            | Packet::Pip { .. } => {}
         }
     }
 
@@ -680,32 +630,16 @@ pub(crate) fn consume_vectorized(
             last_ip = ip;
             Some(ip)
         };
-        match op5 {
-            wire::TIP_OP => {
-                let Some(ip) = ip else {
-                    return fail(pos, pos, last_ip, PacketErrorKind::SuppressedIp);
-                };
+        // TIP, FUP and TIP.PGE must carry an IP; TIP.PGD may suppress it.
+        // Only a TIP records anything: a syscall packet's part is done once
+        // it has moved `last_ip`.
+        match (op5, ip) {
+            (wire::TIP_OP, Some(ip)) => {
                 out.push_tip_with_run(ip, core.run_start);
                 core.run_start = out.bits.len();
             }
-            wire::TIP_PGE_OP => {
-                let Some(ip) = ip else {
-                    return fail(pos, pos, last_ip, PacketErrorKind::SuppressedIp);
-                };
-                out.boundaries.push((out.tip_count(), Boundary::PauseEnd { ip }));
-            }
-            wire::TIP_PGD_OP => {
-                out.boundaries.push((out.tip_count(), Boundary::PauseBegin { ip }));
-            }
-            _ => {
-                // FUP
-                let Some(ip) = ip else {
-                    return fail(pos, pos, last_ip, PacketErrorKind::SuppressedIp);
-                };
-                if !core.in_psb_plus {
-                    out.boundaries.push((out.tip_count(), Boundary::Fup { ip }));
-                }
-            }
+            (wire::TIP_PGD_OP, _) | (_, Some(_)) => {}
+            (_, None) => return fail(pos, pos, last_ip, PacketErrorKind::SuppressedIp),
         }
         pos += 1 + n;
     }
@@ -714,57 +648,19 @@ pub(crate) fn consume_vectorized(
 
 /// Vectorized cold scan: same contract and bit-identical output as [`scan`],
 /// built on byte-class dispatch and SWAR PSB search instead of the packet
-/// iterator. [`scan`] remains the scalar reference implementation.
+/// iterator. It is a fresh [`IncrementalScanner`] advanced once over the
+/// whole buffer, so the cold and the incremental scan share one packet loop
+/// and one recovery path. [`scan`] remains the scalar reference
+/// implementation.
 ///
 /// # Errors
 ///
 /// Returns a [`PacketError`] only if the buffer is malformed *after*
 /// synchronisation (a corrupt PSB+ bundle), exactly like [`scan`].
 pub fn scan_vectorized(buf: &[u8]) -> Result<FastScan, PacketError> {
-    let mut out = FastScan::default();
-    let mut core = ScanCore::default();
-    let mut pos = 0usize;
-    let mut last_ip = 0u64;
-
-    // Head probe, mirroring the scalar scanner: if the head doesn't parse
-    // (mid-packet seam after a wrap), re-sync on the first PSB.
-    if PacketParser::new(buf).next_packet().is_some_and(|r| r.is_err()) {
-        match find_psb(buf, 0) {
-            Some(off) => {
-                out.sync_offset = Some(off);
-                pos = off;
-            }
-            None => {
-                out.truncated = true;
-                out.damage_at_head = true;
-                out.bytes_scanned = buf.len() as u64;
-                return Ok(out);
-            }
-        }
-    }
-    loop {
-        let run = consume_vectorized(buf, pos, last_ip, &mut core, &mut out);
-        match run.error {
-            None => break,
-            Some(e) if core.in_psb_plus => return Err(e),
-            Some(_) => match find_psb(buf, run.pos) {
-                Some(off) => {
-                    out.sync_offset.get_or_insert(off);
-                    out.boundaries.push((out.tip_count(), Boundary::Resync));
-                    core.run_start = out.bits.len();
-                    last_ip = 0;
-                    pos = off;
-                }
-                None => {
-                    out.truncated = true;
-                    break;
-                }
-            },
-        }
-    }
-    core.finish(&mut out);
-    out.bytes_scanned = buf.len() as u64;
-    Ok(out)
+    let mut inc = IncrementalScanner::new();
+    inc.advance(buf, buf.len() as u64, buf.len())?;
+    Ok(inc.into_scan())
 }
 
 /// [`scan_vectorized`] over a chronological slice-of-slices cursor (for
@@ -805,21 +701,11 @@ pub fn scan(buf: &[u8]) -> Result<FastScan, PacketError> {
     // re-sync on the first PSB.
     if parser.clone().next_packet().is_some_and(|r| r.is_err()) {
         let mut p = PacketParser::new(buf);
-        match p.sync_forward() {
-            Some(off) => {
-                out.sync_offset = Some(off);
-                parser = p;
-            }
-            None => {
-                // No sync point: nothing reliable to extract. The whole
-                // buffer is head damage — a later continuation syncs
-                // silently, as this probe would have.
-                out.truncated = true;
-                out.damage_at_head = true;
-                out.bytes_scanned = buf.len() as u64;
-                return Ok(out);
-            }
+        if p.sync_forward().is_none() {
+            // No sync point: nothing reliable to extract.
+            return Ok(out);
         }
+        parser = p;
     }
 
     let mut core = ScanCore::default();
@@ -830,25 +716,18 @@ pub fn scan(buf: &[u8]) -> Result<FastScan, PacketError> {
                 // Seam damage mid-buffer: re-sync on the next PSB, dropping
                 // the damaged span, exactly like a real PT decoder. TIPs on
                 // either side of the seam are not consecutive.
-                match parser.sync_forward() {
-                    Some(off) => {
-                        out.sync_offset.get_or_insert(off);
-                        out.boundaries.push((out.tip_count(), Boundary::Resync));
-                        core.run_start = out.bits.len();
-                        continue;
-                    }
-                    None => {
-                        out.truncated = true;
-                        break;
-                    }
+                if parser.sync_forward().is_none() {
+                    break;
                 }
+                out.boundaries.push((out.tip_count(), Boundary::Resync));
+                core.run_start = out.bits.len();
+                continue;
             }
             Err(e) => return Err(e),
         };
         core.feed(&mut out, &item.packet);
     }
     core.finish(&mut out);
-    out.bytes_scanned = buf.len() as u64;
     Ok(out)
 }
 
@@ -873,7 +752,6 @@ mod tests {
         assert_eq!(scan.tip_event(0), TipEvent { ip: 0x50_0000, tnt_before: vec![true, false] });
         assert_eq!(scan.tip_event(1), TipEvent { ip: 0x50_0100, tnt_before: vec![true] });
         assert_eq!(scan.trailing_tnt(), vec![false]);
-        assert_eq!(scan.bytes_scanned, bytes.len() as u64);
     }
 
     #[test]
@@ -956,7 +834,8 @@ mod tests {
         let a = scan_vectorized(&bytes).unwrap();
         let b = scan(&bytes).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.sync_offset, Some(2));
+        assert_eq!(a.tip_ips(), &[0x50_0000]);
+        assert!(a.boundaries.is_empty(), "a head sync is not a seam");
     }
 
     #[test]
@@ -970,38 +849,22 @@ mod tests {
     }
 
     #[test]
-    fn syscall_boundaries_recorded() {
+    fn syscall_packets_record_no_boundary_and_feed_last_ip() {
+        // The TIP after the syscall is compressed against the TIP.PGE's IP:
+        // only a scanner that decoded the PGE's IP gets its target right.
         let mut enc = PacketEncoder::new(Vec::new());
         enc.tip(0x50_0000);
         enc.fup(0x40_0010);
         enc.tip_pgd(None);
-        enc.tip_pge(0x40_0018);
-        enc.tip(0x50_0100);
+        enc.tip_pge(0x1234_5678_0018);
+        enc.tip(0x1234_5678_0100);
         let bytes = enc.into_sink();
-        let scan = scan(&bytes).unwrap();
-        assert_eq!(
-            scan.boundaries,
-            vec![
-                (1, Boundary::Fup { ip: 0x40_0010 }),
-                (1, Boundary::PauseBegin { ip: None }),
-                (1, Boundary::PauseEnd { ip: 0x40_0018 }),
-            ]
-        );
-        assert_eq!(scan.tip_count(), 2);
-    }
-
-    #[test]
-    fn last_tips_window() {
-        let mut enc = PacketEncoder::new(Vec::new());
-        for i in 0..10u64 {
-            enc.tip(0x50_0000 + i * 8);
+        let last = crate::decode::decode_all(&bytes).unwrap().pop().unwrap();
+        assert_eq!(last.len, 3, "the last TIP carries a 2-byte payload");
+        for scan in [scan(&bytes).unwrap(), scan_vectorized(&bytes).unwrap()] {
+            assert_eq!(scan.tip_ips(), &[0x50_0000, 0x1234_5678_0100]);
+            assert!(scan.boundaries.is_empty(), "a syscall is not a seam");
         }
-        let bytes = enc.into_sink();
-        let scan = scan(&bytes).unwrap();
-        let last3 = scan.last_tips(3);
-        assert_eq!(last3.len(), 3);
-        assert_eq!(last3[0], 0x50_0038);
-        assert_eq!(scan.last_tips(99).len(), 10);
     }
 
     #[test]
@@ -1014,15 +877,14 @@ mod tests {
         let mut dirty = vec![0x47, 0x13, 0x99]; // 0x99 = MODE header → truncation noise
         dirty.extend_from_slice(&clean);
         let scan = scan(&dirty).unwrap();
-        assert!(scan.sync_offset.is_some());
         assert_eq!(scan.tip_count(), 1);
+        assert!(scan.boundaries.is_empty(), "a head sync is not a seam");
     }
 
     #[test]
     fn no_sync_point_yields_empty_scan() {
         let scan = scan(&[0x47, 0x13]).unwrap();
-        assert_eq!(scan.tip_count(), 0);
-        assert!(scan.sync_offset.is_none());
+        assert_eq!(scan, FastScan::default());
     }
 
     #[test]
@@ -1097,18 +959,5 @@ mod tests {
         b.push_tip(0x10, &[false, false]);
         b.set_tip_tnt(0, &[true, false]); // orphans the old run
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn an_untruncated_scan_serialises_every_bit_it_holds() {
-        // Without a dead prefix there is nothing to compact: the bits before
-        // the first run stay in the serialised form, as in the derived one.
-        let mut s = FastScan::default();
-        s.set_trailing_tnt(&[true, false]);
-        s.clear_pending(); // orphans the leading run
-        s.push_tip(0x10, &[true]);
-        let back = FastScan::from_value(&s.to_value()).unwrap();
-        assert_eq!(back.bits.len(), 3);
-        assert_eq!(back, s);
     }
 }

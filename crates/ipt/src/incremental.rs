@@ -84,9 +84,6 @@ pub struct IncrementalScanner {
     seek_carry: Vec<u8>,
     /// Whether the first packet ever seen has been probed.
     probed: bool,
-    /// The accumulated scan began at a mid-stream sync point, so the very
-    /// first TIP's TNT run is truncated at the window edge.
-    first_tip_truncated: bool,
 }
 
 impl IncrementalScanner {
@@ -124,12 +121,6 @@ impl IncrementalScanner {
         self.generation
     }
 
-    /// Whether the accumulated scan's first TIP has a window-truncated TNT
-    /// run (the scan synchronised mid-stream).
-    pub fn first_tip_truncated(&self) -> bool {
-        self.first_tip_truncated
-    }
-
     /// Whether the scanner is synchronised at a packet boundary (as opposed
     /// to seeking a PSB after a cold start or damage).
     pub(crate) fn is_synced(&self) -> bool {
@@ -149,7 +140,7 @@ impl IncrementalScanner {
     }
 
     /// Drops the oldest TIPs so at most `keep_tips` remain, bounding the
-    /// memory of a long-lived scan. Boundaries are rebased; the parser
+    /// memory of a long-lived scan. Seam boundaries are rebased; the parser
     /// checkpoint is unaffected. Amortised O(1) per dropped TIP (see
     /// [`FastScan::truncate_front`]). The scan keeps room for its dead
     /// prefix plus as much flow again as it kept, so the appends between
@@ -160,7 +151,6 @@ impl IncrementalScanner {
             self.acc.truncate_front(n - keep_tips);
             self.acc.reserve_headroom(keep_tips);
             self.core.run_start = self.acc.trailing_start();
-            self.first_tip_truncated = false;
         }
     }
 
@@ -194,7 +184,6 @@ impl IncrementalScanner {
         let tips_before = self.acc.tip_count();
         self.consume(chunk)?;
         self.stream_pos = total_written;
-        self.acc.bytes_scanned += delta;
         Ok(AppendInfo {
             new_bytes: delta,
             new_tips: self.acc.tip_count() - tips_before,
@@ -234,15 +223,12 @@ impl IncrementalScanner {
         };
         if had_flow {
             self.acc.boundaries.push((self.acc.tip_count(), Boundary::Resync));
-        } else {
-            self.first_tip_truncated = true;
         }
         self.seek = Seek::Synced;
         self.last_ip = 0;
         let chunk = &chronological[off..];
         let tips_before = self.acc.tip_count();
         self.consume(chunk)?;
-        self.acc.bytes_scanned += chunk.len() as u64;
         Ok(AppendInfo {
             new_bytes: chunk.len() as u64,
             new_tips: self.acc.tip_count() - tips_before,
@@ -271,7 +257,6 @@ impl IncrementalScanner {
         let tips_before = self.acc.tip_count();
         let consumed = self.consume_framed(chunk, true)?;
         self.stream_pos += consumed as u64;
-        self.acc.bytes_scanned += consumed as u64;
         let info = AppendInfo {
             new_bytes: consumed as u64,
             new_tips: self.acc.tip_count() - tips_before,
@@ -345,9 +330,9 @@ impl IncrementalScanner {
             }
         }
 
-        // The vectorized packet loop (shared with `fast::scan_vectorized`);
-        // error recovery here spills the seek into the next chunk instead of
-        // truncating, because more bytes are still coming.
+        // The vectorized packet loop. Damage with no PSB after it spills the
+        // seek into the next chunk, since more bytes may still come; a cold
+        // scan (`fast::scan_vectorized`) simply has none.
         let mut run = consume_vectorized(buf, pos, self.last_ip, &mut self.core, &mut self.acc);
         loop {
             match run.error {
@@ -434,16 +419,18 @@ mod tests {
         let cuts: Vec<usize> =
             decode_all(&stream).unwrap().iter().map(|p| p.offset + p.len).collect();
         let mut inc = IncrementalScanner::new();
+        let mut scanned = 0;
         for &end in &cuts {
             let info = inc.advance(&stream[..end], end as u64, stream.len()).unwrap();
             assert!(!info.cold_restart);
+            scanned += info.new_bytes;
             let cold = fast::scan(&stream[..end]).unwrap();
             assert_stream_eq(inc.scan(), &cold);
         }
         assert_eq!(inc.stream_pos(), stream.len() as u64);
         assert_eq!(inc.generation(), 0);
         // Total incremental work equals one cold scan's: no re-reading.
-        assert_eq!(inc.scan().bytes_scanned, stream.len() as u64);
+        assert_eq!(scanned, stream.len() as u64);
     }
 
     #[test]
@@ -494,7 +481,6 @@ mod tests {
         assert!(info.cold_restart);
         assert_eq!(inc.scan().tip_count(), 1);
         assert!(inc.scan().boundaries.is_empty(), "no flow before the gap");
-        assert!(inc.first_tip_truncated());
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //!   regions and PMI generation;
 //! * [`msr`] — the `IA32_RTIT_*` MSR model with CPL and CR3 filtering;
 //! * [`fast`] — packet-level TIP/TNT extraction (FlowGuard's fast-path
-//!   primitive, no binary needed);
+//!   primitive, no binary needed): TIP targets, their TNT runs and the
+//!   seams (OVF, resync) the checker skips — the scalar reference scan and
+//!   the one vectorized packet loop;
 //! * [`incremental`] — the checkpointed [`incremental::IncrementalScanner`]
-//!   that scans only bytes appended since the previous endpoint check;
+//!   that scans only bytes appended since the previous endpoint check, and
+//!   that a cold vectorized scan runs once over the whole buffer;
 //! * [`stream`] — the continuous [`stream::StreamConsumer`] draining the
 //!   ToPA concurrently with execution, with frontier/residue tracking so a
 //!   syscall-time check is a frontier compare plus a residue scan;

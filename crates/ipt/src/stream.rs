@@ -391,12 +391,6 @@ impl StreamConsumer {
         self.stats
     }
 
-    /// Whether the accumulated scan's first TIP has a window-truncated TNT
-    /// run (the scan synchronised mid-stream).
-    pub fn first_tip_truncated(&self) -> bool {
-        self.scanner.first_tip_truncated()
-    }
-
     /// Number of cold restarts (frontier lost to a wrap) so far.
     pub fn generation(&self) -> u64 {
         self.scanner.generation()

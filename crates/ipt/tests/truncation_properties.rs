@@ -2,127 +2,48 @@
 //! oldest TIPs lazily — advancing a live head and compacting only once the
 //! dead prefix outgrows the live part — shows, after every append and every
 //! `compact(k)`, exactly the scan that eager truncation leaves: every
-//! accessor, equality and the serialised form.
+//! accessor and equality.
 //!
-//! The oracle is the eager truncation itself, kept here: the bodies of
-//! `FastScan::truncate_front` and `BitVec::drop_front` from before
-//! truncation became lazy, run on the scan's serialised fields. It works on
-//! a view of a second scanner fed the same bytes and never compacted: the
-//! eager scan is that scanner's scan without its first `D` TIPs and first
-//! `C` TNT bits, where each truncation adds its TIP count to `D` and its
-//! bit cut to `C`.
+//! The oracle is built from a second scanner fed the same bytes and never
+//! compacted: eager truncation of `D` TIPs leaves that scanner's TIP ips
+//! and per-TIP TNT runs from the `D`-th on, its boundaries at or after TIP
+//! `D` rebased by `D`, and its trailing run, where each truncation adds
+//! its TIP count to `D`.
 
 use fg_ipt::encode::PacketEncoder;
-use fg_ipt::fast::{Boundary, FastScan};
+use fg_ipt::fast::FastScan;
 use fg_ipt::IncrementalScanner;
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 
-/// The serialised form of the scan's packed TNT bits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Bits {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl Bits {
-    /// The eager `BitVec::drop_front`.
-    fn drop_front(&mut self, n: usize) {
-        let n = n.min(self.len);
-        let (skip_words, shift) = (n / 64, n % 64);
-        self.len -= n;
-        let keep_words = self.len.div_ceil(64);
-        for i in 0..keep_words {
-            let mut w = self.words[i + skip_words] >> shift;
-            if shift > 0 {
-                if let Some(&hi) = self.words.get(i + skip_words + 1) {
-                    w |= hi << (64 - shift);
-                }
-            }
-            self.words[i] = w;
-        }
-        self.words.truncate(keep_words);
+/// The never-compacted scan without its first `dropped` TIPs: what eager
+/// truncation leaves, rebuilt from the accessors alone.
+fn eager_view(full: &FastScan, dropped: usize) -> FastScan {
+    let mut e = FastScan::default();
+    for i in dropped..full.tip_count() {
+        e.push_tip(full.tip_ip(i), &full.tnt_vec(i));
     }
-}
-
-/// The serialised form of a [`FastScan`], field for field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Eager {
-    tip_ips: Vec<u64>,
-    tnt_ranges: Vec<(u32, u32)>,
-    bits: Bits,
-    trailing: (u32, u32),
-    boundaries: Vec<(usize, Boundary)>,
-    bytes_scanned: u64,
-    sync_offset: Option<usize>,
-    truncated: bool,
-    damage_at_head: bool,
-}
-
-impl Eager {
-    /// The eager `FastScan::truncate_front`; returns the bit cut.
-    fn truncate_front(&mut self, drop_tips: usize) -> u32 {
-        let drop_tips = drop_tips.min(self.tip_ips.len());
-        if drop_tips == 0 {
-            return 0;
-        }
-        let cut = self.tnt_ranges[drop_tips..]
-            .iter()
-            .map(|&(start, _)| start)
-            .fold(self.trailing.0, u32::min);
-        self.bits.drop_front(cut as usize);
-        self.tnt_ranges.drain(..drop_tips);
-        for range in &mut self.tnt_ranges {
-            range.0 -= cut;
-        }
-        self.trailing.0 -= cut;
-        self.tip_ips.drain(..drop_tips);
-        self.boundaries.retain_mut(|(i, _)| {
-            if *i < drop_tips {
-                false
-            } else {
-                *i -= drop_tips;
-                true
-            }
-        });
-        cut
-    }
-}
-
-/// The never-compacted scan without its first `tips` TIPs and `bits` bits:
-/// what eager truncation leaves.
-fn eager_view(full: &FastScan, tips: usize, bits: u32) -> Eager {
-    let mut e = Eager::from_value(&full.to_value()).unwrap();
-    e.bits.drop_front(bits as usize);
-    e.tip_ips.drain(..tips);
-    e.tnt_ranges.drain(..tips);
-    for range in &mut e.tnt_ranges {
-        range.0 -= bits;
-    }
-    e.trailing.0 -= bits;
-    e.boundaries.retain(|&(i, _)| i >= tips);
-    for (i, _) in &mut e.boundaries {
-        *i -= tips;
-    }
+    e.set_trailing_tnt(&full.trailing_tnt());
+    e.boundaries = full
+        .boundaries
+        .iter()
+        .filter(|&&(i, _)| i >= dropped)
+        .map(|&(i, b)| (i - dropped, b))
+        .collect();
     e
 }
 
 /// Every accessor of `got` against the eager scan `want`.
-fn assert_same_scan(got: &FastScan, want: &Eager) -> Result<(), String> {
-    let oracle = FastScan::from_value(&want.to_value()).unwrap();
-    prop_assert_eq!(got.tip_count(), oracle.tip_count());
-    prop_assert_eq!(got.tip_ips(), oracle.tip_ips());
+fn assert_same_scan(got: &FastScan, want: &FastScan) -> Result<(), String> {
+    prop_assert_eq!(got.tip_count(), want.tip_count());
+    prop_assert_eq!(got.tip_ips(), want.tip_ips());
     for i in 0..got.tip_count() {
-        prop_assert_eq!(got.tnt_len(i), oracle.tnt_len(i));
-        prop_assert_eq!(got.tnt_raw(i), oracle.tnt_raw(i));
-        prop_assert_eq!(got.tnt_vec(i), oracle.tnt_vec(i));
+        prop_assert_eq!(got.tnt_len(i), want.tnt_len(i));
+        prop_assert_eq!(got.tnt_raw(i), want.tnt_raw(i));
+        prop_assert_eq!(got.tnt_vec(i), want.tnt_vec(i));
     }
-    prop_assert_eq!(&got.boundaries, &oracle.boundaries);
-    prop_assert_eq!(got.trailing_tnt(), oracle.trailing_tnt());
-    prop_assert!(got == &oracle, "PartialEq disagrees with the accessors");
-    prop_assert_eq!(got.to_value(), want.to_value());
-    let round_trip = FastScan::from_value(&got.to_value()).unwrap();
-    prop_assert!(&round_trip == got, "serde round trip changed the scan");
+    prop_assert_eq!(&got.boundaries, &want.boundaries);
+    prop_assert_eq!(got.trailing_tnt(), want.trailing_tnt());
+    prop_assert!(got == want, "PartialEq disagrees with the accessors");
     Ok(())
 }
 
@@ -186,7 +107,7 @@ proptest! {
         let bytes = stream(seed, events, kind);
         let mut lazy = IncrementalScanner::new();
         let mut full = IncrementalScanner::new();
-        let (mut dropped_tips, mut cut_bits) = (0usize, 0u32);
+        let mut dropped_tips = 0usize;
         let mut end = 0usize;
         for (append, value) in steps.iter().cycle().take(4 * steps.len()) {
             if *append {
@@ -209,13 +130,9 @@ proptest! {
                 let keep = 1 + (value % 24) as usize;
                 let n = lazy.scan().tip_count();
                 lazy.compact(keep);
-                if n > keep {
-                    let mut eager = eager_view(full.scan(), dropped_tips, cut_bits);
-                    cut_bits += eager.truncate_front(n - keep);
-                    dropped_tips += n - keep;
-                }
+                dropped_tips += n.saturating_sub(keep);
             }
-            assert_same_scan(lazy.scan(), &eager_view(full.scan(), dropped_tips, cut_bits))?;
+            assert_same_scan(lazy.scan(), &eager_view(full.scan(), dropped_tips))?;
         }
     }
 }

@@ -89,14 +89,15 @@ fn vdso_calls_appear_in_trace() {
     );
 }
 
-/// Configs saved before the trace-consumption knobs were removed still
-/// load: the five dropped keys are ignored, everything else is kept.
+/// Configs saved before the trace-consumption knobs and the slow-path
+/// checkpoint knob were removed still load: the six dropped keys are
+/// ignored, everything else is kept.
 #[test]
 fn config_with_removed_knobs_still_loads() {
     let current = serde_json::to_string(&FlowGuardConfig::default()).expect("serialise");
     let old = format!(
         "{},\"incremental_scan\":false,\"parallel_decode\":true,\"consumer_thread\":true,\
-         \"consumer_lag_target\":64,\"consumer_poll_period\":8}}",
+         \"consumer_lag_target\":64,\"consumer_poll_period\":8,\"slow_checkpoint\":false}}",
         current.strip_suffix('}').expect("a JSON object")
     );
     let back: FlowGuardConfig = serde_json::from_str(&old).expect("removed keys are ignored");
