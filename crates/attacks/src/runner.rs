@@ -16,7 +16,7 @@ pub struct AttackResult {
     /// Whether FlowGuard reported a violation (always `false` unprotected).
     pub detected: bool,
     /// The endpoints at which violations were reported.
-    pub endpoints: Vec<&'static str>,
+    pub endpoints: Vec<String>,
     /// Bytes the process wrote (attack-goal evidence).
     pub output: Vec<u8>,
     /// `execve` paths the process requested (SROP goal evidence).
@@ -50,8 +50,8 @@ pub fn run_unprotected(image: &Image, input: &[u8]) -> AttackResult {
 pub fn run_protected(deployment: &Deployment, input: &[u8], cfg: FlowGuardConfig) -> AttackResult {
     let mut p = deployment.launch(input, cfg);
     let stop = p.run(50_000_000);
-    let endpoints: Vec<&'static str> =
-        p.stats.snapshot().violations.iter().map(|v| v.endpoint).collect();
+    let endpoints =
+        p.stats.telemetry_snapshot().violations.into_iter().map(|v| v.endpoint).collect();
     AttackResult {
         stop,
         detected: p.kernel.violated(),
@@ -72,7 +72,7 @@ pub fn run_kbouncer(image: &Image, input: &[u8]) -> AttackResult {
     AttackResult {
         stop,
         detected: k.violated(),
-        endpoints: k.violations.clone(),
+        endpoints: k.violations.iter().map(ToString::to_string).collect(),
         output: k.output,
         execve: k.execve_log,
     }
@@ -90,7 +90,7 @@ pub fn run_cfimon(image: &Image, input: &[u8]) -> AttackResult {
     AttackResult {
         stop,
         detected: k.violated(),
-        endpoints: k.violations.clone(),
+        endpoints: k.violations.iter().map(ToString::to_string).collect(),
         output: k.output,
         execve: k.execve_log,
     }
@@ -136,7 +136,11 @@ mod tests {
         let guarded = run_protected(&d, &attack, FlowGuardConfig::default());
         assert!(guarded.detected, "FlowGuard must detect the ROP chain");
         assert_eq!(guarded.stop, StopReason::Killed(SIGKILL));
-        assert!(guarded.endpoints.contains(&"write"), "caught at write: {:?}", guarded.endpoints);
+        assert!(
+            guarded.endpoints.iter().any(|e| e == "write"),
+            "caught at write: {:?}",
+            guarded.endpoints
+        );
         assert!(!guarded.attack_succeeded(b"HACKED!"), "goal must be prevented");
     }
 
@@ -157,7 +161,7 @@ mod tests {
         assert!(guarded.detected);
         assert_eq!(guarded.stop, StopReason::Killed(SIGKILL));
         assert!(
-            guarded.endpoints.contains(&"sigreturn"),
+            guarded.endpoints.iter().any(|e| e == "sigreturn"),
             "caught at sigreturn: {:?}",
             guarded.endpoints
         );

@@ -7,8 +7,8 @@
 //! flowguard_cli audit    <workload|artifact.json> [--json FILE]
 //! flowguard_cli info     <artifact.json>                   # inspect an artifact
 //! flowguard_cli run      <artifact.json> [--input FILE]    # ③–⑤ protected run
-//! flowguard_cli stats    <artifact.json> [--input FILE] [--prom] [--prom-summaries]
-//!                        [--streaming] [--phases] [--save FILE] [--diff FILE]
+//! flowguard_cli stats    <artifact.json> [--input FILE] [--prom] [--streaming]
+//!                        [--phases] [--save FILE] [--diff FILE]
 //! flowguard_cli health   <artifact.json> [--input FILE] [--streaming] [--slice N]
 //! flowguard_cli top      <artifact.json> [--input FILE] [--streaming] [--slice N]
 //! flowguard_cli events   <artifact.json> [--input FILE] [--last N]
@@ -64,8 +64,8 @@ fn usage() -> ExitCode {
          flowguard_cli audit <workload|artifact.json> [--json FILE]\n  \
          flowguard_cli info <artifact.json>\n  \
          flowguard_cli run <artifact.json> [--input FILE]\n  \
-         flowguard_cli stats <artifact.json> [--input FILE] [--prom] [--prom-summaries] \
-         [--streaming] [--phases] [--save FILE] [--diff FILE]\n  \
+         flowguard_cli stats <artifact.json> [--input FILE] [--prom] [--streaming] \
+         [--phases] [--save FILE] [--diff FILE]\n  \
          flowguard_cli health <artifact.json> [--input FILE] [--streaming] [--slice N]\n  \
          flowguard_cli top <artifact.json> [--input FILE] [--streaming] [--slice N]\n  \
          flowguard_cli events <artifact.json> [--input FILE] [--last N]\n  \
@@ -403,7 +403,7 @@ fn main() -> ExitCode {
             let input = if input.is_empty() { default_input_for(&d) } else { input };
             let mut p = d.launch(&input, FlowGuardConfig::default());
             let stop = p.run(2_000_000_000);
-            let s = p.stats.snapshot();
+            let s = p.stats.telemetry_snapshot();
             println!("stop:            {stop}");
             println!("endpoint checks: {}", s.checks);
             println!("fast clean:      {}", s.fast_clean);
@@ -426,7 +426,6 @@ fn main() -> ExitCode {
             let Some(path) = it.next() else { return usage() };
             let mut input = Vec::new();
             let mut prom = false;
-            let mut prom_summaries = false;
             let mut streaming = false;
             let mut phases = false;
             let mut save: Option<&str> = None;
@@ -444,7 +443,6 @@ fn main() -> ExitCode {
                         }
                     }
                     "--prom" => prom = true,
-                    "--prom-summaries" => prom_summaries = true,
                     "--streaming" => streaming = true,
                     "--phases" => phases = true,
                     "--save" => {
@@ -509,8 +507,8 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            if prom || prom_summaries {
-                print!("{}", stats.prometheus_text_opts(prom_summaries));
+            if prom {
+                print!("{}", stats.prometheus_text());
             } else if phases {
                 print_phase_table(&ts);
             } else if let Some(saved) = &saved {
@@ -549,15 +547,7 @@ fn main() -> ExitCode {
             }
             eprintln!("stop: {stop}");
             let report = p.stats.health_report();
-            println!(
-                "health: {} ({} window samples, {} checks in window)",
-                report.status.label(),
-                report.samples,
-                report.window_checks
-            );
-            for f in &report.findings {
-                println!("  [{}] {}: {}", f.status.label(), f.rule, f.detail);
-            }
+            print!("{report}");
             if report.status == HealthStatus::Healthy {
                 ExitCode::SUCCESS
             } else {
@@ -583,23 +573,20 @@ fn main() -> ExitCode {
                 "slice", "checks", "fast", "slow", "span_cycles", "lag", "health"
             );
             let mut prev = p.stats.telemetry_snapshot();
-            let mut prev_stats = p.stats.snapshot();
             for i in 1..=RUN_BUDGET_INSNS / slice.max(1) {
                 let stop = p.run(slice);
                 let ts = p.stats.telemetry_snapshot();
-                let s = p.stats.snapshot();
                 println!(
                     "{:>6} {:>8} {:>8} {:>8} {:>14.0} {:>10} {:>9}",
                     i,
                     ts.checks - prev.checks,
-                    s.fast_clean - prev_stats.fast_clean,
-                    s.slow_invocations - prev_stats.slow_invocations,
+                    ts.fast_clean - prev.fast_clean,
+                    ts.slow_invocations - prev.slow_invocations,
                     ts.spans.total_cycles - prev.spans.total_cycles,
                     ts.last_frontier_lag,
                     ts.health.status.label()
                 );
                 prev = ts;
-                prev_stats = s;
                 if stop != fg_cpu::StopReason::InsnLimit {
                     eprintln!("stop: {stop}");
                     break;
@@ -643,7 +630,7 @@ fn main() -> ExitCode {
                     ev.total_cycles()
                 );
             }
-            eprintln!("{} events recorded in total", stats.events_recorded());
+            eprintln!("{} events recorded in total", stats.telemetry_snapshot().events_recorded);
             ExitCode::SUCCESS
         }
         Some("attack") => {

@@ -42,11 +42,7 @@ pub fn run() -> Vec<Row> {
                 attack: name,
                 works_unprotected: free.attack_succeeded(marker) || name == "history flushing", // its goal is evasion, not data
                 detected: guarded.detected,
-                endpoint: guarded
-                    .endpoints
-                    .first()
-                    .map(std::string::ToString::to_string)
-                    .unwrap_or_default(),
+                endpoint: guarded.endpoints.first().cloned().unwrap_or_default(),
             }
         })
         .collect()

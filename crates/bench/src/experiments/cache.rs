@@ -40,7 +40,7 @@ pub fn run() -> Vec<Row> {
                 matches!(stop, fg_cpu::StopReason::Exited(0)),
                 "benign run must complete: {stop:?}"
             );
-            let s = p.stats.snapshot();
+            let s = p.stats.telemetry_snapshot();
             Row {
                 config: if cache { "cache on (paper)" } else { "cache off" },
                 checks: s.checks,

@@ -78,7 +78,7 @@ pub fn training_curve(points: &[u64]) -> Vec<TrainingPoint> {
         // Serve the ab-style benign load and observe the credit ratio.
         let mut p = d.launch(&w.default_input, FlowGuardConfig::default());
         p.run(crate::measure::BUDGET);
-        let s = p.stats.snapshot();
+        let s = p.stats.telemetry_snapshot();
         out.push(TrainingPoint { execs, paths, cred_ratio: s.credited_fraction() });
     }
     out

@@ -74,7 +74,7 @@ pub fn run() -> Vec<Row> {
             !matches!(stop, fg_cpu::StopReason::Killed(_)),
             "benign traffic must never be killed"
         );
-        let s = p.stats.snapshot();
+        let s = p.stats.telemetry_snapshot();
         rows.push(Row {
             config: label,
             slow_fraction: s.slow_fraction(),

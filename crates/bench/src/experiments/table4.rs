@@ -68,7 +68,7 @@ pub fn run() -> Vec<Row> {
             };
             let mut p = d.launch(&input, FlowGuardConfig::default());
             p.run(crate::measure::BUDGET);
-            let cred_ratio = p.stats.snapshot().credited_fraction();
+            let cred_ratio = p.stats.telemetry_snapshot().credited_fraction();
 
             let icall_sets: Vec<usize> = ocfg
                 .succs

@@ -162,7 +162,7 @@ pub fn run_protected(
     let mut p = d.launch_with(&w.default_input, cfg, cost, DEFAULT_CR3);
     let stop = p.run(BUDGET);
     let trace_bytes = p.machine.trace.as_ipt().map_or(0, fg_cpu::IptUnit::bytes_emitted);
-    let s = p.stats.snapshot();
+    let s = p.stats.telemetry_snapshot();
     ProtectedMetrics {
         run: RunMetrics {
             name: w.name.clone(),

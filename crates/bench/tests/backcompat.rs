@@ -1,79 +1,11 @@
-//! Back-compat regression tests: checked-in fixtures of older on-disk
-//! shapes must keep parsing as the telemetry event and snapshot schemas
-//! grow and shed columns.
+//! Back-compat regression tests: checked-in `TelemetrySnapshot` files saved
+//! by older builds must keep parsing as the snapshot schema grows and
+//! sheds counters, because `flowguard_cli stats --diff` reads saved
+//! snapshots. Words added later default; words since removed are ignored.
 //!
-//! The [`flowguard::CheckEvent`] wire format has grown across PRs — roughly
-//! 12 words in the PR-3 era (fast-path counters only), 16 after the
-//! checkpointed slow path landed (PR-4), and 18 once tier-0 probes were
-//! split out (PR-7) — and every field is `#[serde(default)]` precisely so
-//! that flight-recorder dumps and saved snapshots from older builds stay
-//! loadable (`flowguard_cli stats --diff` reads saved snapshots).
-
-use flowguard::{CheckEvent, CheckVerdict};
-
-/// PR-3-era event: fast-path counters only, no slow-path or tier-0 words.
-#[test]
-fn pr3_era_check_event_parses_with_defaults() {
-    let ev: CheckEvent =
-        serde_json::from_str(include_str!("fixtures/checkevent_pr3.json")).unwrap();
-    assert_eq!(ev.sysno, 59);
-    assert_eq!(ev.verdict, CheckVerdict::FastClean);
-    assert_eq!(ev.pairs_checked, 12);
-    // Words that did not exist yet must default, not error.
-    assert_eq!(ev.other_cycles, 0.0);
-    assert_eq!(ev.slow_shards, 0);
-    assert_eq!(ev.stitch_cycles, 0.0);
-    assert_eq!(ev.tier0_hits, 0);
-    assert!(!ev.streaming);
-    assert_eq!(ev.total_cycles(), 512.0 + 96.0);
-}
-
-/// PR-4-era event: slow-path checkpoint/shard words present, tier-0 and
-/// streaming words absent.
-#[test]
-fn pr4_era_check_event_parses_with_defaults() {
-    let ev: CheckEvent =
-        serde_json::from_str(include_str!("fixtures/checkevent_pr4.json")).unwrap();
-    assert_eq!(ev.verdict, CheckVerdict::SlowClean);
-    assert!(ev.checkpoint_hit);
-    assert_eq!(ev.slow_shards, 4);
-    assert_eq!(ev.slow_insns_decoded, 250_000);
-    assert_eq!(ev.stitch_cycles, 0.0);
-    assert_eq!(ev.tier0_misses, 0);
-    assert_eq!(ev.frontier_lag, 0);
-    assert_eq!(ev.drained_bytes, 0);
-}
-
-/// PR-7-era event: tier-0 words present, streaming words absent.
-#[test]
-fn pr7_era_check_event_parses_with_defaults() {
-    let ev: CheckEvent =
-        serde_json::from_str(include_str!("fixtures/checkevent_pr7.json")).unwrap();
-    assert_eq!(ev.verdict, CheckVerdict::FastMalicious);
-    assert_eq!(ev.tier0_hits, 5);
-    assert!(!ev.streaming);
-    assert_eq!(ev.drained_bytes, 0);
-}
-
-/// A current-era event survives a serialize → parse round trip, so dumps
-/// written today become tomorrow's fixtures.
-#[test]
-fn current_check_event_round_trips() {
-    let ev = CheckEvent {
-        sysno: 59,
-        verdict: CheckVerdict::SlowAttack,
-        streaming: true,
-        frontier_lag: 96,
-        drained_bytes: 8192,
-        tier0_misses: 1,
-        ..Default::default()
-    };
-    let json = serde_json::to_string(&ev).unwrap();
-    let back: CheckEvent = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.verdict, CheckVerdict::SlowAttack);
-    assert_eq!(back.frontier_lag, 96);
-    assert_eq!(back.drained_bytes, 8192);
-}
+//! Snapshots are the only telemetry read back: a `CheckEvent` is written
+//! out (the `events` listing, flowbench's probe) but never parsed, so it
+//! has no fixtures here.
 
 /// A pre-fleet-era `TelemetrySnapshot` dump: it predates the fleet
 /// scheduler's (since removed) `sched_*` counters, and words added later

@@ -40,20 +40,12 @@ pub struct FlowGuardConfig {
     /// extension ("may introduce larger number of slow path checking").
     pub path_matching: bool,
     /// Record runtime telemetry (counters, latency histograms, the check
-    /// event ring, the span profiler). On, each check and each background
-    /// drain takes the telemetry's one lock once; off, they record nothing
-    /// and take no lock (one predictable-not-taken branch). Violations and
-    /// flight records are still captured.
+    /// event ring, the per-phase span profiler). On, each check and each
+    /// background drain takes the telemetry's one lock once; off, they
+    /// record nothing and take no lock (one predictable-not-taken branch).
+    /// Violations and flight records are still captured.
     #[serde(default = "default_telemetry")]
     pub telemetry: bool,
-    /// Record per-phase cycle-attribution spans (intercept, tier-0 probe,
-    /// edge probe, scans, slow decode, stitch, verdict) in the span
-    /// profiler. Only takes effect when `telemetry` is on; off, every span
-    /// record collapses to one predictable-not-taken branch. Spans cost a
-    /// few ns per check and per drain (EXPERIMENTS.md, "Plain-data
-    /// telemetry").
-    #[serde(default = "default_profile_spans")]
-    pub profile_spans: bool,
     /// The sensitive-syscall endpoint set.
     #[serde(skip, default = "SensitiveSet::patharmor_default")]
     pub endpoints: SensitiveSet,
@@ -70,10 +62,6 @@ fn default_telemetry() -> bool {
     true
 }
 
-fn default_profile_spans() -> bool {
-    true
-}
-
 impl Default for FlowGuardConfig {
     fn default() -> FlowGuardConfig {
         FlowGuardConfig {
@@ -85,7 +73,6 @@ impl Default for FlowGuardConfig {
             pmi_endpoints: false,
             path_matching: false,
             telemetry: true,
-            profile_spans: true,
             endpoints: SensitiveSet::patharmor_default(),
             topa_region_bytes: 8192,
         }
@@ -160,7 +147,6 @@ mod tests {
         assert!(c.cache_slow_path_results);
         assert!(!c.streaming, "streaming is opt-in; the paper's checks consume at endpoints");
         assert!(c.telemetry);
-        assert!(c.profile_spans, "span attribution rides on telemetry by default");
         assert_eq!(c.validate(), Ok(()));
     }
 

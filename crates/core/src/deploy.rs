@@ -308,7 +308,7 @@ mod tests {
         let mut p = d.launch(&w.default_input, FlowGuardConfig::default());
         assert_eq!(p.run(50_000_000), StopReason::Exited(0));
         assert!(!p.violated());
-        assert!(p.stats.snapshot().checks > 0);
+        assert!(p.stats.checks() > 0);
     }
 
     #[test]

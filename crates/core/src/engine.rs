@@ -8,15 +8,15 @@
 //!
 //! Statistics flow through the [`EngineTelemetry`] aggregate: the engine
 //! records every check — its [`CheckEvent`](crate::telemetry::CheckEvent)
-//! and the modeled cycles of each pipeline phase — in one call; the
-//! [`EngineStats`] struct is its on-demand snapshot form.
+//! and the modeled cycles of each pipeline phase — in one call; readers
+//! take a [`TelemetrySnapshot`](crate::telemetry::TelemetrySnapshot).
 
 use crate::config::FlowGuardConfig;
 use crate::fastpath::{self, CheckScratch, FastVerdict, SlowPathCache, Violation};
 use crate::slowpath::{self, SlowVerdict, SlowViolation};
 use crate::telemetry::{
-    render_packets, CheckEvent, CheckRecord, CheckVerdict, EngineTelemetry, FLIGHT_WINDOW_BYTES,
-    PMI_SYSNO,
+    render_packets, CheckEvent, CheckRecord, CheckVerdict, EngineTelemetry, ViolationRecord,
+    FLIGHT_WINDOW_BYTES, PMI_SYSNO,
 };
 use fg_cfg::{EntryBitset, ItcCfg, OCfg};
 use fg_cpu::cost::CostModel;
@@ -27,92 +27,6 @@ use fg_isa::image::Image;
 use fg_kernel::{InterceptVerdict, SyscallInterceptor, Sysno, SIGKILL};
 use fg_trace::PhaseSpan;
 use std::sync::Arc;
-
-/// A recorded violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ViolationRecord {
-    /// The endpoint syscall at which the violation was caught.
-    pub endpoint: &'static str,
-    /// Human-readable description.
-    pub detail: String,
-    /// Whether the fast path (true) or slow path (false) detected it.
-    pub fast_path: bool,
-}
-
-/// Aggregated engine statistics — the snapshot form of [`EngineTelemetry`]
-/// (obtain one via [`EngineTelemetry::snapshot`]).
-#[derive(Debug, Clone, Default)]
-pub struct EngineStats {
-    /// Endpoint checks performed.
-    pub checks: u64,
-    /// Fast-path clean outcomes.
-    pub fast_clean: u64,
-    /// Fast-path malicious detections.
-    pub fast_malicious: u64,
-    /// Windows escalated to the slow path.
-    pub slow_invocations: u64,
-    /// Slow-path attack detections.
-    pub slow_attacks: u64,
-    /// Checks skipped for lack of trace.
-    pub insufficient: u64,
-    /// TIP pairs checked in total.
-    pub pairs_checked: u64,
-    /// Checked pairs that were high-credit (directly or via the cache).
-    pub credited_pairs: u64,
-    /// Current slow-path result cache size.
-    pub cache_size: usize,
-    /// Total trace bytes actually scanned across all checks. This grows by
-    /// the bytes appended since the previous drain (at most one window) per
-    /// check, not by a whole rescanned tail window.
-    pub bytes_scanned: u64,
-    /// Checkpoint losses: the ToPA wrapped past the scanner's position and
-    /// a cold PSB re-synchronisation was needed.
-    pub cold_restarts: u64,
-    /// Background drains performed by the streaming consumer (trace-poll
-    /// slots and region-fill PMIs; zero when streaming is off).
-    pub stream_drains: u64,
-    /// Trace bytes drained in the background by the streaming consumer.
-    pub stream_drained_bytes: u64,
-    /// Fast-path edge-cache hits (direct-mapped `(from, to)` cache).
-    pub edge_cache_hits: u64,
-    /// Fast-path edge-cache misses.
-    pub edge_cache_misses: u64,
-    /// Tier-0 bitset probes that passed and fell through to the edge check.
-    pub tier0_hits: u64,
-    /// Tier-0 probes that failed (violations caught before any edge
-    /// lookup).
-    pub tier0_misses: u64,
-    /// Cycles spent decoding (packet scans + instruction-flow decodes).
-    pub decode_cycles: f64,
-    /// Cycles spent matching against the ITC-CFG.
-    pub check_cycles: f64,
-    /// Interception overhead cycles.
-    pub other_cycles: f64,
-    /// Violations whose records were dropped by the bounded log (the log
-    /// keeps the first and last windows verbatim).
-    pub violations_dropped: u64,
-    /// Retained violation records.
-    pub violations: Vec<ViolationRecord>,
-}
-
-impl EngineStats {
-    /// Fraction of checked pairs that were credited — the runtime
-    /// `cred_ratio` of §7.1.1 / Figure 5d.
-    pub fn credited_fraction(&self) -> f64 {
-        if self.pairs_checked == 0 {
-            return 0.0;
-        }
-        self.credited_pairs as f64 / self.pairs_checked as f64
-    }
-
-    /// Fraction of checks that needed the slow path.
-    pub fn slow_fraction(&self) -> f64 {
-        if self.checks == 0 {
-            return 0.0;
-        }
-        self.slow_invocations as f64 / self.checks as f64
-    }
-}
 
 /// The runtime protection engine.
 pub struct FlowGuardEngine {
@@ -176,10 +90,7 @@ impl FlowGuardEngine {
             keep_tips(&cfg).min(PRESIZED_TIPS),
             window_budget(&cfg).min(cfg.topa_region_bytes.saturating_mul(2)),
         );
-        let stats = Arc::new(EngineTelemetry::with_spans(
-            cfg.telemetry,
-            cfg.telemetry && cfg.profile_spans,
-        ));
+        let stats = Arc::new(EngineTelemetry::new(cfg.telemetry));
         FlowGuardEngine {
             scratch: CheckScratch::new(&image),
             stats,
@@ -227,7 +138,11 @@ impl FlowGuardEngine {
         let window = tail_window(bytes, FLIGHT_WINDOW_BYTES);
         let packets = render_packets(window, 64);
         self.stats.capture_flight(endpoint, &detail, fast_path, edge, window, packets);
-        self.stats.record_violation(ViolationRecord { endpoint, detail, fast_path });
+        self.stats.record_violation(ViolationRecord {
+            endpoint: endpoint.to_owned(),
+            detail,
+            fast_path,
+        });
     }
 }
 
@@ -632,7 +547,7 @@ mod tests {
             protected_run(&w, itc, ocfg, &w.default_input, FlowGuardConfig::default());
         assert_eq!(stop, StopReason::Exited(0), "no false positives");
         assert!(!k.violated());
-        let s = stats.snapshot();
+        let s = stats.telemetry_snapshot();
         assert!(s.checks > 10, "every write is an endpoint");
         assert_eq!(s.fast_malicious + s.slow_attacks, 0);
         assert!(
@@ -653,7 +568,7 @@ mod tests {
         let cold_bytes = crate::reference::ColdWindowTally::install(&mut p, &cfg);
         assert_eq!(p.run(50_000_000), StopReason::Exited(0));
         assert!(!p.violated());
-        let s = p.stats.snapshot();
+        let s = p.stats.telemetry_snapshot();
         let cold = cold_bytes.load(std::sync::atomic::Ordering::Relaxed);
         assert!(s.checks > 10 && cold > 0);
         assert!(
@@ -673,7 +588,7 @@ mod tests {
                 protected_run(&w, itc.clone(), Arc::clone(&ocfg), &w.default_input, cfg);
             assert_eq!(stop, StopReason::Exited(0));
             assert!(!k.violated());
-            let s = stats.snapshot();
+            let s = stats.telemetry_snapshot();
             let verdicts = (
                 s.checks,
                 s.fast_clean,
@@ -682,10 +597,10 @@ mod tests {
                 s.slow_attacks,
                 s.insufficient,
             );
-            (verdicts, s, stats.telemetry_snapshot())
+            (verdicts, s)
         };
-        let (stream_verdicts, stream_stats, stream_ts) = run(true);
-        let (endpoint_verdicts, endpoint_stats, _) = run(false);
+        let (stream_verdicts, stream_stats) = run(true);
+        let (endpoint_verdicts, endpoint_stats) = run(false);
         assert_eq!(
             stream_verdicts, endpoint_verdicts,
             "streaming consumption must not change any verdict"
@@ -699,7 +614,7 @@ mod tests {
             endpoint_stats.bytes_scanned
         );
         assert_eq!(
-            stream_ts.frontier_lag.count, stream_stats.checks,
+            stream_stats.frontier_lag.count, stream_stats.checks,
             "every streaming check records its frontier lag"
         );
     }
@@ -728,7 +643,7 @@ mod tests {
         let (stop, stats, _) =
             protected_run(&w, itc, ocfg, &w.default_input, FlowGuardConfig::default());
         assert_eq!(stop, StopReason::Exited(0), "still no false positives");
-        let s = stats.snapshot();
+        let s = stats.telemetry_snapshot();
         assert!(s.slow_invocations > 0, "untrained edges escalate");
         assert!(s.cache_size > 0, "negative results cached");
         assert!(
@@ -744,7 +659,7 @@ mod tests {
         let (itc, ocfg) = trained_deployment(&w);
         let (_, stats, _) =
             protected_run(&w, itc, ocfg, &w.default_input, FlowGuardConfig::default());
-        let s = stats.snapshot();
+        let s = stats.telemetry_snapshot();
         assert!(s.decode_cycles > 0.0);
         assert!(s.check_cycles > 0.0);
         assert!(s.other_cycles > 0.0);
@@ -756,10 +671,9 @@ mod tests {
         let (itc, ocfg) = trained_deployment(&w);
         let (_, stats, _) =
             protected_run(&w, itc, ocfg, &w.default_input, FlowGuardConfig::default());
-        let s = stats.snapshot();
-        let ts = stats.telemetry_snapshot();
-        assert_eq!(ts.events_recorded, s.checks, "one event per check");
-        assert_eq!(ts.check_latency.count, s.checks);
+        let s = stats.telemetry_snapshot();
+        assert_eq!(s.events_recorded, s.checks, "one event per check");
+        assert_eq!(s.check_latency.count, s.checks);
         let events = stats.recent_events(usize::MAX);
         assert!(!events.is_empty());
         let clean = events
@@ -781,7 +695,7 @@ mod tests {
         let (stop, stats, k) = protected_run(&w, itc, ocfg, &w.default_input, cfg);
         assert_eq!(stop, StopReason::Exited(0));
         assert!(!k.violated());
-        let s = stats.snapshot();
+        let s = stats.telemetry_snapshot();
         assert_eq!(s.checks, 0, "disabled telemetry records no counters");
         assert!(stats.recent_events(10).is_empty());
     }
@@ -822,19 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_spans_off_records_nothing_but_still_enforces() {
-        let w = fg_workloads::nginx_patched();
-        let (itc, ocfg) = trained_deployment(&w);
-        let cfg = FlowGuardConfig { profile_spans: false, ..Default::default() };
-        let (stop, stats, k) = protected_run(&w, itc, ocfg, &w.default_input, cfg);
-        assert_eq!(stop, StopReason::Exited(0));
-        assert!(!k.violated());
-        let ts = stats.telemetry_snapshot();
-        assert!(ts.checks > 0, "telemetry itself stays on");
-        assert_eq!(ts.spans.records, 0, "no spans with profiling off");
-    }
-
-    #[test]
     #[should_panic(expected = "invalid FlowGuardConfig: topa_region_bytes")]
     fn engine_refuses_an_invalid_config() {
         let w = fg_workloads::nginx_patched();
@@ -854,7 +755,7 @@ mod tests {
         let (stop, stats, k) = protected_run(&w, itc, ocfg, &w.default_input, cfg);
         assert_eq!(stop, StopReason::Exited(0));
         assert!(!k.violated());
-        assert!(stats.snapshot().checks > 0);
+        assert!(stats.telemetry_snapshot().checks > 0);
     }
 
     #[test]

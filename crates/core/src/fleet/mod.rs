@@ -465,7 +465,7 @@ mod tests {
         for m in fleet.members() {
             assert_eq!(m.stop, Some(StopReason::Exited(0)), "member {} exits clean", m.pid);
             assert!(!m.violated());
-            assert!(m.stats().snapshot().checks > 0, "member {} was checked", m.pid);
+            assert!(m.stats().checks() > 0, "member {} was checked", m.pid);
         }
         // Three instances of one binary: one miss, two cache hits.
         let cs = fleet.cache_stats();

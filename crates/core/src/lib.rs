@@ -27,7 +27,8 @@
 //!   detectors from the related-work lineage (§8.2);
 //! * [`telemetry`] — runtime telemetry as plain data behind one lock
 //!   (counters, latency histograms, a per-check event ring), the per-phase
-//!   span profiler, the health watchdog, and the violation flight recorder.
+//!   span profiler, the health watchdog, and the violation flight recorder,
+//!   read through one [`TelemetrySnapshot`] type.
 //!
 //! # Examples
 //!
@@ -62,7 +63,7 @@ pub mod telemetry;
 pub use baselines::{CfimonLike, KBouncerLike};
 pub use config::{ConfigError, FlowGuardConfig};
 pub use deploy::{ArtifactError, Deployment, ProtectedProcess, DEFAULT_CR3};
-pub use engine::{EngineStats, FlowGuardEngine, ViolationRecord};
+pub use engine::FlowGuardEngine;
 pub use fastpath::{CheckScratch, FastPathResult, FastVerdict, SlowPathCache, Violation};
 pub use fleet::{
     ArtifactCache, ArtifactCacheStats, FleetConfig, FleetMember, FleetSnapshot, FleetSupervisor,
@@ -71,11 +72,8 @@ pub use pool::WorkerPool;
 pub use shadow::{ShadowOutcome, ShadowStack};
 pub use slowpath::{SlowPathResult, SlowScratch, SlowVerdict, SlowViolation};
 pub use telemetry::{
-    CheckEvent, CheckVerdict, EngineTelemetry, TelemetrySnapshot, ViolationSummary,
+    CheckEvent, CheckVerdict, EngineTelemetry, TelemetrySnapshot, ViolationRecord,
 };
 
 // Observability-plane types shared with `fg-trace`.
-pub use fg_trace::{
-    FlightRecord, HealthFinding, HealthReport, HealthSample, HealthStatus, PhaseSpan, SpanProfiler,
-    SpanSnapshot, Watchdog, WatchdogConfig,
-};
+pub use fg_trace::{FlightRecord, HealthReport, HealthStatus, PhaseSpan, SpanSnapshot};

@@ -9,10 +9,10 @@
 //! cache samples together) in one call; readers (the CLI, fleet rollups,
 //! benchmarks) take snapshots between calls through the shared handle, so
 //! the lock is never contended. With telemetry disabled a check records
-//! nothing and takes no lock. The [`EngineStats`] aggregate is the
-//! snapshot form ([`EngineTelemetry::snapshot`]).
+//! nothing and takes no lock. [`TelemetrySnapshot`] is the one counter set:
+//! the live counters are kept in its form, and
+//! [`EngineTelemetry::telemetry_snapshot`] fills in the rest.
 
-use crate::engine::{EngineStats, ViolationRecord};
 use fg_ipt::DrainStats;
 use fg_trace::{
     EventRing, FlightRecord, FlightRecorder, HealthReport, HealthSample, Histogram,
@@ -37,7 +37,7 @@ pub const FLIGHT_CAPACITY: usize = 16;
 pub const FLIGHT_WINDOW_BYTES: usize = 4096;
 
 /// The final disposition of one endpoint check.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum CheckVerdict {
     /// Not enough trace to judge (untraced, unparseable, or too few TIPs).
     #[default]
@@ -66,116 +66,61 @@ impl CheckVerdict {
 }
 
 /// One structured record per endpoint check — the event-ring payload.
-///
-/// The event has grown across releases (the slow-path rework and streaming
-/// each added fields); every field carries a serde default so JSON captured
-/// by any older release keeps deserialising. A back-compat test in
-/// `fg-bench` pins fixtures of each historical shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Events are written out (the CLI, flowbench's probe) but never read back.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct CheckEvent {
     /// The intercepted syscall number ([`PMI_SYSNO`] for PMI checks).
-    #[serde(default)]
     pub sysno: u64,
     /// The check's disposition.
-    #[serde(default)]
     pub verdict: CheckVerdict,
     /// Whether the checkpointed scanner needed a cold PSB restart.
-    #[serde(default)]
     pub cold_restart: bool,
     /// Trace bytes appended (and scanned) since the previous check.
-    #[serde(default)]
     pub delta_bytes: u64,
     /// TIP pairs checked in the window.
-    #[serde(default)]
     pub pairs_checked: u64,
     /// Checked pairs that were high-credit.
-    #[serde(default)]
     pub credited_pairs: u64,
     /// Escalation reason: low-credit edges that forced the slow path
     /// (zero for non-escalated checks).
-    #[serde(default)]
     pub uncredited: u64,
     /// Fast-path edge-cache hits during this check.
-    #[serde(default)]
     pub edge_cache_hits: u64,
     /// Fast-path edge-cache misses during this check.
-    #[serde(default)]
     pub edge_cache_misses: u64,
     /// Packet-scan cycles spent this check.
-    #[serde(default)]
     pub scan_cycles: f64,
     /// ITC-CFG matching cycles spent this check.
-    #[serde(default)]
     pub check_cycles: f64,
     /// Slow-path decode cycles (zero when not escalated).
-    #[serde(default)]
     pub slow_cycles: f64,
     /// Interception-overhead cycles.
-    #[serde(default)]
     pub other_cycles: f64,
     /// Whether the slow path resumed from its decode checkpoint (warm)
     /// instead of decoding the window cold.
-    #[serde(default)]
     pub checkpoint_hit: bool,
     /// PSB shards the slow-path decode split into (zero when not
     /// escalated).
-    #[serde(default)]
     pub slow_shards: u64,
     /// Instructions the slow-path decoders actually walked this check (the
     /// appended delta on warm checks; the whole window cold).
-    #[serde(default)]
     pub slow_insns_decoded: u64,
     /// Sequential stitch/replay cycles spent by the slow path.
-    #[serde(default)]
     pub stitch_cycles: f64,
     /// Tier-0 bitset probes that passed during this check.
-    #[serde(default)]
     pub tier0_hits: u64,
     /// Tier-0 probes that failed (pre-edge-lookup violations).
-    #[serde(default)]
     pub tier0_misses: u64,
     /// Whether the streaming consumer served this check (frontier compare +
     /// residue scan instead of an endpoint-time buffer consume).
-    #[serde(default)]
     pub streaming: bool,
     /// Streaming mode: residue bytes the background consumer had NOT yet
     /// drained when this check arrived (the frontier lag — the bytes the
     /// check itself had to scan). Zero when streaming is off.
-    #[serde(default)]
     pub frontier_lag: u64,
     /// Streaming mode: bytes drained by the background consumer (poll slots
     /// and PMI drains) since the previous check. Zero when streaming is off.
-    #[serde(default)]
     pub drained_bytes: u64,
-}
-
-impl Default for CheckEvent {
-    fn default() -> CheckEvent {
-        CheckEvent {
-            sysno: 0,
-            verdict: CheckVerdict::Insufficient,
-            cold_restart: false,
-            delta_bytes: 0,
-            pairs_checked: 0,
-            credited_pairs: 0,
-            uncredited: 0,
-            edge_cache_hits: 0,
-            edge_cache_misses: 0,
-            scan_cycles: 0.0,
-            check_cycles: 0.0,
-            slow_cycles: 0.0,
-            other_cycles: 0.0,
-            checkpoint_hit: false,
-            slow_shards: 0,
-            slow_insns_decoded: 0,
-            stitch_cycles: 0.0,
-            tier0_hits: 0,
-            tier0_misses: 0,
-            streaming: false,
-            frontier_lag: 0,
-            drained_bytes: 0,
-        }
-    }
 }
 
 impl CheckEvent {
@@ -243,16 +188,11 @@ pub struct CheckRecord {
 /// Everything [`EngineTelemetry`] keeps, as plain data behind its lock.
 #[derive(Debug)]
 struct Recorders {
-    /// Counters and cycle totals in their snapshot form; `violations` and
-    /// `violations_dropped` stay empty here (the log below holds them).
-    stats: EngineStats,
-    slow_checkpoint_hits: u64,
-    slow_checkpoint_misses: u64,
-    /// Cumulative bytes the streaming consumer copied (seam carries plus
-    /// wrap-recovery linearizations), sampled from [`DrainStats`].
-    stream_copied_bytes: u64,
-    /// Cumulative region-seam packet carries, sampled the same way.
-    stream_seam_carries: u64,
+    /// The live counters in their snapshot form; the distributions, spans,
+    /// health, violations and flight records stay empty here (the recorders
+    /// below hold them, and [`EngineTelemetry::telemetry_snapshot`] fills
+    /// them in).
+    stats: TelemetrySnapshot,
     /// Cycles per endpoint check, all phases.
     check_latency: Histogram,
     /// Fast-path packet-scan cycles per check.
@@ -267,9 +207,6 @@ struct Recorders {
     bytes_per_check: Histogram,
     /// Streaming mode: residue bytes not yet drained at check entry.
     frontier_lag: Histogram,
-    /// The streaming frontier lag observed by the most recent check
-    /// (feeds the watchdog's lag-growth rule).
-    last_frontier_lag: u64,
     /// Set once a streaming-served check has been recorded (watchdog input).
     streaming: bool,
     /// Per-phase cycle attribution.
@@ -289,17 +226,17 @@ impl Recorders {
             slow_invocations: s.slow_invocations,
             edge_cache_hits: s.edge_cache_hits,
             edge_cache_misses: s.edge_cache_misses,
-            checkpoint_hits: self.slow_checkpoint_hits,
-            checkpoint_misses: self.slow_checkpoint_misses,
+            checkpoint_hits: s.slow_checkpoint_hits,
+            checkpoint_misses: s.slow_checkpoint_misses,
             stream_drains: s.stream_drains,
-            frontier_lag: self.last_frontier_lag,
+            frontier_lag: s.last_frontier_lag,
             streaming: self.streaming,
         }
     }
 
     fn sample_stream_copies(&mut self, ds: &DrainStats) {
-        self.stream_copied_bytes = ds.copied_bytes;
-        self.stream_seam_carries = ds.seam_carries;
+        self.stats.stream_copied_bytes = ds.copied_bytes;
+        self.stats.stream_seam_carries = ds.seam_carries;
     }
 }
 
@@ -318,21 +255,10 @@ impl EngineTelemetry {
     /// captured — they are rare and security-critical). Span profiling
     /// follows `enabled`.
     pub fn new(enabled: bool) -> EngineTelemetry {
-        EngineTelemetry::with_spans(enabled, enabled)
-    }
-
-    /// Like [`EngineTelemetry::new`], but with span profiling controlled
-    /// independently (`profile_spans` config knob); spans can only be on
-    /// when telemetry itself is.
-    pub fn with_spans(enabled: bool, profile_spans: bool) -> EngineTelemetry {
         EngineTelemetry {
             enabled,
             inner: Mutex::new(Recorders {
-                stats: EngineStats::default(),
-                slow_checkpoint_hits: 0,
-                slow_checkpoint_misses: 0,
-                stream_copied_bytes: 0,
-                stream_seam_carries: 0,
+                stats: TelemetrySnapshot { enabled, ..TelemetrySnapshot::default() },
                 check_latency: Histogram::new(),
                 fastpath_scan_cycles: Histogram::new(),
                 slowpath_decode_cycles: Histogram::new(),
@@ -340,9 +266,8 @@ impl EngineTelemetry {
                 slowpath_shards: Histogram::new(),
                 bytes_per_check: Histogram::new(),
                 frontier_lag: Histogram::new(),
-                last_frontier_lag: 0,
                 streaming: false,
-                spans: SpanProfiler::new(enabled && profile_spans),
+                spans: SpanProfiler::new(enabled),
                 watchdog: Watchdog::default(),
                 events: EventRing::new(EVENT_RING_CAPACITY),
                 violations: ViolationLog::default(),
@@ -369,7 +294,7 @@ impl EngineTelemetry {
             r.sample_stream_copies(ds);
         }
         let s = &mut r.stats;
-        s.cache_size = rec.cache_size;
+        s.cache_size = rec.cache_size as u64;
         s.edge_cache_hits += ev.edge_cache_hits;
         s.edge_cache_misses += ev.edge_cache_misses;
         s.checks += 1;
@@ -401,15 +326,15 @@ impl EngineTelemetry {
             r.slowpath_stitch_cycles.record_f64(ev.stitch_cycles);
             r.slowpath_shards.record(ev.slow_shards);
             if ev.checkpoint_hit {
-                r.slow_checkpoint_hits += 1;
+                r.stats.slow_checkpoint_hits += 1;
             } else {
-                r.slow_checkpoint_misses += 1;
+                r.stats.slow_checkpoint_misses += 1;
             }
         }
         r.bytes_per_check.record(ev.delta_bytes);
         if ev.streaming {
             r.frontier_lag.record(ev.frontier_lag);
-            r.last_frontier_lag = ev.frontier_lag;
+            r.stats.last_frontier_lag = ev.frontier_lag;
             r.streaming = true;
         }
         r.events.push(ev);
@@ -489,58 +414,12 @@ impl EngineTelemetry {
         self.inner.lock().stats.checks
     }
 
-    /// Total events pushed into the ring (including overwritten ones).
-    pub fn events_recorded(&self) -> u64 {
-        self.inner.lock().events.pushed()
-    }
-
-    /// Total violations recorded (including dropped log entries).
-    pub fn violations_total(&self) -> u64 {
-        self.inner.lock().violations.total()
-    }
-
-    /// The [`EngineStats`] aggregate.
-    pub fn snapshot(&self) -> EngineStats {
-        let r = self.inner.lock();
-        EngineStats {
-            violations_dropped: r.violations.dropped,
-            violations: r.violations.retained(),
-            ..r.stats.clone()
-        }
-    }
-
     /// The full serialisable telemetry snapshot (counters, distributions,
-    /// recent events, violations, flight records) — the JSON the CLI's
+    /// spans, health, violations, flight records) — the JSON the CLI's
     /// `stats` subcommand and fg-bench's distribution columns consume.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let r = self.inner.lock();
-        let s = &r.stats;
         TelemetrySnapshot {
-            enabled: self.enabled,
-            checks: s.checks,
-            fast_clean: s.fast_clean,
-            fast_malicious: s.fast_malicious,
-            slow_invocations: s.slow_invocations,
-            slow_attacks: s.slow_attacks,
-            insufficient: s.insufficient,
-            pairs_checked: s.pairs_checked,
-            credited_pairs: s.credited_pairs,
-            cache_size: s.cache_size as u64,
-            bytes_scanned: s.bytes_scanned,
-            cold_restarts: s.cold_restarts,
-            slow_checkpoint_hits: r.slow_checkpoint_hits,
-            slow_checkpoint_misses: r.slow_checkpoint_misses,
-            tier0_hits: s.tier0_hits,
-            tier0_misses: s.tier0_misses,
-            stream_drains: s.stream_drains,
-            stream_drained_bytes: s.stream_drained_bytes,
-            stream_copied_bytes: r.stream_copied_bytes,
-            stream_seam_carries: r.stream_seam_carries,
-            edge_cache_hits: s.edge_cache_hits,
-            edge_cache_misses: s.edge_cache_misses,
-            decode_cycles: s.decode_cycles,
-            check_cycles: s.check_cycles,
-            other_cycles: s.other_cycles,
             check_latency: r.check_latency.snapshot(),
             fastpath_scan_cycles: r.fastpath_scan_cycles.snapshot(),
             slowpath_decode_cycles: r.slowpath_decode_cycles.snapshot(),
@@ -548,37 +427,20 @@ impl EngineTelemetry {
             slowpath_shards: r.slowpath_shards.snapshot(),
             bytes_per_check: r.bytes_per_check.snapshot(),
             frontier_lag: r.frontier_lag.snapshot(),
-            last_frontier_lag: r.last_frontier_lag,
             spans: r.spans.snapshot(),
             health: r.watchdog.report(),
             events_recorded: r.events.pushed(),
             violations_total: r.violations.total(),
             violations_dropped: r.violations.dropped,
-            violations: r
-                .violations
-                .retained()
-                .into_iter()
-                .map(|v| ViolationSummary {
-                    endpoint: v.endpoint.to_string(),
-                    detail: v.detail,
-                    fast_path: v.fast_path,
-                })
-                .collect(),
+            violations: r.violations.retained(),
             flight_records: r.flight.records().to_vec(),
+            ..r.stats.clone()
         }
     }
 
     /// Renders the Prometheus/OpenMetrics text-format exposition with
     /// *mergeable* cumulative-bucket histograms — the fleet-rollup format.
     pub fn prometheus_text(&self) -> String {
-        self.prometheus_text_opts(false)
-    }
-
-    /// Like [`EngineTelemetry::prometheus_text`], but with
-    /// `legacy_summaries` the latency distributions render as the old
-    /// quantile `summary` families (which cannot be aggregated across
-    /// processes) instead of cumulative histogram buckets.
-    pub fn prometheus_text_opts(&self, legacy_summaries: bool) -> String {
         let r = self.inner.lock();
         let s = &r.stats;
         let mut p = PromText::new();
@@ -599,12 +461,12 @@ impl EngineTelemetry {
             .counter(
                 "fg_slow_checkpoint_hits_total",
                 "Slow-path checks resumed from the decode checkpoint",
-                r.slow_checkpoint_hits,
+                s.slow_checkpoint_hits,
             )
             .counter(
                 "fg_slow_checkpoint_misses_total",
                 "Slow-path checks decoded cold",
-                r.slow_checkpoint_misses,
+                s.slow_checkpoint_misses,
             )
             .counter("fg_tier0_hits_total", "Tier-0 bitset probes that passed", s.tier0_hits)
             .counter(
@@ -625,12 +487,12 @@ impl EngineTelemetry {
             .counter(
                 "fg_stream_copied_bytes_total",
                 "Bytes the streaming consumer copied (seam carries + wrap recoveries)",
-                r.stream_copied_bytes,
+                s.stream_copied_bytes,
             )
             .counter(
                 "fg_stream_seam_carries_total",
                 "Packet fragments carried across ToPA region seams",
-                r.stream_seam_carries,
+                s.stream_seam_carries,
             )
             .counter("fg_edge_cache_hits_total", "Fast-path edge-cache hits", s.edge_cache_hits)
             .counter(
@@ -706,29 +568,25 @@ impl EngineTelemetry {
             ),
         ];
         for (name, help, h) in hists {
-            if legacy_summaries {
-                p.summary(name, help, &h.snapshot());
-            } else {
-                p.histogram(name, help, &h.cumulative_buckets(), h.sum(), h.count());
-            }
+            p.histogram(name, help, &h.cumulative_buckets(), h.sum(), h.count());
         }
         p.finish()
     }
 }
 
-/// One violation in serialisable form.
+/// A recorded violation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ViolationSummary {
-    /// The endpoint syscall name.
+pub struct ViolationRecord {
+    /// The endpoint syscall at which the violation was caught.
     pub endpoint: String,
     /// Human-readable description.
     pub detail: String,
-    /// Fast-path (true) or slow-path (false) detection.
+    /// Whether the fast path (true) or slow path (false) detected it.
     pub fast_path: bool,
 }
 
-/// The full serialisable telemetry export.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The engine's counter set and its full serialisable telemetry export.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Whether hot-path recording was on.
     pub enabled: bool,
@@ -746,13 +604,16 @@ pub struct TelemetrySnapshot {
     pub insufficient: u64,
     /// TIP pairs checked.
     pub pairs_checked: u64,
-    /// High-credit pairs.
+    /// Checked pairs that were high-credit (directly or via the cache).
     pub credited_pairs: u64,
     /// Slow-path result cache entries.
     pub cache_size: u64,
-    /// Trace bytes scanned.
+    /// Trace bytes scanned across all checks. This grows by the bytes
+    /// appended since the previous drain (at most one window) per check,
+    /// not by a whole rescanned tail window.
     pub bytes_scanned: u64,
-    /// Cold PSB re-synchronisations.
+    /// Checkpoint losses: the ToPA wrapped past the scanner's position and
+    /// a cold PSB re-synchronisation was needed.
     pub cold_restarts: u64,
     /// Slow-path checks resumed from the decode checkpoint.
     #[serde(default)]
@@ -766,7 +627,8 @@ pub struct TelemetrySnapshot {
     /// Tier-0 bitset probes that failed (pre-edge-lookup violations).
     #[serde(default)]
     pub tier0_misses: u64,
-    /// Background drains performed by the streaming consumer.
+    /// Background drains performed by the streaming consumer (trace-poll
+    /// slots and region-fill PMIs; zero when streaming is off).
     #[serde(default)]
     pub stream_drains: u64,
     /// Trace bytes drained in the background by the streaming consumer.
@@ -783,9 +645,9 @@ pub struct TelemetrySnapshot {
     pub edge_cache_hits: u64,
     /// Edge-cache misses (cumulative).
     pub edge_cache_misses: u64,
-    /// Cycles spent decoding.
+    /// Cycles spent decoding (packet scans + instruction-flow decodes).
     pub decode_cycles: f64,
-    /// Cycles spent matching.
+    /// Cycles spent matching against the ITC-CFG.
     pub check_cycles: f64,
     /// Interception-overhead cycles.
     pub other_cycles: f64,
@@ -811,7 +673,7 @@ pub struct TelemetrySnapshot {
     /// (zero outside streaming mode).
     #[serde(default)]
     pub last_frontier_lag: u64,
-    /// Per-phase cycle attribution (empty when span profiling is off).
+    /// Per-phase cycle attribution (empty when telemetry is off).
     #[serde(default)]
     pub spans: SpanSnapshot,
     /// Watchdog verdict over the health ticks accumulated so far.
@@ -824,12 +686,29 @@ pub struct TelemetrySnapshot {
     /// Violations whose log entries were dropped by the bound.
     pub violations_dropped: u64,
     /// Retained violation records (first/last windows).
-    pub violations: Vec<ViolationSummary>,
+    pub violations: Vec<ViolationRecord>,
     /// Forensic flight records.
     pub flight_records: Vec<FlightRecord>,
 }
 
 impl TelemetrySnapshot {
+    /// Fraction of checked pairs that were credited — the runtime
+    /// `cred_ratio` of §7.1.1 / Figure 5d.
+    pub fn credited_fraction(&self) -> f64 {
+        if self.pairs_checked == 0 {
+            return 0.0;
+        }
+        self.credited_pairs as f64 / self.pairs_checked as f64
+    }
+
+    /// Fraction of checks that needed the slow path.
+    pub fn slow_fraction(&self) -> f64 {
+        if self.checks == 0 {
+            return 0.0;
+        }
+        self.slow_invocations as f64 / self.checks as f64
+    }
+
     /// Bytes the streaming consumer copied per KiB it drained — the
     /// zero-copy figure of merit (region-seam carries cost ~15 bytes per
     /// region, so a healthy drain path sits near zero).
@@ -882,15 +761,18 @@ mod tests {
         });
         assert_eq!(t.checks(), 0);
         assert_eq!(t.recent_events(10).len(), 0);
-        let s = t.snapshot();
+        let s = t.telemetry_snapshot();
+        assert!(!s.enabled);
         assert_eq!(s.checks, 0);
         assert_eq!(s.cache_size, 0);
         t.record_violation(ViolationRecord {
-            endpoint: "write",
+            endpoint: "write".into(),
             detail: "bad edge".into(),
             fast_path: true,
         });
-        assert_eq!(t.violations_total(), 1, "violations recorded even when disabled");
+        let s = t.telemetry_snapshot();
+        assert_eq!(s.violations_total, 1, "violations recorded even when disabled");
+        assert_eq!(s.violations[0].endpoint, "write");
     }
 
     #[test]
@@ -920,18 +802,20 @@ mod tests {
             other_cycles: 200.0,
             ..Default::default()
         }));
-        let s = t.snapshot();
+        let s = t.telemetry_snapshot();
+        assert!(s.enabled);
         assert_eq!(s.checks, 2);
         assert_eq!(s.fast_clean, 1);
         assert_eq!(s.slow_invocations, 1);
         assert_eq!(s.bytes_scanned, 160);
         assert_eq!(s.pairs_checked, 60);
+        assert!((s.credited_fraction() - 58.0 / 60.0).abs() < 1e-12);
+        assert!((s.slow_fraction() - 0.5).abs() < 1e-12);
         assert!((s.decode_cycles - 1080.0).abs() < 1e-9);
         assert!((s.check_cycles - 40.0).abs() < 1e-9);
-        let ts = t.telemetry_snapshot();
-        assert_eq!(ts.check_latency.count, 2);
-        assert_eq!(ts.slowpath_decode_cycles.count, 1);
-        assert_eq!(ts.events_recorded, 2);
+        assert_eq!(s.check_latency.count, 2);
+        assert_eq!(s.slowpath_decode_cycles.count, 1);
+        assert_eq!(s.events_recorded, 2);
         let events = t.recent_events(10);
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].1.verdict, CheckVerdict::SlowClean);
@@ -942,15 +826,15 @@ mod tests {
         let t = EngineTelemetry::new(true);
         for i in 0..(2 * VIOLATION_KEEP as u64 + 10) {
             t.record_violation(ViolationRecord {
-                endpoint: "write",
+                endpoint: "write".into(),
                 detail: format!("v{i}"),
                 fast_path: true,
             });
         }
-        let s = t.snapshot();
+        let s = t.telemetry_snapshot();
         assert_eq!(s.violations.len(), 2 * VIOLATION_KEEP);
         assert_eq!(s.violations_dropped, 10);
-        assert_eq!(t.violations_total(), 2 * VIOLATION_KEEP as u64 + 10);
+        assert_eq!(s.violations_total, 2 * VIOLATION_KEEP as u64 + 10);
         assert_eq!(s.violations[0].detail, "v0");
         assert_eq!(s.violations.last().unwrap().detail, format!("v{}", 2 * VIOLATION_KEEP + 9));
     }
@@ -986,22 +870,6 @@ mod tests {
         }
         let errs = fg_trace::export::lint(&text);
         assert!(errs.is_empty(), "exposition lint violations: {errs:?}");
-    }
-
-    #[test]
-    fn prometheus_legacy_summaries_flag_restores_quantiles() {
-        let t = EngineTelemetry::new(true);
-        t.record_check(&check(CheckEvent {
-            sysno: 2,
-            verdict: CheckVerdict::FastClean,
-            ..Default::default()
-        }));
-        let text = t.prometheus_text_opts(true);
-        assert!(text.contains("fg_check_latency_cycles{quantile=\"0.99\"}"));
-        assert!(text.contains("# TYPE fg_check_latency_cycles summary"));
-        assert!(!text.contains("fg_check_latency_cycles_bucket"));
-        let errs = fg_trace::export::lint(&text);
-        assert!(errs.is_empty(), "legacy exposition still lints clean: {errs:?}");
     }
 
     #[test]
@@ -1047,6 +915,96 @@ mod tests {
         let old: TelemetrySnapshot = serde_json::from_str(&stripped).unwrap();
         assert_eq!(old.checks, 1);
         assert_eq!(old.spans, fg_trace::SpanSnapshot::default());
+    }
+
+    /// The top-level keys of `value`, in serialisation order.
+    fn keys(value: &serde::Value) -> Vec<&str> {
+        match value {
+            serde::Value::Object(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    /// Readers find the snapshot's and the event's fields by name (CI greps
+    /// the `stats` JSON, flowbench sums snapshot counters by key and reads
+    /// event keys), and a renamed key only warns there, so the names are
+    /// pinned here.
+    #[test]
+    fn serialised_key_names_are_pinned() {
+        use serde::Serialize;
+        let snapshot = EngineTelemetry::new(true).telemetry_snapshot().to_value();
+        assert_eq!(
+            keys(&snapshot),
+            [
+                "enabled",
+                "checks",
+                "fast_clean",
+                "fast_malicious",
+                "slow_invocations",
+                "slow_attacks",
+                "insufficient",
+                "pairs_checked",
+                "credited_pairs",
+                "cache_size",
+                "bytes_scanned",
+                "cold_restarts",
+                "slow_checkpoint_hits",
+                "slow_checkpoint_misses",
+                "tier0_hits",
+                "tier0_misses",
+                "stream_drains",
+                "stream_drained_bytes",
+                "stream_copied_bytes",
+                "stream_seam_carries",
+                "edge_cache_hits",
+                "edge_cache_misses",
+                "decode_cycles",
+                "check_cycles",
+                "other_cycles",
+                "check_latency",
+                "fastpath_scan_cycles",
+                "slowpath_decode_cycles",
+                "slowpath_stitch_cycles",
+                "slowpath_shards",
+                "bytes_per_check",
+                "frontier_lag",
+                "last_frontier_lag",
+                "spans",
+                "health",
+                "events_recorded",
+                "violations_total",
+                "violations_dropped",
+                "violations",
+                "flight_records",
+            ]
+        );
+        assert_eq!(
+            keys(&CheckEvent::default().to_value()),
+            [
+                "sysno",
+                "verdict",
+                "cold_restart",
+                "delta_bytes",
+                "pairs_checked",
+                "credited_pairs",
+                "uncredited",
+                "edge_cache_hits",
+                "edge_cache_misses",
+                "scan_cycles",
+                "check_cycles",
+                "slow_cycles",
+                "other_cycles",
+                "checkpoint_hit",
+                "slow_shards",
+                "slow_insns_decoded",
+                "stitch_cycles",
+                "tier0_hits",
+                "tier0_misses",
+                "streaming",
+                "frontier_lag",
+                "drained_bytes",
+            ]
+        );
     }
 
     #[test]

@@ -169,6 +169,12 @@ pub enum Boundary {
     Resync,
 }
 
+/// Seam boundaries a scan keeps room for. Only an OVF or a resync after
+/// damage records one, and truncation drops the boundaries of the TIPs it
+/// drops, so a check's window holds a handful; a rarer burst grows the
+/// vector once.
+const BOUNDARY_HEADROOM: usize = 16;
+
 /// Result of a packet-level scan, in structure-of-arrays layout.
 ///
 /// [`FastScan::truncate_front`] drops the oldest TIPs by advancing a
@@ -379,16 +385,16 @@ impl FastScan {
     }
 
     /// Reserves room for `live` TIPs, a dead prefix (which compaction keeps
-    /// shorter than the live part) and as many TIPs again — with as many
-    /// boundaries, and 64 TNT bits per TIP — before the scan reallocates.
-    /// A no-op once the capacity is there, so a scan truncated to a fixed
-    /// size reserves only while it warms up, or not at all when it was
-    /// presized.
+    /// shorter than the live part) and as many TIPs again — with 64 TNT bits
+    /// per TIP, and [`BOUNDARY_HEADROOM`] seam boundaries — before the scan
+    /// reallocates. A no-op once the capacity is there, so a scan truncated
+    /// to a fixed size reserves only while it warms up, or not at all when
+    /// it was presized.
     pub(crate) fn reserve_headroom(&mut self, live: usize) {
         let room = live.saturating_mul(3);
         self.tip_ips.reserve(room.saturating_sub(self.tip_ips.len()));
         self.tnt_ranges.reserve(room.saturating_sub(self.tnt_ranges.len()));
-        self.boundaries.reserve(room.saturating_sub(self.boundaries.len()));
+        self.boundaries.reserve(BOUNDARY_HEADROOM.saturating_sub(self.boundaries.len()));
         self.bits.words.reserve(room.saturating_sub(self.bits.words.len()));
     }
 }

@@ -1,7 +1,7 @@
 //! Exporters: a linted Prometheus/OpenMetrics text exposition builder.
 //!
 //! JSON export happens via `serde` on the snapshot structs that the runtime
-//! crates assemble (e.g. `fg-core`'s `TelemetrySnapshot`); this module owns
+//! crates assemble (e.g. `flowguard`'s `TelemetrySnapshot`); this module owns
 //! the Prometheus text rendering. Two disciplines keep the dump fit for a
 //! fleet scraper:
 //!
@@ -14,13 +14,10 @@
 //! * **Mergeable histograms** — [`PromText::histogram`] renders cumulative
 //!   `_bucket{le="…"}` series from [`Histogram::cumulative_buckets`]
 //!   output. Because `fg-trace` bucket boundaries are fixed, expositions
-//!   from many processes aggregate by addition; the legacy quantile
-//!   [`PromText::summary`] (which cannot be merged) stays available behind
-//!   the callers' back-compat flag.
+//!   from many processes aggregate by addition.
 //!
 //! [`Histogram::cumulative_buckets`]: crate::hist::Histogram::cumulative_buckets
 
-use crate::hist::HistogramSnapshot;
 use std::collections::HashMap;
 
 /// Unit suffixes the suite's metric names may end with. Counters must end
@@ -134,24 +131,6 @@ impl PromText {
         self
     }
 
-    /// Appends a histogram snapshot as a legacy Prometheus `summary`
-    /// (quantile series plus `_count`/`_mean`). Summaries cannot be merged
-    /// across processes; prefer [`PromText::histogram`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` violates the charset or lacks a unit suffix.
-    pub fn summary(&mut self, name: &str, help: &str, s: &HistogramSnapshot) -> &mut Self {
-        self.header(name, help, "summary");
-        self.out.push_str(&format!("{name}{{quantile=\"0.5\"}} {}\n", s.p50));
-        self.out.push_str(&format!("{name}{{quantile=\"0.9\"}} {}\n", s.p90));
-        self.out.push_str(&format!("{name}{{quantile=\"0.99\"}} {}\n", s.p99));
-        self.out.push_str(&format!("{name}{{quantile=\"1\"}} {}\n", s.max));
-        self.out.push_str(&format!("{name}_count {}\n", s.count));
-        self.out.push_str(&format!("{name}_mean {}\n", s.mean));
-        self
-    }
-
     fn header(&mut self, name: &str, help: &str, kind: &str) {
         check_name(name, kind);
         self.out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
@@ -163,15 +142,13 @@ impl PromText {
     }
 }
 
-/// Strips the component suffix a `histogram`/`summary` sample carries on
-/// top of its family name.
+/// Strips the component suffix a `histogram` sample carries on top of its
+/// family name.
 fn family_of<'a>(sample_name: &'a str, types: &HashMap<String, String>) -> &'a str {
-    for comp in ["_bucket", "_sum", "_count", "_mean"] {
+    for comp in ["_bucket", "_sum", "_count"] {
         if let Some(base) = sample_name.strip_suffix(comp) {
-            if let Some(kind) = types.get(base) {
-                if kind == "histogram" || kind == "summary" {
-                    return base;
-                }
+            if types.get(base).is_some_and(|kind| kind == "histogram") {
+                return base;
             }
         }
     }
@@ -241,21 +218,15 @@ mod tests {
     use crate::hist::Histogram;
 
     #[test]
-    fn renders_counters_gauges_and_summaries() {
+    fn renders_counters_and_gauges() {
         let mut p = PromText::new();
-        p.counter("fg_checks_total", "Endpoint checks performed", 42)
-            .gauge("fg_cache_entries", "Edge-cache entries", 7.0)
-            .summary(
-                "fg_check_cycles",
-                "Per-check cycles",
-                &HistogramSnapshot { count: 3, mean: 10.0, p50: 9, p90: 12, p99: 14, max: 14 },
-            );
+        p.counter("fg_checks_total", "Endpoint checks performed", 42);
+        p.gauge("fg_cache_entries", "Edge-cache entries", 7.0);
         let text = p.finish();
         assert!(text.contains("# TYPE fg_checks_total counter"));
         assert!(text.contains("fg_checks_total 42"));
+        assert!(text.contains("# TYPE fg_cache_entries gauge"));
         assert!(text.contains("fg_cache_entries 7"));
-        assert!(text.contains("fg_check_cycles{quantile=\"0.99\"} 14"));
-        assert!(text.contains("fg_check_cycles_count 3"));
         assert!(lint(&text).is_empty(), "own dump lints clean: {:?}", lint(&text));
     }
 

@@ -78,11 +78,6 @@ impl FlightRecorder {
         seq
     }
 
-    /// Total violations seen (including ones whose bodies were dropped).
-    pub fn captured(&self) -> u64 {
-        self.captured
-    }
-
     /// The retained records.
     pub fn records(&self) -> &[FlightRecord] {
         &self.records
@@ -121,10 +116,9 @@ mod tests {
     #[test]
     fn recorder_is_bounded_but_keeps_counting() {
         let mut r = FlightRecorder::new(2, 16);
-        for i in 0..5 {
-            r.capture("pmi", format!("v{i}"), false, None, &[], vec![]);
-        }
-        assert_eq!(r.captured(), 5);
+        let seqs: Vec<u64> =
+            (0..5).map(|i| r.capture("pmi", format!("v{i}"), false, None, &[], vec![])).collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 4], "dropped captures still take a sequence number");
         let recs = r.records();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].seq, 0);

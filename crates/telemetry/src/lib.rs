@@ -2,7 +2,7 @@
 //!
 //! Every recorder here is plain data written through `&mut self`: the
 //! engine that owns them is the only writer, so a record is a few field
-//! updates. A shared owner provides its own synchronisation (`fg-core`'s
+//! updates. A shared owner provides its own synchronisation (`flowguard`'s
 //! `EngineTelemetry` keeps them behind one lock).
 //!
 //! * [`Histogram`] — fixed-size log-linear latency histograms with bounded
@@ -16,10 +16,12 @@
 //! * [`SpanProfiler`] — per-phase cycle attribution over the check
 //!   pipeline, with measured self-overhead ([`span`]).
 //! * [`Watchdog`] — rolling-window health evaluation of the runtime's
-//!   vital signs into structured [`HealthReport`]s ([`watchdog`]).
+//!   vital signs into structured [`HealthReport`]s, against constant
+//!   thresholds ([`watchdog`]).
 //!
-//! The crate is deliberately engine-agnostic: `fg-core` defines what an
-//! event *is* and assembles snapshots; `fg-trace` defines how it is kept.
+//! The crate is deliberately engine-agnostic: `flowguard` defines what an
+//! event *is* and its one snapshot type (`TelemetrySnapshot`); `fg-trace`
+//! defines how it is kept.
 
 #![deny(unsafe_code)]
 
@@ -35,6 +37,4 @@ pub use flight::{FlightRecord, FlightRecorder};
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS, SUB_BUCKETS};
 pub use ring::EventRing;
 pub use span::{PhaseSpan, ProfilerOverhead, SpanProfiler, SpanSnapshot, PHASE_COUNT};
-pub use watchdog::{
-    HealthFinding, HealthReport, HealthSample, HealthStatus, Watchdog, WatchdogConfig,
-};
+pub use watchdog::{HealthFinding, HealthReport, HealthSample, HealthStatus, Watchdog};

@@ -47,11 +47,6 @@ impl<T: Copy> EventRing<T> {
         let avail = n.min(self.slots.len()) as u64;
         (self.head - avail..self.head).map(|i| (i, self.slots[(i as usize) & self.mask])).collect()
     }
-
-    /// Every retained event, oldest first.
-    pub fn snapshot(&self) -> Vec<(u64, T)> {
-        self.last(self.capacity())
-    }
 }
 
 impl<T> std::fmt::Debug for EventRing<T> {
@@ -71,7 +66,7 @@ mod tests {
             ring.push(&i);
         }
         assert_eq!(ring.pushed(), 50);
-        let snap = ring.snapshot();
+        let snap = ring.last(usize::MAX);
         assert_eq!(snap.len(), 16, "ring keeps exactly its capacity");
         // The retained window is the most recent 16, oldest first, with
         // absolute indices matching payloads.
@@ -96,7 +91,7 @@ mod tests {
     #[test]
     fn empty_ring_snapshots_empty() {
         let ring: EventRing<u64> = EventRing::new(8);
-        assert!(ring.snapshot().is_empty());
+        assert!(ring.last(usize::MAX).is_empty());
         assert_eq!(ring.pushed(), 0);
     }
 

@@ -77,11 +77,6 @@ impl PhaseSpan {
         self as usize
     }
 
-    /// Inverse of [`PhaseSpan::index`].
-    pub fn from_index(i: usize) -> Option<PhaseSpan> {
-        PhaseSpan::ALL.get(i).copied()
-    }
-
     /// Stable snake-case label (metric label values, table rows).
     pub fn label(self) -> &'static str {
         match self {
@@ -265,10 +260,9 @@ mod tests {
         let mut labels = std::collections::HashSet::new();
         for (i, p) in PhaseSpan::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);
-            assert_eq!(PhaseSpan::from_index(i), Some(*p));
+            assert_eq!(PhaseSpan::ALL[p.index()], *p);
             assert!(labels.insert(p.label()), "duplicate label {}", p.label());
         }
-        assert_eq!(PhaseSpan::from_index(PHASE_COUNT), None);
     }
 
     #[test]

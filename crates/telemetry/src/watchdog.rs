@@ -11,9 +11,9 @@
 //!
 //! Rules and their rationale:
 //!
-//! * **escalation-rate spike** — slow-path invocations per check above the
-//!   configured ratio means the trained ITC-CFG no longer covers the
-//!   workload (drift, an attack storm, or a bad artifact).
+//! * **escalation-rate spike** — more than half the checks escalating to
+//!   the slow path means the trained ITC-CFG no longer covers the workload
+//!   (drift, an attack storm, or a bad artifact).
 //! * **edge-cache hit-rate collapse** — the per-check edge cache absorbing
 //!   almost nothing indicates pathological control-flow churn.
 //! * **frontier-lag growth** — streaming lag increasing monotonically
@@ -24,6 +24,7 @@
 //! * **checkpoint miss storm** — slow-path checkpoints almost never
 //!   warm-starting means re-decode work is not being amortised.
 //!
+//! The thresholds are constants: every engine runs with the same rule set.
 //! All comparisons are *strict*, so a signal sitting exactly at its
 //! threshold is still [`HealthStatus::Healthy`] — thresholds are the first
 //! value considered bad, not the last value considered good.
@@ -34,124 +35,49 @@ use std::collections::VecDeque;
 /// One cumulative reading of the engine's vital signs. Counters are
 /// since-boot totals (the watchdog diffs them); `frontier_lag` is an
 /// instantaneous gauge.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HealthSample {
     /// Total endpoint checks.
-    #[serde(default)]
     pub checks: u64,
     /// Total slow-path escalations.
-    #[serde(default)]
     pub slow_invocations: u64,
     /// Total per-check edge-cache hits.
-    #[serde(default)]
     pub edge_cache_hits: u64,
     /// Total per-check edge-cache misses.
-    #[serde(default)]
     pub edge_cache_misses: u64,
     /// Total slow-path checkpoint warm starts.
-    #[serde(default)]
     pub checkpoint_hits: u64,
     /// Total slow-path checkpoint cold starts.
-    #[serde(default)]
     pub checkpoint_misses: u64,
     /// Total background stream drains.
-    #[serde(default)]
     pub stream_drains: u64,
     /// Streaming frontier lag at sample time, in bytes (gauge).
-    #[serde(default)]
     pub frontier_lag: u64,
     /// Whether streaming consumption is enabled.
-    #[serde(default)]
     pub streaming: bool,
 }
 
-/// Thresholds for the watchdog rules. Every field has a serde default so
-/// configs written against older rule sets keep deserialising.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WatchdogConfig {
-    /// Samples retained in the rolling window.
-    #[serde(default = "default_window")]
-    pub window: usize,
-    /// Minimum checks across the window before rate rules fire.
-    #[serde(default = "default_min_checks")]
-    pub min_checks: u64,
-    /// Escalation rate strictly above this is `Degraded`.
-    #[serde(default = "default_escalation_degraded")]
-    pub escalation_degraded: f64,
-    /// Escalation rate strictly above this is `Critical`.
-    #[serde(default = "default_escalation_critical")]
-    pub escalation_critical: f64,
-    /// Edge-cache hit rate strictly below this is `Degraded`.
-    #[serde(default = "default_edge_hit_rate_floor")]
-    pub edge_hit_rate_floor: f64,
-    /// Minimum edge-cache probes across the window before the rate rule
-    /// fires.
-    #[serde(default = "default_min_edge_probes")]
-    pub min_edge_probes: u64,
-    /// Monotone lag growth ending strictly above this many bytes is
-    /// `Degraded`.
-    #[serde(default = "default_lag_floor_bytes")]
-    pub lag_floor_bytes: u64,
-    /// Monotone lag growth ending strictly above this many bytes is
-    /// `Critical` (a wrap is imminent).
-    #[serde(default = "default_lag_critical_bytes")]
-    pub lag_critical_bytes: u64,
-    /// Checkpoint miss rate strictly above this is `Degraded`.
-    #[serde(default = "default_checkpoint_miss_rate")]
-    pub checkpoint_miss_rate: f64,
-    /// Minimum checkpoint lookups across the window before the miss rule
-    /// fires.
-    #[serde(default = "default_min_checkpoint_lookups")]
-    pub min_checkpoint_lookups: u64,
-}
-
-fn default_window() -> usize {
-    8
-}
-fn default_min_checks() -> u64 {
-    16
-}
-fn default_escalation_degraded() -> f64 {
-    0.5
-}
-fn default_escalation_critical() -> f64 {
-    0.9
-}
-fn default_edge_hit_rate_floor() -> f64 {
-    0.5
-}
-fn default_min_edge_probes() -> u64 {
-    64
-}
-fn default_lag_floor_bytes() -> u64 {
-    4096
-}
-fn default_lag_critical_bytes() -> u64 {
-    1 << 20
-}
-fn default_checkpoint_miss_rate() -> f64 {
-    0.9
-}
-fn default_min_checkpoint_lookups() -> u64 {
-    16
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig {
-            window: default_window(),
-            min_checks: default_min_checks(),
-            escalation_degraded: default_escalation_degraded(),
-            escalation_critical: default_escalation_critical(),
-            edge_hit_rate_floor: default_edge_hit_rate_floor(),
-            min_edge_probes: default_min_edge_probes(),
-            lag_floor_bytes: default_lag_floor_bytes(),
-            lag_critical_bytes: default_lag_critical_bytes(),
-            checkpoint_miss_rate: default_checkpoint_miss_rate(),
-            min_checkpoint_lookups: default_min_checkpoint_lookups(),
-        }
-    }
-}
+/// Samples retained in the rolling window.
+const WINDOW: usize = 8;
+/// Minimum checks across the window before rate rules fire.
+const MIN_CHECKS: u64 = 16;
+/// Escalation rate strictly above this is `Degraded`.
+const ESCALATION_DEGRADED: f64 = 0.5;
+/// Escalation rate strictly above this is `Critical`.
+const ESCALATION_CRITICAL: f64 = 0.9;
+/// Edge-cache hit rate strictly below this is `Degraded`.
+const EDGE_HIT_RATE_FLOOR: f64 = 0.5;
+/// Minimum edge-cache probes across the window before the rate rule fires.
+const MIN_EDGE_PROBES: u64 = 64;
+/// Monotone lag growth ending strictly above this many bytes is `Degraded`.
+const LAG_FLOOR_BYTES: u64 = 4096;
+/// Monotone lag growth ending strictly above this many bytes is `Critical`
+/// (a wrap is imminent).
+const LAG_CRITICAL_BYTES: u64 = 1 << 20;
+/// Checkpoint miss rate strictly above this is `Degraded`.
+const CHECKPOINT_MISS_RATE: f64 = 0.9;
+/// Minimum checkpoint lookups across the window before the miss rule fires.
+const MIN_CHECKPOINT_LOOKUPS: u64 = 16;
 
 /// The watchdog's overall verdict; ordered so `max` aggregates findings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -181,16 +107,6 @@ impl HealthStatus {
             HealthStatus::Healthy => 0,
             HealthStatus::Degraded => 1,
             HealthStatus::Critical => 2,
-        }
-    }
-
-    /// Inverse of [`HealthStatus::to_u64`]; unknown values clamp to
-    /// `Critical` (fail loud).
-    pub fn from_u64(v: u64) -> HealthStatus {
-        match v {
-            0 => HealthStatus::Healthy,
-            1 => HealthStatus::Degraded,
-            _ => HealthStatus::Critical,
         }
     }
 }
@@ -244,33 +160,22 @@ impl std::fmt::Display for HealthReport {
 /// a [`HealthReport`] whenever one is wanted.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
-    cfg: WatchdogConfig,
     window: VecDeque<HealthSample>,
 }
 
 impl Default for Watchdog {
     fn default() -> Watchdog {
-        Watchdog::new(WatchdogConfig::default())
+        Watchdog { window: VecDeque::with_capacity(WINDOW) }
     }
 }
 
 impl Watchdog {
-    /// A watchdog with an empty window.
-    pub fn new(cfg: WatchdogConfig) -> Watchdog {
-        Watchdog { cfg, window: VecDeque::with_capacity(cfg.window.max(2)) }
-    }
-
     /// Appends a sample, evicting the oldest once the window is full.
     pub fn push(&mut self, sample: HealthSample) {
-        if self.window.len() >= self.cfg.window.max(2) {
+        if self.window.len() >= WINDOW {
             self.window.pop_front();
         }
         self.window.push_back(sample);
-    }
-
-    /// Samples currently retained.
-    pub fn samples(&self) -> usize {
-        self.window.len()
     }
 
     /// Evaluates every rule over the current window.
@@ -297,11 +202,11 @@ impl Watchdog {
         let mut findings = Vec::new();
 
         // Escalation-rate spike.
-        if d_checks >= self.cfg.min_checks {
+        if d_checks >= MIN_CHECKS {
             let rate = d_slow as f64 / d_checks as f64;
-            let status = if rate > self.cfg.escalation_critical {
+            let status = if rate > ESCALATION_CRITICAL {
                 Some(HealthStatus::Critical)
-            } else if rate > self.cfg.escalation_degraded {
+            } else if rate > ESCALATION_DEGRADED {
                 Some(HealthStatus::Degraded)
             } else {
                 None
@@ -313,9 +218,9 @@ impl Watchdog {
                     detail: format!(
                         "{d_slow}/{d_checks} checks escalated ({rate:.2} > {:.2})",
                         if status == HealthStatus::Critical {
-                            self.cfg.escalation_critical
+                            ESCALATION_CRITICAL
                         } else {
-                            self.cfg.escalation_degraded
+                            ESCALATION_DEGRADED
                         }
                     ),
                 });
@@ -324,15 +229,14 @@ impl Watchdog {
 
         // Edge-cache hit-rate collapse.
         let probes = d_hits + d_misses;
-        if probes >= self.cfg.min_edge_probes {
+        if probes >= MIN_EDGE_PROBES {
             let hit_rate = d_hits as f64 / probes as f64;
-            if hit_rate < self.cfg.edge_hit_rate_floor {
+            if hit_rate < EDGE_HIT_RATE_FLOOR {
                 findings.push(HealthFinding {
                     rule: "edge_cache_hit_rate".to_owned(),
                     status: HealthStatus::Degraded,
                     detail: format!(
-                        "hit rate {hit_rate:.2} < floor {:.2} over {probes} probes",
-                        self.cfg.edge_hit_rate_floor
+                        "hit rate {hit_rate:.2} < floor {EDGE_HIT_RATE_FLOOR:.2} over {probes} probes"
                     ),
                 });
             }
@@ -342,8 +246,8 @@ impl Watchdog {
         // pair, ending above the floor.
         let lags: Vec<u64> = self.window.iter().map(|s| s.frontier_lag).collect();
         let monotone_growth = lags.windows(2).all(|w| w[1] > w[0]);
-        if monotone_growth && last.frontier_lag > self.cfg.lag_floor_bytes {
-            let status = if last.frontier_lag > self.cfg.lag_critical_bytes {
+        if monotone_growth && last.frontier_lag > LAG_FLOOR_BYTES {
+            let status = if last.frontier_lag > LAG_CRITICAL_BYTES {
                 HealthStatus::Critical
             } else {
                 HealthStatus::Degraded
@@ -359,7 +263,7 @@ impl Watchdog {
         }
 
         // Drain starvation: streaming on, checks flowing, zero drains.
-        if last.streaming && d_checks >= self.cfg.min_checks && d_drains == 0 {
+        if last.streaming && d_checks >= MIN_CHECKS && d_drains == 0 {
             findings.push(HealthFinding {
                 rule: "drain_starvation".to_owned(),
                 status: HealthStatus::Degraded,
@@ -369,15 +273,14 @@ impl Watchdog {
 
         // Checkpoint miss storm.
         let lookups = d_ckpt_hits + d_ckpt_misses;
-        if lookups >= self.cfg.min_checkpoint_lookups {
+        if lookups >= MIN_CHECKPOINT_LOOKUPS {
             let miss_rate = d_ckpt_misses as f64 / lookups as f64;
-            if miss_rate > self.cfg.checkpoint_miss_rate {
+            if miss_rate > CHECKPOINT_MISS_RATE {
                 findings.push(HealthFinding {
                     rule: "checkpoint_miss_storm".to_owned(),
                     status: HealthStatus::Degraded,
                     detail: format!(
-                        "miss rate {miss_rate:.2} > {:.2} over {lookups} lookups",
-                        self.cfg.checkpoint_miss_rate
+                        "miss rate {miss_rate:.2} > {CHECKPOINT_MISS_RATE:.2} over {lookups} lookups"
                     ),
                 });
             }
@@ -410,20 +313,19 @@ mod tests {
 
     #[test]
     fn escalation_exactly_at_threshold_is_healthy_strictly_above_fires() {
-        let cfg = WatchdogConfig::default();
-        let mut w = Watchdog::new(cfg);
+        let mut w = Watchdog::default();
         w.push(HealthSample::default());
         // Exactly at the degraded threshold: 50 slow / 100 checks == 0.5.
         w.push(HealthSample {
             checks: 100,
-            slow_invocations: (cfg.escalation_degraded * 100.0) as u64,
+            slow_invocations: (ESCALATION_DEGRADED * 100.0) as u64,
             edge_cache_hits: 100,
             ..HealthSample::default()
         });
         assert_eq!(w.report().status, HealthStatus::Healthy, "at-threshold stays healthy");
 
         // One more escalation tips it strictly above.
-        let mut w = Watchdog::new(cfg);
+        let mut w = Watchdog::default();
         w.push(HealthSample::default());
         w.push(HealthSample {
             checks: 100,
@@ -436,7 +338,7 @@ mod tests {
         assert_eq!(r.findings[0].rule, "escalation_rate");
 
         // And above critical.
-        let mut w = Watchdog::new(cfg);
+        let mut w = Watchdog::default();
         w.push(HealthSample::default());
         w.push(HealthSample {
             checks: 100,
@@ -580,11 +482,11 @@ mod tests {
 
     #[test]
     fn window_is_bounded_and_status_is_worst_finding() {
-        let mut w = Watchdog::new(WatchdogConfig { window: 3, ..WatchdogConfig::default() });
-        for i in 0..10 {
+        let mut w = Watchdog::default();
+        for i in 0..(WINDOW as u64 + 3) {
             w.push(sample(i * 10));
         }
-        assert_eq!(w.samples(), 3);
+        assert_eq!(w.report().samples, WINDOW);
 
         // Two rules at different severities: report carries the worst.
         let mut w = Watchdog::default();
@@ -612,18 +514,14 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("critical"));
         assert!(text.contains("escalation_rate"));
-        // An empty config file round-trips to defaults.
-        let cfg: WatchdogConfig = serde_json::from_str("{}").unwrap();
-        assert_eq!(cfg, WatchdogConfig::default());
     }
 
     #[test]
     fn status_ordering_and_encoding() {
         assert!(HealthStatus::Critical > HealthStatus::Degraded);
         assert!(HealthStatus::Degraded > HealthStatus::Healthy);
-        for s in [HealthStatus::Healthy, HealthStatus::Degraded, HealthStatus::Critical] {
-            assert_eq!(HealthStatus::from_u64(s.to_u64()), s);
-        }
-        assert_eq!(HealthStatus::from_u64(99), HealthStatus::Critical);
+        let encoded = [HealthStatus::Healthy, HealthStatus::Degraded, HealthStatus::Critical]
+            .map(HealthStatus::to_u64);
+        assert_eq!(encoded, [0, 1, 2]);
     }
 }

@@ -46,7 +46,7 @@ fn main() {
     let load = fg_workloads::benign_input(48);
     let mut process = deployment.launch(&load, FlowGuardConfig::default());
     let stop = process.run(500_000_000);
-    let s = process.stats.snapshot();
+    let s = process.stats.telemetry_snapshot();
     println!("\nserved the benign load: {stop:?}");
     println!("  endpoint checks:     {}", s.checks);
     println!("  fast-path clean:     {}", s.fast_clean);

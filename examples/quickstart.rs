@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "protected run: {stop:?}, output = {:?}, checks = {}, violation = {}",
         String::from_utf8_lossy(&process.kernel.output),
-        process.stats.snapshot().checks,
+        process.stats.checks(),
         process.violated()
     );
     assert!(!process.violated(), "benign input must pass");

@@ -7,7 +7,7 @@
 //!
 //! Each run serves seeded requests and pins what the rest of the system
 //! reads of its checks: an FNV-1a hash of every `CheckEvent` (floats by
-//! their bits), the `EngineStats` counters and cycles, and the span
+//! their bits), the telemetry snapshot's counters and cycles, and the span
 //! profiler's record count, nine phase totals and nine per-phase span
 //! counts. The span counts were recorded later, from the engine as it stood
 //! before it recorded every span itself (the fast path, the slow path and
@@ -116,8 +116,8 @@ fn pin(mut p: ProtectedProcess) -> Pin {
     let stop = p.run(200_000_000);
     let events = p.stats.recent_events(usize::MAX);
     let event_hash = events.iter().fold(EMPTY, |h, (seq, ev)| fnv_words(h, &event_words(*seq, ev)));
-    let s = p.stats.snapshot();
-    let spans = p.stats.telemetry_snapshot().spans;
+    let s = p.stats.telemetry_snapshot();
+    let spans = &s.spans;
     Pin {
         stop,
         violated: p.violated(),
@@ -132,7 +132,7 @@ fn pin(mut p: ProtectedProcess) -> Pin {
             s.insufficient,
             s.pairs_checked,
             s.credited_pairs,
-            s.cache_size as u64,
+            s.cache_size,
             s.bytes_scanned,
             s.cold_restarts,
             s.stream_drains,

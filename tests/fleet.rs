@@ -6,7 +6,7 @@
 use fg_cpu::StopReason;
 use flowguard::{
     CheckEvent, Deployment, EngineTelemetry, FleetConfig, FleetSupervisor, FlightRecord,
-    FlowGuardConfig, ViolationSummary,
+    FlowGuardConfig, ViolationRecord,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -37,7 +37,7 @@ struct Fingerprint {
     bytes_scanned: u64,
     stream_drains: u64,
     stream_drained_bytes: u64,
-    violations: Vec<ViolationSummary>,
+    violations: Vec<ViolationRecord>,
     flight_records: Vec<FlightRecord>,
 }
 

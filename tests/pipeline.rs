@@ -116,7 +116,7 @@ fn slow_path_cache_warms_within_a_run() {
     let mut p = d.launch(&doubled, FlowGuardConfig::default());
     let stop = p.run(500_000_000);
     assert!(matches!(stop, StopReason::Exited(0)), "{stop:?}");
-    let s = p.stats.snapshot();
+    let s = p.stats.telemetry_snapshot();
     assert!(s.slow_invocations > 0, "untrained run must escalate at least once");
     assert!(
         s.fast_clean > s.slow_invocations,
@@ -139,7 +139,7 @@ fn endpoint_checks_scan_at_most_one_window() {
     let mut p = d.launch(&w.default_input, cfg);
     assert_eq!(p.run(500_000_000), StopReason::Exited(0));
     let events = p.stats.recent_events(usize::MAX);
-    assert_eq!(events.len() as u64, p.stats.snapshot().checks, "every check event retained");
+    assert_eq!(events.len() as u64, p.stats.checks(), "every check event retained");
     for (i, ev) in &events {
         assert!(ev.delta_bytes <= window, "check {i} scanned {} > {window} bytes", ev.delta_bytes);
     }

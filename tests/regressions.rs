@@ -45,7 +45,7 @@ fn custom_endpoint_set() {
     let mut p = d.launch(&w.default_input, cfg.clone());
     assert_eq!(p.run(500_000_000), StopReason::Exited(0));
     assert!(!p.violated());
-    assert!(p.stats.snapshot().checks > 0, "reads must have triggered checks");
+    assert!(p.stats.checks() > 0, "reads must have triggered checks");
 
     // The ROP chain reads nothing after the hijack, but its *next* request
     // read (from the event loop it never returns to) is unreachable — so
@@ -89,15 +89,16 @@ fn vdso_calls_appear_in_trace() {
     );
 }
 
-/// Configs saved before the trace-consumption knobs and the slow-path
-/// checkpoint knob were removed still load: the six dropped keys are
-/// ignored, everything else is kept.
+/// Configs saved before the trace-consumption knobs, the slow-path
+/// checkpoint knob and the span-profiling knob were removed still load: the
+/// seven dropped keys are ignored, everything else is kept.
 #[test]
 fn config_with_removed_knobs_still_loads() {
     let current = serde_json::to_string(&FlowGuardConfig::default()).expect("serialise");
     let old = format!(
         "{},\"incremental_scan\":false,\"parallel_decode\":true,\"consumer_thread\":true,\
-         \"consumer_lag_target\":64,\"consumer_poll_period\":8,\"slow_checkpoint\":false}}",
+         \"consumer_lag_target\":64,\"consumer_poll_period\":8,\"slow_checkpoint\":false,\
+         \"profile_spans\":false}}",
         current.strip_suffix('}').expect("a JSON object")
     );
     let back: FlowGuardConfig = serde_json::from_str(&old).expect("removed keys are ignored");

@@ -48,7 +48,7 @@ fn benign_runs_clean_with_streaming() {
         let stop = p.run(500_000_000);
         assert!(matches!(stop, StopReason::Exited(0)), "{}: {stop:?}", w.name);
         assert!(!p.violated(), "{}: no violations on benign input", w.name);
-        let s = p.stats.snapshot();
+        let s = p.stats.telemetry_snapshot();
         assert!(s.stream_drains > 0, "{}: background drains must run", w.name);
         assert!(s.stream_drained_bytes > 0, "{}: drains must consume bytes", w.name);
     }
@@ -66,7 +66,7 @@ fn streaming_verdict_parity_on_benign_load() {
         let mut p = d.launch(&w.default_input, cfg);
         let stop = p.run(500_000_000);
         assert!(matches!(stop, StopReason::Exited(0)), "{stop:?}");
-        let s = p.stats.snapshot();
+        let s = p.stats.telemetry_snapshot();
         (s.checks, s.fast_clean, s.fast_malicious, s.slow_invocations, s.slow_attacks)
     };
     assert_eq!(run(true), run(false), "streaming must not change verdicts");
