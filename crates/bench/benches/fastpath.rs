@@ -3,7 +3,7 @@
 //! persistent scratch.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fg_cfg::{EdgeIdx, ItcCfg, OCfg};
+use fg_cfg::{EdgeIdx, EntryBitset, ItcCfg, OCfg};
 use fg_cpu::{CostModel, IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
 use fg_ipt::{fast, IncrementalScanner};
@@ -81,7 +81,9 @@ fn bench_check(c: &mut Criterion) {
     let cfg = FlowGuardConfig::default();
     let cache = SlowPathCache::default();
     let cost = CostModel::calibrated();
+    // The bitset every deployment installs (`Deployment::analyze`).
     let mut scratch = CheckScratch::new(&s.w.image);
+    scratch.set_tier0(Some(EntryBitset::from_itc(&s.w.image, &s.itc)));
     c.bench_function("fastpath_check_scratch", |b| {
         b.iter(|| {
             fastpath::check_windowed(
@@ -93,7 +95,6 @@ fn bench_check(c: &mut Criterion) {
                 cfg.pkt_count,
                 cfg.require_module_stride,
                 cost.edge_check_cycles,
-                None,
             )
         });
     });

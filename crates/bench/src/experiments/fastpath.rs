@@ -11,7 +11,7 @@
 
 use crate::measure::{time_interleaved, time_per_iter};
 use crate::table::{fmt, Table};
-use fg_cfg::EdgeIdx;
+use fg_cfg::{EdgeIdx, EntryBitset};
 use fg_cpu::CostModel;
 use fg_cpu::{IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
@@ -160,7 +160,9 @@ pub fn timed(b: &mut FastpathBench) {
     let cfg = FlowGuardConfig::default();
     let cache = SlowPathCache::default();
     let cost = CostModel::calibrated();
+    // The bitset every deployment installs (`Deployment::analyze`).
     let mut scratch = CheckScratch::new(&s.image);
+    scratch.set_tier0(Some(EntryBitset::from_itc(&s.image, &s.itc)));
     let mut pairs_checked = 0usize;
     let check_sec = time_per_iter(200, || {
         let r = fastpath::check_windowed(
@@ -172,7 +174,6 @@ pub fn timed(b: &mut FastpathBench) {
             cfg.pkt_count,
             cfg.require_module_stride,
             cost.edge_check_cycles,
-            None,
         );
         pairs_checked = r.pairs_checked;
         r

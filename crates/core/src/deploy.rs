@@ -274,7 +274,7 @@ pub struct ProtectedProcess {
     /// The kernel with the FlowGuard module installed.
     pub kernel: Kernel,
     /// Shared engine telemetry (snapshot via
-    /// [`EngineTelemetry::snapshot`]).
+    /// [`EngineTelemetry::telemetry_snapshot`]).
     pub stats: Arc<EngineTelemetry>,
 }
 

@@ -7,9 +7,9 @@
 //! slow-path results, and kills the process on violation.
 //!
 //! Statistics flow through the [`EngineTelemetry`] aggregate: the engine
-//! records every check — its [`CheckEvent`](crate::telemetry::CheckEvent)
-//! and the modeled cycles of each pipeline phase — in one call; readers
-//! take a [`TelemetrySnapshot`](crate::telemetry::TelemetrySnapshot).
+//! records every check — its [`CheckEvent`] and the modeled cycles of each
+//! pipeline phase — in one call; readers take a
+//! [`TelemetrySnapshot`](crate::telemetry::TelemetrySnapshot).
 
 use crate::config::FlowGuardConfig;
 use crate::fastpath::{self, CheckScratch, FastVerdict, SlowPathCache, Violation};
@@ -51,9 +51,6 @@ pub struct FlowGuardEngine {
     scratch: CheckScratch,
     slow_scratch: slowpath::SlowScratch,
     stats: Arc<EngineTelemetry>,
-    /// Tier-0 entry-point bitset, probed ahead of the ITC edge lookup when
-    /// the deployment ships one.
-    tier0: Option<EntryBitset>,
 }
 
 impl std::fmt::Debug for FlowGuardEngine {
@@ -104,7 +101,6 @@ impl FlowGuardEngine {
             stream,
             drained_at_last_check: 0,
             slow_scratch: slowpath::SlowScratch::new(),
-            tier0: None,
         }
     }
 
@@ -113,10 +109,11 @@ impl FlowGuardEngine {
         self.cost = cost;
     }
 
-    /// Installs the deployment's tier-0 entry-point bitset; `None` turns the
-    /// probe off.
+    /// Installs the deployment's tier-0 entry-point bitset in the fast
+    /// path's scratch ([`CheckScratch::set_tier0`]); `None` turns the probe
+    /// off.
     pub fn set_tier0(&mut self, bits: Option<EntryBitset>) {
-        self.tier0 = bits;
+        self.scratch.set_tier0(bits);
     }
 
     /// A shared handle to the telemetry, usable after the engine is moved
@@ -363,7 +360,6 @@ impl FlowGuardEngine {
             pkt_count,
             require_module_stride,
             self.cost.edge_check_cycles,
-            self.tier0.as_ref(),
         );
         self.stream.compact(keep_tips(&self.cfg));
         ev.pairs_checked = fast.pairs_checked as u64;

@@ -65,20 +65,44 @@ impl Extend<EdgeIdx> for SlowPathCache {
     }
 }
 
+/// The memo slot of the TIP pair `from → to`.
+const fn edge_slot(from: u64, to: u64) -> usize {
+    (from.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(to.wrapping_mul(0xff51_afd7_ed55_8ccd))
+        >> 32) as usize
+        % EDGE_CACHE_SLOTS
+}
+
+/// What empty slot `slot` holds: a pair that hashes to another slot, so no
+/// probe can match it, not even a hostile TIP pair made of the same values.
+const fn vacant(slot: usize) -> (u64, u64, EdgeIdx) {
+    if edge_slot(u64::MAX, 0) == slot {
+        (0, u64::MAX, 0)
+    } else {
+        (u64::MAX, 0, 0)
+    }
+}
+
+const _: () = assert!(edge_slot(0, u64::MAX) != edge_slot(u64::MAX, 0));
+
 /// Reusable per-process scratch for the fast path: precomputed sorted
-/// module ranges (replacing a linear module scan per TIP) and a
-/// direct-mapped hot-edge cache in front of [`ItcCfg::edge`].
+/// module ranges (replacing a linear module scan per TIP), the
+/// deployment's tier-0 bitset, and a direct-mapped edge memo in front of
+/// the tier-0 probe, the node check and [`ItcCfg::edge`].
 ///
-/// The edge cache maps `(from, to)` to an [`EdgeIdx`] and is only valid for
-/// the ITC-CFG it was filled against: credit/TNT re-labeling is fine (edge
-/// indices are stable), but after swapping in a *rebuilt* graph call
-/// [`CheckScratch::invalidate_edges`].
+/// The memo maps `(from, to)` to an [`EdgeIdx`]. A slot is filled only
+/// after its target passed the tier-0 probe and the node check, so a hit
+/// settles both; [`CheckScratch::set_tier0`] clears the memo to keep that
+/// true. It is only valid for the ITC-CFG it was filled against:
+/// credit/TNT re-labeling is fine (edge indices are stable), but after
+/// swapping in a *rebuilt* graph call [`CheckScratch::invalidate_edges`].
 #[derive(Debug, Clone)]
 pub struct CheckScratch {
     /// `(base, end, module_id, is_executable)`, sorted by base.
     module_ranges: Vec<(u64, u64, u32, bool)>,
-    /// Direct-mapped `(from, to, edge)`; `from == u64::MAX` marks empty.
+    /// Direct-mapped `(from, to, edge)`; an empty slot holds [`vacant`].
     edge_cache: Vec<(u64, u64, EdgeIdx)>,
+    /// The tier-0 entry-point bitset, probed on a memo miss.
+    tier0: Option<EntryBitset>,
     /// Per-module stamp used to count distinct modules in a window without
     /// allocating (stamp == current generation ⇒ seen this pass; 0 is
     /// never a generation).
@@ -110,7 +134,8 @@ impl CheckScratch {
         CheckScratch {
             module_stamp: vec![0; module_ranges.len()],
             module_ranges,
-            edge_cache: vec![(u64::MAX, 0, 0); EDGE_CACHE_SLOTS],
+            edge_cache: (0..EDGE_CACHE_SLOTS).map(vacant).collect(),
+            tier0: None,
             stamp_gen: 0,
             edge_cache_hits: 0,
             edge_cache_misses: 0,
@@ -156,28 +181,56 @@ impl CheckScratch {
         false
     }
 
-    /// Resolves `from → to` through the direct-mapped cache.
+    /// Resolves `from → to` to its ITC edge, memo first. A hit settles the
+    /// pair; a miss runs the tier-0 probe and the node check, then resolves
+    /// the edge and fills the slot. `tier0` tallies the probe's `(hits,
+    /// misses)`; a memo hit counts as the passed probe it stands for.
     #[inline]
-    fn edge(&mut self, itc: &ItcCfg, from: u64, to: u64) -> Option<EdgeIdx> {
-        let slot = (from
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(to.wrapping_mul(0xff51_afd7_ed55_8ccd))
-            >> 32) as usize
-            % EDGE_CACHE_SLOTS;
+    fn resolve(
+        &mut self,
+        itc: &ItcCfg,
+        from: u64,
+        to: u64,
+        tier0: &mut (u64, u64),
+    ) -> Result<EdgeIdx, Violation> {
+        let slot = edge_slot(from, to);
         let (cf, ct, ce) = self.edge_cache[slot];
         if cf == from && ct == to {
             self.edge_cache_hits += 1;
-            return Some(ce);
+            tier0.0 += u64::from(self.tier0.is_some());
+            return Ok(ce);
+        }
+        // Tier-0 probe: one bit read settles "could this target ever be
+        // valid?" before the node binary search and edge resolution.
+        if let Some(bits) = &self.tier0 {
+            if !bits.contains(to) {
+                tier0.1 += 1;
+                return Err(Violation::UnknownTarget { from, ip: to });
+            }
+            tier0.0 += 1;
+        }
+        if !itc.is_node(to) {
+            return Err(Violation::UnknownTarget { from, ip: to });
         }
         self.edge_cache_misses += 1;
-        let e = itc.edge(from, to)?;
+        let e = itc.edge(from, to).ok_or(Violation::NoEdge { from, to })?;
         self.edge_cache[slot] = (from, to, e);
-        Some(e)
+        Ok(e)
+    }
+
+    /// Installs the deployment's tier-0 entry-point bitset; `None` turns
+    /// the probe off. Clears the edge memo, whose targets passed the old
+    /// bitset's probe.
+    pub fn set_tier0(&mut self, bits: Option<EntryBitset>) {
+        self.tier0 = bits;
+        self.invalidate_edges();
     }
 
     /// Drops all cached edge resolutions (call after replacing the graph).
     pub fn invalidate_edges(&mut self) {
-        self.edge_cache.fill((u64::MAX, 0, 0));
+        for (slot, entry) in self.edge_cache.iter_mut().enumerate() {
+            *entry = vacant(slot);
+        }
     }
 }
 
@@ -225,7 +278,8 @@ pub struct FastPathResult {
     /// Modeled cycles spent folding per-pair outcomes into the verdict.
     pub verdict_cycles: f64,
     /// Tier-0 bitset probes that passed (target bit set, fell through to
-    /// the precise edge check). Zero when no bitset was supplied.
+    /// the precise edge check), memo hits included. Zero when the scratch
+    /// holds no bitset.
     pub tier0_hits: u64,
     /// Tier-0 probes that failed — each is a definitive violation caught
     /// before any edge lookup.
@@ -239,8 +293,7 @@ fn finish(
     verdict: FastVerdict,
     pairs: usize,
     credited: usize,
-    tier0_hits: u64,
-    tier0_misses: u64,
+    (tier0_hits, tier0_misses): (u64, u64),
     edge_check_cycles: f64,
 ) -> FastPathResult {
     let check_cycles = pairs as f64 * edge_check_cycles;
@@ -292,7 +345,6 @@ pub fn check(
         cfg.pkt_count,
         cfg.require_module_stride,
         edge_check_cycles,
-        None,
     )
 }
 
@@ -310,12 +362,15 @@ pub fn check(
 /// reach back over the whole scan without copying `cfg`, which supplies
 /// the remaining policy (`cred_ratio`, caching, path matching).
 ///
-/// When `tier0` carries the deployment's entry-point bitset, every pair's
-/// target is probed against it *before* any ITC lookup: a clear bit proves
-/// the target is outside every ITC target set (the bitset is verified to
-/// cover all nodes, rule `FG-X01`), so the transfer is malicious without
-/// touching the edge arrays. A set bit falls through to the precise check —
-/// the probe can only short-circuit detections, never admit anything.
+/// Each pair asks the scratch's edge memo first. A slot is filled only
+/// after its target passed the tier-0 probe and the node check, so a hit
+/// settles the pair with one probe. A miss runs both checks, then resolves
+/// the edge. When the scratch holds the deployment's entry-point bitset
+/// ([`CheckScratch::set_tier0`]), a clear bit proves the target is outside
+/// every ITC target set (the bitset is verified to cover all nodes, rule
+/// `FG-X01`), so the transfer is malicious without touching the edge
+/// arrays. A set bit falls through to the precise check — the probe can
+/// only short-circuit detections, never admit anything.
 #[allow(clippy::too_many_arguments)]
 pub fn check_windowed(
     itc: &ItcCfg,
@@ -326,20 +381,11 @@ pub fn check_windowed(
     pkt_count: usize,
     require_module_stride: bool,
     edge_check_cycles: f64,
-    tier0: Option<&EntryBitset>,
 ) -> FastPathResult {
-    let mut tier0_hits = 0u64;
-    let mut tier0_misses = 0u64;
+    let mut tier0 = (0u64, 0u64);
     let tips = scan.tip_ips();
     if tips.len() < 2 {
-        return finish(
-            FastVerdict::InsufficientTrace,
-            0,
-            0,
-            tier0_hits,
-            tier0_misses,
-            edge_check_cycles,
-        );
+        return finish(FastVerdict::InsufficientTrace, 0, 0, tier0, edge_check_cycles);
     }
 
     // --- window selection -------------------------------------------------
@@ -379,42 +425,12 @@ pub fn check_windowed(
             continue; // non-consecutive TIPs across a seam
         }
         pairs += 1;
-        // Tier-0 probe: one bit read settles "could this target ever be
-        // valid?" before the node binary search and edge resolution.
-        if let Some(bits) = tier0 {
-            if bits.contains(to) {
-                tier0_hits += 1;
-            } else {
-                tier0_misses += 1;
-                return finish(
-                    FastVerdict::Malicious(Violation::UnknownTarget { from, ip: to }),
-                    pairs,
-                    credited,
-                    tier0_hits,
-                    tier0_misses,
-                    edge_check_cycles,
-                );
+        let e = match scratch.resolve(itc, from, to, &mut tier0) {
+            Ok(e) => e,
+            Err(v) => {
+                let verdict = FastVerdict::Malicious(v);
+                return finish(verdict, pairs, credited, tier0, edge_check_cycles);
             }
-        }
-        if !itc.is_node(to) {
-            return finish(
-                FastVerdict::Malicious(Violation::UnknownTarget { from, ip: to }),
-                pairs,
-                credited,
-                tier0_hits,
-                tier0_misses,
-                edge_check_cycles,
-            );
-        }
-        let Some(e) = scratch.edge(itc, from, to) else {
-            return finish(
-                FastVerdict::Malicious(Violation::NoEdge { from, to }),
-                pairs,
-                credited,
-                tier0_hits,
-                tier0_misses,
-                edge_check_cycles,
-            );
         };
         let cached = cfg.cache_slow_path_results && cache.contains(e);
         let high = itc.credit(e) == Credit::High || cached;
@@ -443,7 +459,7 @@ pub fn check_windowed(
     } else {
         FastVerdict::Suspicious { uncredited }
     };
-    finish(verdict, pairs, credited, tier0_hits, tier0_misses, edge_check_cycles)
+    finish(verdict, pairs, credited, tier0, edge_check_cycles)
 }
 
 #[cfg(test)]
@@ -486,12 +502,7 @@ mod tests {
 
     /// [`check_windowed`] over `scan` with the default config's window and
     /// no slow-path cache, as an endpoint check runs it.
-    fn endpoint_check(
-        s: &Setup,
-        scratch: &mut CheckScratch,
-        scan: &FastScan,
-        tier0: Option<&EntryBitset>,
-    ) -> FastPathResult {
+    fn endpoint_check(s: &Setup, scratch: &mut CheckScratch, scan: &FastScan) -> FastPathResult {
         let cfg = FlowGuardConfig::default();
         check_windowed(
             &s.itc,
@@ -502,8 +513,14 @@ mod tests {
             cfg.pkt_count,
             cfg.require_module_stride,
             18.0,
-            tier0,
         )
+    }
+
+    /// A fresh scratch holding `bits`.
+    fn scratch_with(s: &Setup, bits: &EntryBitset) -> CheckScratch {
+        let mut scratch = CheckScratch::new(&s.image);
+        scratch.set_tier0(Some(bits.clone()));
+        scratch
     }
 
     #[test]
@@ -661,12 +678,12 @@ mod tests {
     fn scratch_edge_cache_hits_on_repeat() {
         let s = trained_setup();
         let mut scratch = CheckScratch::new(&s.image);
-        let r1 = endpoint_check(&s, &mut scratch, &s.scan, None);
-        let r2 = endpoint_check(&s, &mut scratch, &s.scan, None);
+        let r1 = endpoint_check(&s, &mut scratch, &s.scan);
+        let r2 = endpoint_check(&s, &mut scratch, &s.scan);
         assert_eq!(r1, r2, "scratch reuse must not change verdicts");
         assert!(scratch.edge_cache_hits > 0, "repeat checks hit the edge cache");
         scratch.invalidate_edges();
-        let r3 = endpoint_check(&s, &mut scratch, &s.scan, None);
+        let r3 = endpoint_check(&s, &mut scratch, &s.scan);
         assert_eq!(r1, r3);
     }
 
@@ -675,12 +692,12 @@ mod tests {
         // Never-seen modules hold stamp 0: a generation that wrapped to 0
         // would count them as seen, and the window would widen to its floor.
         let s = trained_setup();
-        let fresh = endpoint_check(&s, &mut CheckScratch::new(&s.image), &s.scan, None);
+        let fresh = endpoint_check(&s, &mut CheckScratch::new(&s.image), &s.scan);
         let cfg = FlowGuardConfig::default();
         assert!(fresh.pairs_checked < 4 * cfg.pkt_count - 1, "the stride rule ends the widening");
         let mut wrapped = CheckScratch::new(&s.image);
         wrapped.stamp_gen = u32::MAX;
-        assert_eq!(endpoint_check(&s, &mut wrapped, &s.scan, None), fresh);
+        assert_eq!(endpoint_check(&s, &mut wrapped, &s.scan), fresh);
         assert_eq!(wrapped.stamp_gen, 1, "the generation skips 0");
     }
 
@@ -690,12 +707,14 @@ mod tests {
         // nothing — zero false escalations is the bitset's design guarantee.
         let s = trained_setup();
         let bits = EntryBitset::from_itc(&s.image, &s.itc);
-        let mut scratch = CheckScratch::new(&s.image);
-        let with = endpoint_check(&s, &mut scratch, &s.scan, Some(&bits));
+        let mut scratch = scratch_with(&s, &bits);
+        let with = endpoint_check(&s, &mut scratch, &s.scan);
         assert_eq!(with.verdict, FastVerdict::Clean, "probe must not reject benign flow");
         assert_eq!(with.tier0_misses, 0, "zero false escalations");
         assert_eq!(with.tier0_hits as usize, with.pairs_checked, "every pair probed");
-        let without = endpoint_check(&s, &mut scratch, &s.scan, None);
+        assert_eq!(endpoint_check(&s, &mut scratch, &s.scan), with, "memo hits count as probes");
+        scratch.set_tier0(None);
+        let without = endpoint_check(&s, &mut scratch, &s.scan);
         assert_eq!(without.verdict, FastVerdict::Clean);
         assert_eq!(without.tier0_hits, 0, "no probes without a bitset");
     }
@@ -707,8 +726,7 @@ mod tests {
         let mut scan = s.scan.clone();
         let exec_base = s.image.executable().base;
         scan.set_tip_ip(scan.tip_count() - 1, exec_base + 8); // mid-entry block
-        let mut scratch = CheckScratch::new(&s.image);
-        let r = endpoint_check(&s, &mut scratch, &scan, Some(&bits));
+        let r = endpoint_check(&s, &mut scratch_with(&s, &bits), &scan);
         assert!(
             matches!(r.verdict, FastVerdict::Malicious(Violation::UnknownTarget { .. })),
             "probe miss is a definitive violation, got {:?}",
@@ -718,11 +736,52 @@ mod tests {
     }
 
     #[test]
+    fn the_hostile_pair_max_to_zero_is_an_unknown_target() {
+        // An empty memo slot must not read as a resolved pair, even for a
+        // TIP pair made of the values an empty slot once held.
+        let s = trained_setup();
+        let mut scan = s.scan.clone();
+        let n = scan.tip_count();
+        scan.boundaries.push((n, Boundary::Overflow)); // the pair into u64::MAX is a seam
+        scan.push_tip(u64::MAX, &[]);
+        scan.push_tip(0, &[]);
+        let want = FastVerdict::Malicious(Violation::UnknownTarget { from: u64::MAX, ip: 0 });
+        let without = endpoint_check(&s, &mut CheckScratch::new(&s.image), &scan);
+        assert_eq!(without.verdict, want);
+        let bits = EntryBitset::from_itc(&s.image, &s.itc);
+        let with = endpoint_check(&s, &mut scratch_with(&s, &bits), &scan);
+        assert_eq!(with.verdict, want);
+        assert_eq!(with.tier0_misses, 1);
+    }
+
+    #[test]
+    fn set_tier0_forgets_memoized_targets() {
+        // The last pair of the trained trace, alone in a scan: clean, and
+        // memoized once checked.
+        let s = trained_setup();
+        let n = s.scan.tip_count();
+        let (from, to) = (s.scan.tip_ips()[n - 2], s.scan.tip_ips()[n - 1]);
+        let mut pair = FastScan::default();
+        pair.push_tip(from, &[]);
+        pair.push_tip(to, &s.scan.tnt_vec(n - 1));
+        let mut bits = EntryBitset::from_itc(&s.image, &s.itc);
+        let mut scratch = scratch_with(&s, &bits);
+        assert_eq!(endpoint_check(&s, &mut scratch, &pair).verdict, FastVerdict::Clean);
+        assert_eq!(endpoint_check(&s, &mut scratch, &pair).verdict, FastVerdict::Clean);
+        assert_eq!(scratch.edge_cache_hits, 1, "the second check hit the memo");
+        // A bitset without the target: the memoized pair is probed again.
+        assert!(bits.remove(to));
+        scratch.set_tier0(Some(bits));
+        let r = endpoint_check(&s, &mut scratch, &pair);
+        assert_eq!(r.verdict, FastVerdict::Malicious(Violation::UnknownTarget { from, ip: to }));
+        assert_eq!((r.tier0_hits, r.tier0_misses), (0, 1));
+    }
+
+    #[test]
     fn phase_cycle_split_partitions_check_cycles() {
         let s = trained_setup();
         let bits = EntryBitset::from_itc(&s.image, &s.itc);
-        let mut scratch = CheckScratch::new(&s.image);
-        let r = endpoint_check(&s, &mut scratch, &s.scan, Some(&bits));
+        let r = endpoint_check(&s, &mut scratch_with(&s, &bits), &s.scan);
         assert_eq!(r.verdict, FastVerdict::Clean);
         let sum = r.tier0_cycles + r.edge_cycles + r.verdict_cycles;
         assert!((sum - r.check_cycles).abs() < 1e-9, "phase split must partition check_cycles");

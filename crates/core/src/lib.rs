@@ -20,7 +20,7 @@
 //! * [`shadow`] — the slow path's shadow stack;
 //! * [`engine`] — the kernel-module interceptor with slow-path result
 //!   caching (§5.2, §7.1.1);
-//! * [`reference`] — the cold tail-window scan, kept as the oracle the
+//! * [`reference`](mod@reference) — the cold tail-window scan, kept as the oracle the
 //!   engine's trace consumer is measured against;
 //! * [`deploy`] — the end-to-end pipeline (Figure 1's steps ①–⑤);
 //! * [`baselines`] — kBouncer-style (LBR) and CFIMon-style (BTS) baseline

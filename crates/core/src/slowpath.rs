@@ -10,9 +10,9 @@
 //! so the checker here attacks it twice:
 //!
 //! * **PSB-sharded decode** — the window splits at its PSB sync points,
-//!   every shard decodes independently (fanned out on the
-//!   [`WorkerPool`](crate::pool::WorkerPool), each worker also pre-scanning
-//!   its shard's forward edges against the O-CFG), and a cheap sequential
+//!   every shard decodes independently (fanned out on the [`WorkerPool`],
+//!   each worker also pre-scanning its shard's forward edges against the
+//!   O-CFG), and a cheap sequential
 //!   stitch pass validates the seams and replays the call/ret events
 //!   through the shadow stack — bit-identical to a serial decode, at
 //!   roughly `1/min(shards, workers)` of the wall-clock.

@@ -6,6 +6,13 @@
 //! fast path's rule applied with no cache at all (`reference_check`): a
 //! fresh scratch still reuses its edge cache within one check.
 //!
+//! The edge cache answers before the tier-0 probe and the node check, so
+//! it must hold only pairs that passed both. The scratch holds no bitset,
+//! the deployment's, or the deployment's with a quarter of the ITC nodes
+//! the trace visits cleared: there tier-0 misses fire on real edges,
+//! after earlier pairs and earlier checks have filled the cache. Halfway
+//! through, the scratch may be given another of the three.
+//!
 //! The scans are windows of a real trained-nginx trace cut at random
 //! points, some with bytes damaged, some truncated at the front and some
 //! with one TIP's TNT run changed, checked with windows of random size (as
@@ -31,6 +38,8 @@ struct Fixture {
     /// Every edge low-credit: checks escalate until the cache credits them.
     untrained: ItcCfg,
     tier0: EntryBitset,
+    /// The ITC nodes the trace visits, in address order.
+    visited: Vec<u64>,
     trace: Vec<u8>,
 }
 
@@ -52,7 +61,9 @@ fn fixture() -> &'static Fixture {
         ipt.flush();
         let trace = ipt.trace_bytes();
         let tier0 = EntryBitset::from_itc(&w.image, &d.itc);
-        Fixture { image: w.image, trained: d.itc, untrained, tier0, trace }
+        let tips: BTreeSet<u64> = fast::scan(&trace).unwrap().tip_ips().iter().copied().collect();
+        let visited = tips.into_iter().filter(|&ip| d.itc.is_node(ip)).collect();
+        Fixture { image: w.image, trained: d.itc, untrained, tier0, visited, trace }
     })
 }
 
@@ -174,20 +185,36 @@ proptest! {
     #[test]
     fn warm_scratch_decides_like_a_fresh_one(
         checks in proptest::collection::vec(any::<u64>(), 4..24),
-        policy in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        policy in (any::<bool>(), any::<bool>(), any::<bool>()),
+        bitsets in (0..3usize, 0..3usize),
+        thin in 0..4usize,
         region in any::<u64>(),
     ) {
         let f = fixture();
-        let (trained, with_tier0, path_matching, cache_slow_path_results) = policy;
+        let (trained, path_matching, cache_slow_path_results) = policy;
         let itc = if trained { &f.trained } else { &f.untrained };
         let cfg = FlowGuardConfig { path_matching, cache_slow_path_results, ..Default::default() };
-        let tier0 = with_tier0.then_some(&f.tier0);
-        let mut warm = CheckScratch::new(&f.image);
+        let mut thinned = f.tier0.clone();
+        for &ip in f.visited.iter().skip(thin).step_by(4) {
+            thinned.remove(ip);
+        }
+        let choices = [None, Some(&f.tier0), Some(&thinned)];
+        let mut tier0 = choices[bitsets.0];
+        let mut fresh = CheckScratch::new(&f.image);
+        fresh.set_tier0(tier0.cloned());
+        let mut warm = fresh.clone();
+        let half = checks.len() / 2;
         let mut cache = SlowPathCache::default();
         // Windows start within one 16 KiB region, so checks overlap and
         // revisit the same pairs, as consecutive checks of a server do.
         let region = region as usize % (f.trace.len() - 20_480);
-        for seed in checks {
+        for (i, seed) in checks.into_iter().enumerate() {
+            if i == half {
+                // A new bitset under a filled cache.
+                tier0 = choices[bitsets.1];
+                fresh.set_tier0(tier0.cloned());
+                warm.set_tier0(tier0.cloned());
+            }
             let mut rng = XorShift(seed | 1);
             let len = 64 + rng.below(4096) as usize;
             let at = region + rng.below(16_384) as usize;
@@ -223,13 +250,12 @@ proptest! {
                     pkt_count,
                     stride,
                     18.0,
-                    tier0,
                 );
                 let lookups = scratch.edge_cache_hits - hits + scratch.edge_cache_misses - misses;
                 (r, lookups)
             };
             let (got, warm_lookups) = check(&mut warm);
-            let (want, fresh_lookups) = check(&mut CheckScratch::new(&f.image));
+            let (want, fresh_lookups) = check(&mut fresh.clone());
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(warm_lookups, fresh_lookups);
             let rule = reference_check(

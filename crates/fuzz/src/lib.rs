@@ -6,7 +6,7 @@
 //! 2. [`fuzzer`] — the coverage-guided campaign, running targets in the
 //!    `fg-cpu` emulator with the AFL bitmap (the "QEMU user emulation mode"
 //!    substitution), input served from the de-socketed stream;
-//! 3. [`train`] — replaying the discovered corpus under real IPT tracing and
+//! 3. [`train`](mod@train) — replaying the discovered corpus under real IPT tracing and
 //!    labeling ITC-CFG edges with high credits and TNT signatures.
 //!
 //! "The security of FlowGuard does not rely on the path coverage, though a

@@ -3,7 +3,7 @@
 //! Synthetic programs reproducing the control-flow shapes of the paper's
 //! evaluation population (§7):
 //!
-//! * [`servers`] — nginx / vsftpd / OpenSSH / exim alikes: request parsing,
+//! * [`servers`](mod@servers) — nginx / vsftpd / OpenSSH / exim alikes: request parsing,
 //!   function-pointer handler dispatch, shared libraries, VDSO use, and (in
 //!   the nginx-alike) the implanted stack-overflow vulnerability of §7.1.2;
 //! * [`utils`] — `tar`, `dd`, `make`, `scp` one-shot utilities (Figure 5b);
