@@ -9,7 +9,6 @@
 //! flowguard_cli run      <artifact.json> [--input FILE]    # ③–⑤ protected run
 //! flowguard_cli stats    <artifact.json> [--input FILE] [--prom] [--streaming]
 //!                        [--phases] [--save FILE] [--diff FILE]
-//! flowguard_cli health   <artifact.json> [--input FILE] [--streaming] [--slice N]
 //! flowguard_cli top      <artifact.json> [--input FILE] [--streaming] [--slice N]
 //! flowguard_cli events   <artifact.json> [--input FILE] [--last N]
 //! flowguard_cli attack   <artifact.json> <rop|srop|ret2lib|flush|kbouncer>
@@ -25,12 +24,10 @@
 //! Machine-readable output (the `stats` JSON / Prometheus dump, the `events`
 //! listing, tables) goes to stdout; progress and error diagnostics go to
 //! stderr. Every failure path exits nonzero (2 for usage errors, 1 for
-//! everything else, including an undetected `attack` and a `health` verdict
-//! of Degraded or Critical).
+//! everything else, including an undetected `attack`).
 
 use flowguard::{
-    Deployment, FleetConfig, FleetSupervisor, FlowGuardConfig, HealthStatus, PhaseSpan,
-    TelemetrySnapshot,
+    Deployment, FleetConfig, FleetSupervisor, FlowGuardConfig, PhaseSpan, TelemetrySnapshot,
 };
 use std::process::ExitCode;
 
@@ -66,7 +63,6 @@ fn usage() -> ExitCode {
          flowguard_cli run <artifact.json> [--input FILE]\n  \
          flowguard_cli stats <artifact.json> [--input FILE] [--prom] [--streaming] \
          [--phases] [--save FILE] [--diff FILE]\n  \
-         flowguard_cli health <artifact.json> [--input FILE] [--streaming] [--slice N]\n  \
          flowguard_cli top <artifact.json> [--input FILE] [--streaming] [--slice N]\n  \
          flowguard_cli events <artifact.json> [--input FILE] [--last N]\n  \
          flowguard_cli attack <artifact.json> <rop|srop|ret2lib|flush|kbouncer>\n  \
@@ -113,15 +109,15 @@ fn parse_input_flag<'a>(
     }
 }
 
-/// Instruction budget of one live-view slice (`health` / `top` tick).
+/// Instruction budget of one `top` slice.
 const DEFAULT_SLICE_INSNS: u64 = 2_000_000;
 
 /// Overall instruction budget of a CLI-driven protected run.
 const RUN_BUDGET_INSNS: u64 = 2_000_000_000;
 
-/// Parses the live-view flags `[--input FILE] [--streaming] [--slice N]`
-/// shared by `health` and `top`; `N` is the per-slice instruction budget.
-fn parse_live_flags<'a>(
+/// Parses `top`'s flags `[--input FILE] [--streaming] [--slice N]`; `N` is
+/// the per-slice instruction budget.
+fn parse_top_flags<'a>(
     it: &mut impl Iterator<Item = &'a str>,
 ) -> Result<(Vec<u8>, bool, u64), ExitCode> {
     let mut input = Vec::new();
@@ -184,6 +180,12 @@ fn print_snapshot_diff(saved: &TelemetrySnapshot, now: &TelemetrySnapshot) {
         ("events_recorded", saved.events_recorded, now.events_recorded),
         ("span_records", saved.spans.records, now.spans.records),
         ("check_samples", saved.check_latency.count, now.check_latency.count),
+        ("slow_invocations", saved.slow_invocations, now.slow_invocations),
+        ("edge_cache_hits", saved.edge_cache_hits, now.edge_cache_hits),
+        ("edge_cache_misses", saved.edge_cache_misses, now.edge_cache_misses),
+        ("slow_checkpoint_hits", saved.slow_checkpoint_hits, now.slow_checkpoint_hits),
+        ("slow_checkpoint_misses", saved.slow_checkpoint_misses, now.slow_checkpoint_misses),
+        ("stream_drains", saved.stream_drains, now.stream_drains),
     ];
     for (name, a, b) in rows_u64 {
         println!("{name:<26} {a:>16} {b:>16} {:>+16}", *b as i64 - *a as i64);
@@ -202,7 +204,6 @@ fn print_snapshot_diff(saved: &TelemetrySnapshot, now: &TelemetrySnapshot) {
     for (name, a, b) in rows_f64 {
         println!("{name:<26} {a:>16.0} {b:>16.0} {:>+16.0}", b - a);
     }
-    println!("health: {} -> {}", saved.health.status.label(), now.health.status.label());
 }
 
 fn sysno_label(nr: u64) -> String {
@@ -524,40 +525,9 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("health") => {
-            let Some(path) = it.next() else { return usage() };
-            let (input, streaming, slice) = match parse_live_flags(&mut it) {
-                Ok(v) => v,
-                Err(code) => return code,
-            };
-            let d = match load_artifact(path) {
-                Ok(d) => d,
-                Err(code) => return code,
-            };
-            let input = if input.is_empty() { default_input_for(&d) } else { input };
-            let cfg = FlowGuardConfig { streaming, ..Default::default() };
-            let mut p = d.launch(&input, cfg);
-            // Slice-driven run: each slice feeds the watchdog one rolling
-            // window sample (ProtectedProcess::run ticks on return).
-            let mut budget = RUN_BUDGET_INSNS;
-            let mut stop = p.run(slice.min(budget));
-            while stop == fg_cpu::StopReason::InsnLimit && budget > slice {
-                budget -= slice;
-                stop = p.run(slice.min(budget));
-            }
-            eprintln!("stop: {stop}");
-            let report = p.stats.health_report();
-            print!("{report}");
-            if report.status == HealthStatus::Healthy {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("health is {}", report.status.label());
-                ExitCode::FAILURE
-            }
-        }
         Some("top") => {
             let Some(path) = it.next() else { return usage() };
-            let (input, streaming, slice) = match parse_live_flags(&mut it) {
+            let (input, streaming, slice) = match parse_top_flags(&mut it) {
                 Ok(v) => v,
                 Err(code) => return code,
             };
@@ -569,22 +539,21 @@ fn main() -> ExitCode {
             let cfg = FlowGuardConfig { streaming, ..Default::default() };
             let mut p = d.launch(&input, cfg);
             println!(
-                "{:>6} {:>8} {:>8} {:>8} {:>14} {:>10} {:>9}",
-                "slice", "checks", "fast", "slow", "span_cycles", "lag", "health"
+                "{:>6} {:>8} {:>8} {:>8} {:>14} {:>10}",
+                "slice", "checks", "fast", "slow", "span_cycles", "lag"
             );
             let mut prev = p.stats.telemetry_snapshot();
             for i in 1..=RUN_BUDGET_INSNS / slice.max(1) {
                 let stop = p.run(slice);
                 let ts = p.stats.telemetry_snapshot();
                 println!(
-                    "{:>6} {:>8} {:>8} {:>8} {:>14.0} {:>10} {:>9}",
+                    "{:>6} {:>8} {:>8} {:>8} {:>14.0} {:>10}",
                     i,
                     ts.checks - prev.checks,
                     ts.fast_clean - prev.fast_clean,
                     ts.slow_invocations - prev.slow_invocations,
                     ts.spans.total_cycles - prev.spans.total_cycles,
-                    ts.last_frontier_lag,
-                    ts.health.status.label()
+                    ts.last_frontier_lag
                 );
                 prev = ts;
                 if stop != fg_cpu::StopReason::InsnLimit {

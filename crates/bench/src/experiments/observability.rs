@@ -1,18 +1,17 @@
 //! **Observability-plane benchmarks** — per-phase cycle attribution of the
 //! span profiler, the wall-clock overhead of running with full profiling
-//! versus telemetry off, profiler self-overhead, and the watchdog verdict
-//! on a benign run.
+//! versus telemetry off, and profiler self-overhead.
 //!
 //! [`modeled`] is the deterministic half: attribution coverage (check-phase
 //! span cycles over the measured check cycles, in the default and the
-//! streaming configuration), span records, per-phase cycles and the
-//! watchdog verdict, pinned exactly by the root `bench_golden` test.
+//! streaming configuration), span records and per-phase cycles, pinned
+//! exactly by the root `bench_golden` test.
 //! [`timed`] is the host-timed half: the profiling overhead, which
 //! `bench_gate` judges on the median of its runs, and the profiler's
 //! sampled self-overhead. Both land in `BENCH_observability.json`.
 
 use crate::table::{fmt, Table};
-use flowguard::{FlowGuardConfig, HealthStatus, PhaseSpan, TelemetrySnapshot};
+use flowguard::{FlowGuardConfig, PhaseSpan, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -53,8 +52,6 @@ pub struct ObservabilityBench {
     /// Background stream-drain cycles (streaming config; not a check
     /// phase).
     pub stream_drain_cycles: f64,
-    /// Watchdog verdict label after the benign run (`healthy` expected).
-    pub health_status: String,
 }
 
 /// Check-phase attribution coverage of one telemetry snapshot: span-profiled
@@ -68,8 +65,8 @@ fn coverage(ts: &TelemetrySnapshot) -> f64 {
 }
 
 /// Runs the nginx-style bench workload once under `cfg` and returns the
-/// telemetry snapshot plus the health verdict.
-fn protected_run(cfg: FlowGuardConfig) -> (TelemetrySnapshot, HealthStatus) {
+/// telemetry snapshot.
+fn protected_run(cfg: FlowGuardConfig) -> TelemetrySnapshot {
     let w = fg_workloads::nginx_patched();
     let d = crate::measure::trained_deployment(&w);
     let mut p = d.launch(&w.default_input, cfg);
@@ -77,8 +74,7 @@ fn protected_run(cfg: FlowGuardConfig) -> (TelemetrySnapshot, HealthStatus) {
     assert!(matches!(stop, fg_cpu::StopReason::Exited(0)), "benign run must exit: {stop:?}");
     let ts = p.stats.telemetry_snapshot();
     assert!(ts.checks > 0, "protected run must hit endpoints");
-    let health = p.stats.health_report().status;
-    (ts, health)
+    ts
 }
 
 /// Times 3 protected runs under `cfg` and returns the fastest run's
@@ -101,16 +97,15 @@ fn time_run(cfg: &FlowGuardConfig) -> (f64, f64) {
     (best, ns_per_record)
 }
 
-/// The deterministic half: attribution, per-phase cycles and the health
-/// verdict of one default-config and one streaming run. The host-timed
-/// columns stay zero.
+/// The deterministic half: attribution and per-phase cycles of one
+/// default-config and one streaming run. The host-timed columns stay zero.
 pub fn modeled() -> ObservabilityBench {
     // Default config, full profiling: attribution + per-phase table.
-    let (ts, health) = protected_run(FlowGuardConfig::default());
+    let ts = protected_run(FlowGuardConfig::default());
     let phase = |p: PhaseSpan| ts.spans.phase_cycles(p);
 
     // Streaming config: drain phases must stay out of the check budget.
-    let (sts, _) = protected_run(FlowGuardConfig { streaming: true, ..Default::default() });
+    let sts = protected_run(FlowGuardConfig { streaming: true, ..Default::default() });
 
     ObservabilityBench {
         attribution_coverage: coverage(&ts),
@@ -125,7 +120,6 @@ pub fn modeled() -> ObservabilityBench {
         shard_stitch_cycles: phase(PhaseSpan::ShardStitch),
         verdict_cycles: phase(PhaseSpan::Verdict),
         stream_drain_cycles: sts.spans.phase_cycles(PhaseSpan::StreamDrain),
-        health_status: health.label().to_string(),
         ..ObservabilityBench::default()
     }
 }
@@ -173,6 +167,5 @@ pub fn print_table(b: &ObservabilityBench) {
     t.row(vec!["shard stitch cycles".into(), fmt(b.shard_stitch_cycles, 0)]);
     t.row(vec!["verdict cycles".into(), fmt(b.verdict_cycles, 0)]);
     t.row(vec!["stream drain cycles (bg)".into(), fmt(b.stream_drain_cycles, 0)]);
-    t.row(vec!["health status".into(), b.health_status.clone()]);
     t.print("Observability-plane benchmarks (BENCH_observability.json)");
 }

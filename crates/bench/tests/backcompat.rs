@@ -9,11 +9,13 @@
 
 /// A pre-fleet-era `TelemetrySnapshot` dump: it predates the fleet
 /// scheduler's (since removed) `sched_*` counters, and words added later
-/// must default rather than fail the parse.
+/// must default rather than fail the parse. It carries the since removed
+/// `health` watchdog verdict, which is ignored.
 #[test]
 fn pre_fleet_telemetry_snapshot_parses_with_defaults() {
     let text = include_str!("fixtures/telemetry_snapshot_pr9.json");
     assert!(!text.contains("\"sched_"), "fixture must predate the fleet words");
+    assert_eq!(text.matches("\"health\":").count(), 1, "fixture carries the removed verdict");
     let s: flowguard::TelemetrySnapshot = serde_json::from_str(text).unwrap();
     assert_eq!(s.checks, 24);
     assert!(s.stream_drains > 0, "a streaming-era dump with drains recorded");
@@ -25,12 +27,14 @@ fn pre_fleet_telemetry_snapshot_parses_with_defaults() {
 }
 
 /// A `TelemetrySnapshot` saved by `flowguard_cli stats --save` while the
-/// fleet scheduler existed: its two `sched_*` counters no longer exist and
-/// are ignored, so `stats --diff` still loads the file.
+/// fleet scheduler existed: its two `sched_*` counters and its `health`
+/// watchdog verdict no longer exist and are ignored, so `stats --diff`
+/// still loads the file.
 #[test]
 fn scheduler_era_telemetry_snapshot_with_removed_counters_parses() {
     let text = include_str!("fixtures/telemetry_snapshot_scheduler_era.json");
     assert_eq!(text.matches("\"sched_").count(), 2, "fixture carries the removed counters");
+    assert_eq!(text.matches("\"health\":").count(), 1, "fixture carries the removed verdict");
     let s: flowguard::TelemetrySnapshot = serde_json::from_str(text).unwrap();
     assert_eq!(s.checks, 24);
     assert_eq!((s.stream_drains, s.stream_drained_bytes), (65_118, 378_655));

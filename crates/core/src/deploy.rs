@@ -279,14 +279,9 @@ pub struct ProtectedProcess {
 }
 
 impl ProtectedProcess {
-    /// Runs to completion (or the instruction budget). Each slice feeds the
-    /// health watchdog one sample on return, so slice-driven callers (the
-    /// CLI's `top` and `health` loops) accumulate a rolling window without
-    /// extra plumbing.
+    /// Runs to completion (or the instruction budget).
     pub fn run(&mut self, max_insns: u64) -> StopReason {
-        let stop = self.machine.run(&mut self.kernel, max_insns);
-        self.stats.health_tick();
-        stop
+        self.machine.run(&mut self.kernel, max_insns)
     }
 
     /// Whether a CFI violation was detected.

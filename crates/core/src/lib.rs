@@ -27,8 +27,8 @@
 //!   detectors from the related-work lineage (§8.2);
 //! * [`telemetry`] — runtime telemetry as plain data behind one lock
 //!   (counters, latency histograms, a per-check event ring), the per-phase
-//!   span profiler, the health watchdog, and the violation flight recorder,
-//!   read through one [`TelemetrySnapshot`] type.
+//!   span profiler and the violation flight recorder, read through one
+//!   [`TelemetrySnapshot`] type.
 //!
 //! # Examples
 //!
@@ -76,4 +76,4 @@ pub use telemetry::{
 };
 
 // Observability-plane types shared with `fg-trace`.
-pub use fg_trace::{FlightRecord, HealthReport, HealthStatus, PhaseSpan, SpanSnapshot};
+pub use fg_trace::{FlightRecord, PhaseSpan, SpanSnapshot};

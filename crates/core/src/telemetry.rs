@@ -3,8 +3,8 @@
 //!
 //! [`EngineTelemetry`] aggregates counters for verdict tallies, log-linear
 //! histograms for latency distributions, a bounded event ring with one
-//! [`CheckEvent`] per endpoint check, the span profiler, the health
-//! watchdog, a bounded violation log, and the violation flight recorder.
+//! [`CheckEvent`] per endpoint check, the span profiler, a bounded
+//! violation log, and the violation flight recorder.
 //! The engine is the only writer and records each check (event, spans and
 //! cache samples together) in one call; readers (the CLI, fleet rollups,
 //! benchmarks) take snapshots between calls through the shared handle, so
@@ -15,8 +15,8 @@
 
 use fg_ipt::DrainStats;
 use fg_trace::{
-    EventRing, FlightRecord, FlightRecorder, HealthReport, HealthSample, Histogram,
-    HistogramSnapshot, PhaseSpan, PromText, SpanProfiler, SpanSnapshot, Watchdog, PHASE_COUNT,
+    EventRing, FlightRecord, FlightRecorder, Histogram, HistogramSnapshot, PhaseSpan, PromText,
+    SpanProfiler, SpanSnapshot, PHASE_COUNT,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -189,9 +189,9 @@ pub struct CheckRecord {
 #[derive(Debug)]
 struct Recorders {
     /// The live counters in their snapshot form; the distributions, spans,
-    /// health, violations and flight records stay empty here (the recorders
-    /// below hold them, and [`EngineTelemetry::telemetry_snapshot`] fills
-    /// them in).
+    /// violations and flight records stay empty here (the recorders below
+    /// hold them, and [`EngineTelemetry::telemetry_snapshot`] fills them
+    /// in).
     stats: TelemetrySnapshot,
     /// Cycles per endpoint check, all phases.
     check_latency: Histogram,
@@ -207,33 +207,14 @@ struct Recorders {
     bytes_per_check: Histogram,
     /// Streaming mode: residue bytes not yet drained at check entry.
     frontier_lag: Histogram,
-    /// Set once a streaming-served check has been recorded (watchdog input).
-    streaming: bool,
     /// Per-phase cycle attribution.
     spans: SpanProfiler,
-    /// Rolling-window health evaluation over the counters above.
-    watchdog: Watchdog,
     events: EventRing<CheckEvent>,
     violations: ViolationLog,
     flight: FlightRecorder,
 }
 
 impl Recorders {
-    fn health_sample(&self) -> HealthSample {
-        let s = &self.stats;
-        HealthSample {
-            checks: s.checks,
-            slow_invocations: s.slow_invocations,
-            edge_cache_hits: s.edge_cache_hits,
-            edge_cache_misses: s.edge_cache_misses,
-            checkpoint_hits: s.slow_checkpoint_hits,
-            checkpoint_misses: s.slow_checkpoint_misses,
-            stream_drains: s.stream_drains,
-            frontier_lag: s.last_frontier_lag,
-            streaming: self.streaming,
-        }
-    }
-
     fn sample_stream_copies(&mut self, ds: &DrainStats) {
         self.stats.stream_copied_bytes = ds.copied_bytes;
         self.stats.stream_seam_carries = ds.seam_carries;
@@ -266,9 +247,7 @@ impl EngineTelemetry {
                 slowpath_shards: Histogram::new(),
                 bytes_per_check: Histogram::new(),
                 frontier_lag: Histogram::new(),
-                streaming: false,
                 spans: SpanProfiler::new(enabled),
-                watchdog: Watchdog::default(),
                 events: EventRing::new(EVENT_RING_CAPACITY),
                 violations: ViolationLog::default(),
                 flight: FlightRecorder::new(FLIGHT_CAPACITY, FLIGHT_WINDOW_BYTES),
@@ -335,7 +314,6 @@ impl EngineTelemetry {
         if ev.streaming {
             r.frontier_lag.record(ev.frontier_lag);
             r.stats.last_frontier_lag = ev.frontier_lag;
-            r.streaming = true;
         }
         r.events.push(ev);
     }
@@ -363,20 +341,6 @@ impl EngineTelemetry {
     /// rollup's bucket merge across processes.
     pub fn merge_check_latency_into(&self, into: &mut Histogram) {
         into.merge_from(&self.inner.lock().check_latency);
-    }
-
-    /// Pushes the current vital signs into the watchdog's rolling window.
-    /// Call once per observation interval (the protected-process runner
-    /// ticks at the end of every run slice).
-    pub fn health_tick(&self) {
-        let mut r = self.inner.lock();
-        let sample = r.health_sample();
-        r.watchdog.push(sample);
-    }
-
-    /// Evaluates the watchdog rules over the ticks accumulated so far.
-    pub fn health_report(&self) -> HealthReport {
-        self.inner.lock().watchdog.report()
     }
 
     /// Appends to the bounded violation log (recorded even when disabled:
@@ -415,7 +379,7 @@ impl EngineTelemetry {
     }
 
     /// The full serialisable telemetry snapshot (counters, distributions,
-    /// spans, health, violations, flight records) — the JSON the CLI's
+    /// spans, violations, flight records) — the JSON the CLI's
     /// `stats` subcommand and fg-bench's distribution columns consume.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let r = self.inner.lock();
@@ -428,7 +392,6 @@ impl EngineTelemetry {
             bytes_per_check: r.bytes_per_check.snapshot(),
             frontier_lag: r.frontier_lag.snapshot(),
             spans: r.spans.snapshot(),
-            health: r.watchdog.report(),
             events_recorded: r.events.pushed(),
             violations_total: r.violations.total(),
             violations_dropped: r.violations.dropped,
@@ -539,11 +502,6 @@ impl EngineTelemetry {
             "fg_span_overhead_estimated_ns",
             "Profiler self-overhead extrapolated over all records",
             overhead.estimated_total_ns,
-        )
-        .gauge(
-            "fg_health_status",
-            "Watchdog verdict: 0 healthy, 1 degraded, 2 critical",
-            r.watchdog.report().status.to_u64() as f64,
         );
 
         let hists: [(&str, &str, &Histogram); 7] = [
@@ -676,9 +634,6 @@ pub struct TelemetrySnapshot {
     /// Per-phase cycle attribution (empty when telemetry is off).
     #[serde(default)]
     pub spans: SpanSnapshot,
-    /// Watchdog verdict over the health ticks accumulated so far.
-    #[serde(default)]
-    pub health: HealthReport,
     /// Events ever pushed to the ring (≥ retained).
     pub events_recorded: u64,
     /// Violations recorded in total.
@@ -857,10 +812,9 @@ mod tests {
             "fg_check_latency_cycles_bucket{le=\"+Inf\"} 1",
             "fg_check_latency_cycles_sum",
             "fg_check_bytes_count",
-            // Per-phase attribution and the watchdog verdict.
+            // Per-phase attribution.
             "fg_phase_cycles_total{phase=\"fast_scan\"}",
             "fg_phase_spans_total{phase=\"verdict\"}",
-            "fg_health_status 0",
             "fg_span_overhead_mean_ns",
             // The zero-copy drain families.
             "fg_stream_copied_bytes_total",
@@ -879,9 +833,9 @@ mod tests {
         let json = serde_json::to_string(&t.telemetry_snapshot()).unwrap();
         let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.checks, 1);
-        // Pre-observability snapshots (no spans/health keys) still parse.
-        // The vendored JSON layer has no mutable value tree, so excise the
-        // two keys textually by walking their balanced-brace object bodies.
+        // Pre-observability snapshots (no `spans` key) still parse. The
+        // vendored JSON layer has no mutable value tree, so excise the key
+        // textually by walking its balanced-brace object body.
         fn drop_key(json: &str, key: &str) -> String {
             let pat = format!("\"{key}\":");
             let start = json.find(&pat).unwrap();
@@ -911,7 +865,7 @@ mod tests {
             out.push_str(rest);
             out
         }
-        let stripped = drop_key(&drop_key(&json, "spans"), "health");
+        let stripped = drop_key(&json, "spans");
         let old: TelemetrySnapshot = serde_json::from_str(&stripped).unwrap();
         assert_eq!(old.checks, 1);
         assert_eq!(old.spans, fg_trace::SpanSnapshot::default());
@@ -970,7 +924,6 @@ mod tests {
                 "frontier_lag",
                 "last_frontier_lag",
                 "spans",
-                "health",
                 "events_recorded",
                 "violations_total",
                 "violations_dropped",
@@ -1005,25 +958,6 @@ mod tests {
                 "drained_bytes",
             ]
         );
-    }
-
-    #[test]
-    fn health_ticks_feed_the_watchdog() {
-        let t = EngineTelemetry::new(true);
-        t.health_tick();
-        for _ in 0..100 {
-            t.record_check(&check(CheckEvent {
-                sysno: 2,
-                verdict: CheckVerdict::SlowClean,
-                ..Default::default()
-            }));
-        }
-        t.health_tick();
-        let report = t.health_report();
-        assert_eq!(report.samples, 2);
-        assert_eq!(report.window_checks, 100);
-        assert_eq!(report.status, fg_trace::HealthStatus::Critical, "100% escalation rate");
-        assert!(report.findings.iter().any(|f| f.rule == "escalation_rate"));
     }
 
     #[test]

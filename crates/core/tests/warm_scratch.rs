@@ -13,11 +13,14 @@
 //! after earlier pairs and earlier checks have filled the cache. Halfway
 //! through, the scratch may be given another of the three.
 //!
-//! The scans are windows of a real trained-nginx trace cut at random
+//! The scans are windows of a real traced `h264ref` run cut at random
 //! points, some with bytes damaged, some truncated at the front and some
 //! with one TIP's TNT run changed, checked with windows of random size (as
 //! endpoint and PMI checks alternate) while the slow-path cache grows
-//! between checks, as the engine grows it.
+//! between checks, as the engine grows it. That run visits 29 ITC nodes
+//! over 45 distinct TIP pairs, with 43% of its TIPs on its two busiest
+//! nodes, so a cleared node lands in the windows. A traced server visits
+//! 17 nodes with 99% of its TIPs on two, whatever its input.
 
 use fg_cfg::{Credit, EntryBitset, ItcCfg};
 use fg_cpu::{IptUnit, Machine, StopReason, TraceUnit};
@@ -46,7 +49,7 @@ struct Fixture {
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let w = fg_workloads::nginx_patched();
+        let w = fg_workloads::spec_by_name("h264ref").expect("a bundled SPEC profile");
         let mut d = Deployment::analyze(&w.image);
         let untrained = d.itc.clone();
         d.train(std::slice::from_ref(&w.default_input));
@@ -55,7 +58,7 @@ fn fixture() -> &'static Fixture {
         let mut unit = IptUnit::flowguard(cr3, Topa::two_regions(1 << 20).unwrap());
         unit.start(w.image.entry(), cr3);
         m.trace = TraceUnit::Ipt(unit);
-        let mut k = fg_kernel::Kernel::with_input(&fg_workloads::load_input(4, 1));
+        let mut k = fg_kernel::Kernel::with_input(&w.default_input);
         assert_eq!(m.run(&mut k, 50_000_000), StopReason::Exited(0));
         let ipt = m.trace.as_ipt_mut().unwrap();
         ipt.flush();

@@ -15,9 +15,6 @@
 //!   mergeable cumulative-bucket histograms ([`export`]).
 //! * [`SpanProfiler`] — per-phase cycle attribution over the check
 //!   pipeline, with measured self-overhead ([`span`]).
-//! * [`Watchdog`] — rolling-window health evaluation of the runtime's
-//!   vital signs into structured [`HealthReport`]s, against constant
-//!   thresholds ([`watchdog`]).
 //!
 //! The crate is deliberately engine-agnostic: `flowguard` defines what an
 //! event *is* and its one snapshot type (`TelemetrySnapshot`); `fg-trace`
@@ -30,11 +27,9 @@ pub mod flight;
 pub mod hist;
 pub mod ring;
 pub mod span;
-pub mod watchdog;
 
 pub use export::PromText;
 pub use flight::{FlightRecord, FlightRecorder};
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS, SUB_BUCKETS};
 pub use ring::EventRing;
 pub use span::{PhaseSpan, ProfilerOverhead, SpanProfiler, SpanSnapshot, PHASE_COUNT};
-pub use watchdog::{HealthFinding, HealthReport, HealthSample, HealthStatus, Watchdog};

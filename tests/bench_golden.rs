@@ -66,7 +66,6 @@ fn observability_attribution_and_phase_cycles() {
     same(b.shard_stitch_cycles, 0.0);
     same(b.verdict_cycles, 2400.0);
     same(b.stream_drain_cycles, 1_135_965.0);
-    assert_eq!(b.health_status, "healthy");
 }
 
 #[test]
